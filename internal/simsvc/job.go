@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"ladm/internal/arch"
 	"ladm/internal/core"
@@ -150,16 +151,15 @@ func (r Request) Key() JobKey {
 
 // Resolve looks the request's names up in the workload, policy and
 // machine registries and returns the executable job. Unknown names
-// produce errors that list the valid options.
+// produce errors that list the valid options. It builds the workload's
+// inputs (a graph workload's whole CSR), so the service calls it only
+// when a job actually has to run; admission uses Validate.
 func (r Request) Resolve() (core.Job, error) {
 	r = r.Normalize()
-	switch r.Fidelity {
-	case "", FidelityAnalytic, FidelityAuto:
-	default:
-		return core.Job{}, fmt.Errorf("unknown fidelity %q (valid: %s, %s, %s)",
-			r.Fidelity, FidelityEvent, FidelityAnalytic, FidelityAuto)
+	if err := r.checkFidelity(); err != nil {
+		return core.Job{}, err
 	}
-	spec, err := kernels.ByName(r.Workload, r.Scale)
+	spec, err := buildWorkload(r.Workload, r.Scale)
 	if err != nil {
 		return core.Job{}, err
 	}
@@ -172,6 +172,50 @@ func (r Request) Resolve() (core.Job, error) {
 		return core.Job{}, err
 	}
 	return core.Job{Workload: spec.W, Policy: pol, Arch: cfg, Parallel: r.Parallel}, nil
+}
+
+// buildWorkload is the kernel registry's builder; a variable so tests
+// can count how often the service builds a workload.
+var buildWorkload = kernels.ByName
+
+func (r Request) checkFidelity() error {
+	switch r.Fidelity {
+	case "", FidelityAnalytic, FidelityAuto:
+		return nil
+	}
+	return fmt.Errorf("unknown fidelity %q (valid: %s, %s, %s)",
+		r.Fidelity, FidelityEvent, FidelityAnalytic, FidelityAuto)
+}
+
+// workloadNames is the workload registry's name set. The registry is
+// filled at init and never changes afterwards.
+var workloadNames = sync.OnceValue(func() map[string]bool {
+	set := map[string]bool{}
+	for _, n := range kernels.Names() {
+		set[n] = true
+	}
+	return set
+})
+
+// Validate checks the request against the fidelity tiers and the
+// workload, policy and machine registries, in Resolve's order and with
+// Resolve's exact errors, without building anything: Validate() == nil
+// exactly when Resolve() succeeds.
+func (r Request) Validate() error {
+	r = r.Normalize()
+	if err := r.checkFidelity(); err != nil {
+		return err
+	}
+	if !workloadNames()[r.Workload] {
+		// An unknown name fails before the registry builds anything.
+		_, err := kernels.ByName(r.Workload, r.Scale)
+		return err
+	}
+	if _, err := rt.ByName(r.Policy); err != nil {
+		return err
+	}
+	_, err := arch.ByName(r.Machine)
+	return err
 }
 
 // Derived holds the headline metrics computed from a raw record, so JSON

@@ -1,14 +1,21 @@
 package simsvc
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ladm/internal/core"
+	"ladm/internal/stats"
 )
 
 func getBody(t *testing.T, url string) (*http.Response, []byte) {
@@ -92,52 +99,32 @@ func TestRetentionTTLDropsStaleRecords(t *testing.T) {
 }
 
 func TestRetentionNeverEvictsInFlightJobs(t *testing.T) {
-	var calls atomic.Int64
-	started := make(chan string, 16)
-	release := make(chan struct{})
-	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: 8,
-		Simulate: blockingSim(&calls, started, release)})
-	defer pool.Close()
-	srv := NewServer(pool)
-	srv.SetRetention(1, 0)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Three jobs: one blocked in the simulator, two queued behind it.
-	// All exceed the cap of 1, but none is finished, so none may go.
+	// A registry at its cap keeps every in-flight job, even past the
+	// cap, and trims finished ones only.
+	gates := map[string]chan struct{}{"vecadd": make(chan struct{})}
+	ts, srv := gatedService(t, 4, gates)
+	srv.SetRetention(3, 0)
 	for i := 0; i < 3; i++ {
-		resp, body := postJSON(t, ts.URL+"/run",
-			map[string]any{"workload": "vecadd", "scale": 8 + i, "async": true})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("job %d: status = %d: %s", i, resp.StatusCode, body)
-		}
+		runSync(t, ts, Request{Workload: "tra", Scale: 8 + i}) // jobs 1..3, finished
 	}
-	<-started
-	srv.mu.Lock()
-	n := len(srv.jobs)
-	srv.mu.Unlock()
-	if n != 3 {
-		t.Fatalf("in-flight registry size = %d, want 3 (eviction touched live jobs?)", n)
+	var live []string
+	for i := 0; i < 4; i++ {
+		live = append(live, runAsync(t, ts, Request{Workload: "vecadd", Scale: 8 + i})) // jobs 4..7
 	}
+	// Four in-flight jobs over a cap of three: every finished record
+	// went, no live one did.
+	wantRegistry(t, srv, live...)
+	wantEvicted(t, ts, 3)
 
-	close(release)
-	waitFor(t, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		for _, rec := range srv.jobs {
-			if !finishedStatus(rec.status) {
-				return false
-			}
-		}
-		return true
-	})
-	// The next registration trims the finished backlog down to the cap.
-	postJSON(t, ts.URL+"/run", map[string]any{"workload": "vecadd", "scale": 20, "async": true})
-	waitFor(t, func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.jobs) <= 1+1 // cap + possibly-unfinished newcomer
-	})
+	close(gates["vecadd"])
+	for _, id := range live {
+		waitFinished(t, srv, id)
+	}
+	runSync(t, ts, Request{Workload: "tra", Scale: 20}) // job-000008
+	if got := registryIDs(srv); len(got) != 3 || !slices.Contains(got, "job-000008") {
+		t.Errorf("registry = %v, want the newest job and two of its predecessors", got)
+	}
+	wantEvicted(t, ts, 5)
 }
 
 // TestTelemetryEndpoint drives a real simulation with telemetry enabled
@@ -291,4 +278,244 @@ func TestTelemetryChangesCacheKey(t *testing.T) {
 	if plain.Key() == sampled.Key() {
 		t.Error("telemetry flag does not separate cache keys")
 	}
+}
+
+// gatedService serves jobs through a fake simulator that holds every
+// job of a gated workload until that workload's gate closes; all other
+// workloads finish at once. Retention starts unlimited so setting up a
+// registry evicts nothing; tests set their limits afterwards.
+func gatedService(t *testing.T, workers int, gates map[string]chan struct{}) (*httptest.Server, *Server) {
+	t.Helper()
+	pool := NewPool(PoolConfig{Workers: workers, QueueDepth: 16,
+		Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+			if g, ok := gates[j.Workload.Name]; ok {
+				<-g
+			}
+			return &stats.Run{Workload: j.Workload.Name}, nil
+		}})
+	t.Cleanup(pool.Close)
+	srv := NewServer(pool)
+	srv.SetRetention(0, 0)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, srv
+}
+
+// runSync posts one synchronous /run and fails the test unless it is done.
+func runSync(t *testing.T, ts *httptest.Server, req Request) JobView {
+	t.Helper()
+	resp, body := postJSON(t, ts.URL+"/run", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run %+v: status = %d: %s", req, resp.StatusCode, body)
+	}
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// runAsync posts one asynchronous /run and returns its job id.
+func runAsync(t *testing.T, ts *httptest.Server, req Request) string {
+	t.Helper()
+	resp, body := postJSON(t, ts.URL+"/run", runRequest{Request: req, Async: true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async run %+v: status = %d: %s", req, resp.StatusCode, body)
+	}
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.ID
+}
+
+// waitFinished blocks until the job has a terminal status.
+func waitFinished(t *testing.T, srv *Server, id string) {
+	t.Helper()
+	waitFor(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		rec := srv.jobs[id]
+		return rec != nil && finishedStatus(rec.status)
+	})
+}
+
+// registryIDs returns the tracked job ids, sorted.
+func registryIDs(srv *Server) []string {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	ids := make([]string, 0, len(srv.jobs))
+	for id := range srv.jobs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+func wantRegistry(t *testing.T, srv *Server, want ...string) {
+	t.Helper()
+	if got := registryIDs(srv); !slices.Equal(got, want) {
+		t.Errorf("registry = %v, want %v", got, want)
+	}
+}
+
+// wantEvicted checks simsvc_jobs_evicted_total as /metrics renders it.
+func wantEvicted(t *testing.T, ts *httptest.Server, n int) {
+	t.Helper()
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	want := fmt.Sprintf("simsvc_jobs_evicted_total %d\n", n)
+	if !strings.Contains(string(metrics), want) {
+		t.Errorf("metrics lack %q", strings.TrimSpace(want))
+	}
+}
+
+// TestRetentionEvictsInCompletionOrder: jobs that finish out of
+// submission order leave the registry in the order they finished, not
+// the order they arrived.
+func TestRetentionEvictsInCompletionOrder(t *testing.T) {
+	names := []string{"vecadd", "sq-gemm", "conv"} // jobs 1, 2, 3
+	gates := map[string]chan struct{}{}
+	for _, n := range names {
+		gates[n] = make(chan struct{})
+	}
+	ts, srv := gatedService(t, len(names), gates)
+	var ids []string
+	for _, n := range names {
+		ids = append(ids, runAsync(t, ts, Request{Workload: n}))
+	}
+	// Finish them 3, 1, 2.
+	for _, i := range []int{2, 0, 1} {
+		close(gates[names[i]])
+		waitFinished(t, srv, ids[i])
+	}
+	srv.SetRetention(2, 0)
+	runSync(t, ts, Request{Workload: "tra"}) // job-000004
+	// Registering job 4 made four records against a cap of two: the two
+	// oldest completions, jobs 3 and 1, went.
+	wantRegistry(t, srv, "job-000002", "job-000004")
+	wantEvicted(t, ts, 2)
+	runSync(t, ts, Request{Workload: "tra", Scale: 9}) // job-000005
+	wantRegistry(t, srv, "job-000004", "job-000005")
+	wantEvicted(t, ts, 3)
+}
+
+// TestRetentionTTLAndCapCombine: at one registration the TTL first drops
+// every expired record, then the cap trims the survivors oldest
+// completion first; each eviction counts once.
+func TestRetentionTTLAndCapCombine(t *testing.T) {
+	ts, srv := gatedService(t, 2, nil)
+	for i := 0; i < 5; i++ {
+		runSync(t, ts, Request{Workload: "vecadd", Scale: 8 + i}) // jobs 1..5
+	}
+	// The two oldest completions age past the TTL.
+	srv.mu.Lock()
+	for _, id := range []string{"job-000001", "job-000002"} {
+		srv.jobs[id].finished = time.Now().Add(-2 * time.Hour)
+	}
+	srv.mu.Unlock()
+	srv.SetRetention(3, time.Hour)
+
+	runSync(t, ts, Request{Workload: "vecadd", Scale: 20}) // job-000006
+	// Six records: the TTL takes jobs 1 and 2, the cap of three takes 3.
+	wantRegistry(t, srv, "job-000004", "job-000005", "job-000006")
+	wantEvicted(t, ts, 3)
+
+	runSync(t, ts, Request{Workload: "vecadd", Scale: 21}) // job-000007
+	wantRegistry(t, srv, "job-000005", "job-000006", "job-000007")
+	wantEvicted(t, ts, 4)
+}
+
+// TestRetentionShrinkAtRuntime: SetRetention only changes the limits;
+// the registry shrinks to them at the next registration.
+func TestRetentionShrinkAtRuntime(t *testing.T) {
+	ts, srv := gatedService(t, 2, nil)
+	for i := 0; i < 6; i++ {
+		runSync(t, ts, Request{Workload: "vecadd", Scale: 8 + i}) // jobs 1..6
+	}
+	srv.SetRetention(2, 0)
+	if n := len(registryIDs(srv)); n != 6 {
+		t.Fatalf("registry shrank to %d before any registration", n)
+	}
+	wantEvicted(t, ts, 0)
+	runSync(t, ts, Request{Workload: "vecadd", Scale: 20}) // job-000007
+	wantRegistry(t, srv, "job-000006", "job-000007")
+	wantEvicted(t, ts, 5)
+
+	// Lifting the limits stops eviction; records are kept from then on.
+	srv.SetRetention(0, 0)
+	runSync(t, ts, Request{Workload: "vecadd", Scale: 21})
+	wantRegistry(t, srv, "job-000006", "job-000007", "job-000008")
+	wantEvicted(t, ts, 5)
+}
+
+// TestRetentionTiesGoInCompletionOrder documents the tie rule: records
+// stamped with the same finish time leave in the order they finished —
+// the order finishJob queued them — not by id.
+func TestRetentionTiesGoInCompletionOrder(t *testing.T) {
+	ts, srv := gatedService(t, 1, nil)
+	ctx := context.Background()
+	first := srv.register(ctx, Request{Workload: "vecadd"}.Normalize())   // job-000001
+	second := srv.register(ctx, Request{Workload: "sq-gemm"}.Normalize()) // job-000002
+	srv.finishJob(ctx, second, &stats.Run{}, false, nil)
+	srv.finishJob(ctx, first, &stats.Run{}, false, nil)
+	srv.mu.Lock()
+	second.finished = first.finished // an exact-nanosecond tie
+	srv.mu.Unlock()
+
+	srv.SetRetention(2, 0)
+	runSync(t, ts, Request{Workload: "tra"}) // job-000003
+	wantRegistry(t, srv, "job-000001", "job-000003")
+	wantEvicted(t, ts, 1)
+}
+
+// TestSweepRetention: past retainSweeps, each registration drops the
+// oldest finished sweep; unfinished sweeps stay however old they are.
+func TestSweepRetention(t *testing.T) {
+	_, srv := gatedService(t, 1, nil)
+	finish := func(sw *sweepRecord) {
+		sw.mu.Lock()
+		sw.finished = time.Now()
+		sw.mu.Unlock()
+	}
+	var all []*sweepRecord
+	for i := 0; i < retainSweeps; i++ {
+		all = append(all, srv.registerSweep(nil))
+	}
+	// Sweeps 1 and 3 are still running; every other one has finished.
+	for i, sw := range all {
+		if i != 0 && i != 2 {
+			finish(sw)
+		}
+	}
+	has := func(id string) bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.sweeps[id] != nil
+	}
+	check := func(gone, kept []string) {
+		t.Helper()
+		for _, id := range gone {
+			if has(id) {
+				t.Errorf("%s survived eviction", id)
+			}
+		}
+		for _, id := range kept {
+			if !has(id) {
+				t.Errorf("%s was evicted", id)
+			}
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if len(srv.sweeps) != retainSweeps || len(srv.sweepList) != retainSweeps {
+			t.Errorf("registry holds %d sweeps (%d listed), want %d",
+				len(srv.sweeps), len(srv.sweepList), retainSweeps)
+		}
+	}
+	srv.registerSweep(nil)
+	check([]string{"sweep-000002"}, []string{"sweep-000001", "sweep-000003", "sweep-000004"})
+	srv.registerSweep(nil)
+	check([]string{"sweep-000004"}, []string{"sweep-000001", "sweep-000003", "sweep-000005"})
+	finish(all[0])
+	srv.registerSweep(nil)
+	check([]string{"sweep-000001"}, []string{"sweep-000003", "sweep-000005"})
 }

@@ -131,15 +131,21 @@ type Server struct {
 	// GET /jobs/{key}/telemetry outlives eviction and restarts.
 	store *DiskStore
 
-	mu        sync.Mutex
-	jobs      map[string]*jobRecord
-	nextID    int
+	mu     sync.Mutex
+	jobs   map[string]*jobRecord
+	nextID int
+	// done holds the registry's finished records in completion order:
+	// finishJob appends each one under mu as it stamps rec.finished, so
+	// the front is always the oldest completion and eviction pops from
+	// it without scanning or sorting the registry.
+	done      []*jobRecord
 	sweeps    map[string]*sweepRecord
+	sweepList []*sweepRecord // sweeps in creation (= id) order
 	nextSweep int
 
-	// Registry retention (ROADMAP "Job registry growth"): finished
-	// records beyond retainMax, or older than retainTTL, are evicted at
-	// registration time. Zero values disable the respective limit.
+	// Registry retention: finished records beyond retainMax, or older
+	// than retainTTL, are evicted at registration time. Zero values
+	// disable the respective limit.
 	retainMax int
 	retainTTL time.Duration
 
@@ -468,7 +474,10 @@ func (s *Server) register(ctx context.Context, req Request) *jobRecord {
 }
 
 // registerSweep tracks a new sweep over the given cells, evicting the
-// oldest finished sweeps beyond the registry bound.
+// oldest finished sweeps beyond the registry bound. Unfinished sweeps
+// are never evicted: the walk from the oldest passes over them and
+// re-seats them ahead of the untouched tail, so it costs the sweeps it
+// visits, not the registry.
 func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -480,23 +489,26 @@ func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
 		created: time.Now(),
 	}
 	s.sweeps[sw.id] = sw
-	if len(s.sweeps) > retainSweeps {
-		var done []*sweepRecord
-		for _, old := range s.sweeps {
-			old.mu.Lock()
-			if !old.finished.IsZero() {
-				done = append(done, old)
-			}
-			old.mu.Unlock()
-		}
-		sort.Slice(done, func(i, j int) bool { return done[i].id < done[j].id })
-		for _, old := range done {
-			if len(s.sweeps) <= retainSweeps {
-				break
-			}
+	s.sweepList = append(s.sweepList, sw)
+	excess := len(s.sweeps) - retainSweeps
+	var live []*sweepRecord // unfinished sweeps walked past
+	i := 0
+	for ; excess > 0 && i < len(s.sweepList); i++ {
+		old := s.sweepList[i]
+		old.mu.Lock()
+		finished := !old.finished.IsZero()
+		old.mu.Unlock()
+		if finished {
 			delete(s.sweeps, old.id)
+			excess--
+		} else {
+			live = append(live, old)
 		}
 	}
+	keep := i - len(live)
+	copy(s.sweepList[keep:i], live)
+	clear(s.sweepList[:keep])
+	s.sweepList = s.sweepList[keep:]
 	return sw
 }
 
@@ -504,40 +516,26 @@ func finishedStatus(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCanceled
 }
 
-// evictLocked applies the retention policy: finished records past the
-// TTL go first, then the oldest finished records until the registry fits
-// retainMax. Requires s.mu.
+// evictLocked applies the retention policy, oldest completion first:
+// finished records past the TTL go, then finished records until the
+// registry fits retainMax. Both limits pop from the front of the
+// completion-ordered s.done — completion times only grow along it — so
+// a registration costs O(1) amortized whatever the registry size.
+// Records that finish within the same nanosecond leave in the order
+// they finished. In-flight records are not in s.done and are never
+// evicted. Requires s.mu.
 func (s *Server) evictLocked(now time.Time) {
 	evicted := 0
-	if s.retainTTL > 0 {
-		for id, rec := range s.jobs {
-			if finishedStatus(rec.status) && now.Sub(rec.finished) > s.retainTTL {
-				delete(s.jobs, id)
-				evicted++
-			}
+	for len(s.done) > 0 {
+		rec := s.done[0]
+		expired := s.retainTTL > 0 && now.Sub(rec.finished) > s.retainTTL
+		if !expired && (s.retainMax <= 0 || len(s.jobs) <= s.retainMax) {
+			break
 		}
-	}
-	if s.retainMax > 0 && len(s.jobs) > s.retainMax {
-		var done []*jobRecord
-		for _, rec := range s.jobs {
-			if finishedStatus(rec.status) {
-				done = append(done, rec)
-			}
-		}
-		// Oldest completions go first; ids break ties deterministically.
-		sort.Slice(done, func(i, j int) bool {
-			if !done[i].finished.Equal(done[j].finished) {
-				return done[i].finished.Before(done[j].finished)
-			}
-			return done[i].id < done[j].id
-		})
-		for _, rec := range done {
-			if len(s.jobs) <= s.retainMax {
-				break
-			}
-			delete(s.jobs, rec.id)
-			evicted++
-		}
+		s.done[0] = nil
+		s.done = s.done[1:]
+		delete(s.jobs, rec.id)
+		evicted++
 	}
 	if evicted > 0 {
 		s.pool.Metrics().evicted.Add(int64(evicted))
@@ -582,16 +580,14 @@ func (s *Server) setStatus(rec *jobRecord, status string) {
 var ErrJobTimeout = errors.New("simsvc: job deadline exceeded")
 
 // execute runs one tracked job to completion through the cache and pool.
+// The request was validated at admission; its workload is built only
+// inside the cache's compute closure, so memory and store hits never
+// construct one.
 func (s *Server) execute(ctx context.Context, rec *jobRecord) {
 	// The timeline rides the context from here on: the cache marks its
 	// probe stages, the pool marks queue wait and compute, all without
 	// any of them knowing about job records.
 	ctx = svcobs.WithTimeline(ctx, rec.tl)
-	job, err := rec.req.Resolve()
-	if err != nil {
-		s.finishJob(ctx, rec, nil, false, err)
-		return
-	}
 	parent := ctx
 	if s.jobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -604,7 +600,6 @@ func (s *Server) execute(ctx context.Context, rec *jobRecord) {
 			SampleEvery: simtel.DefaultSampleEvery,
 			Trace:       true,
 		})
-		job.Tel = tel
 	}
 	s.setStatus(rec, StatusRunning)
 	exec := s.pool.Exec
@@ -650,6 +645,11 @@ func (s *Server) execute(ctx context.Context, rec *jobRecord) {
 		if tiered {
 			rec.tl.Mark(svcobs.StageTier)
 		}
+		job, err := rec.req.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		job.Tel = tel
 		return exec(ctx, job)
 	})
 	if tel != nil {
@@ -693,6 +693,7 @@ func (s *Server) finishJob(ctx context.Context, rec *jobRecord, run *stats.Run, 
 	}
 	s.mu.Lock()
 	rec.finished = time.Now()
+	s.done = append(s.done, rec)
 	rec.run, rec.cached, rec.err = run, cached, err
 	switch {
 	case err == nil:
@@ -742,7 +743,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	norm := req.Request.Normalize()
-	if _, err := norm.Resolve(); err != nil {
+	if err := norm.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -839,7 +840,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		for _, m := range req.Machines {
 			for _, p := range req.Policies {
 				cell := Request{Workload: wl, Policy: p, Machine: m, Scale: req.Scale, Fidelity: req.Fidelity}.Normalize()
-				if _, err := cell.Resolve(); err != nil {
+				if err := cell.Validate(); err != nil {
 					writeError(w, http.StatusBadRequest, err)
 					return
 				}

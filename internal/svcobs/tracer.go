@@ -10,9 +10,12 @@ import (
 	"ladm/internal/simtel"
 )
 
-// DefaultTraceEvents bounds the service tracer's span ring. At ~8 spans
-// per job that is thousands of recent jobs — far more than a screenful
-// of Perfetto — in a few MB of memory.
+// DefaultTraceEvents bounds the service tracer's span ring: 3 spans per
+// memory hit, up to 8 per computed job, so thousands of recent jobs —
+// far more than a screenful of Perfetto. A full ring of memory-hit
+// spans holds about 8 MB of live heap, job and request IDs included
+// (measured on go1.24 amd64; ~35 MB when every span carried its own
+// name string and args map).
 const DefaultTraceEvents = 65536
 
 // Tracer records finished job timelines as wall-clock Chrome trace
@@ -29,7 +32,7 @@ type Tracer struct {
 	mu     sync.Mutex
 	start  time.Time
 	max    int
-	events []simtel.Event
+	events []traceSlot
 	tracks map[int]bool // thread-name metadata already emitted, by tid
 	drops  int64        // events trimmed from the ring
 
@@ -45,6 +48,47 @@ type Tracer struct {
 // namedTrackBase is the first tid handed to named tracks, leaving the
 // lower range to per-worker tracks.
 const namedTrackBase = 1 << 16
+
+// traceSlot is one ring entry. Job-stage spans, nearly the whole ring
+// under load, are kept as their raw fields and only become events —
+// name string, args map — when the trace is read, so a full ring holds
+// no per-span heap objects. Everything else (track metadata, fleet
+// spans and instants) arrives as a ready-made event in ev.
+type traceSlot struct {
+	ev *simtel.Event // ready-made event; nil for a job-stage span
+
+	job, stage, tier, reqID string
+	ts, dur                 int64 // microseconds since the tracer's start
+	tid                     int
+}
+
+// meta reports whether the slot is track or process metadata, which
+// sorts ahead of every span.
+func (s *traceSlot) meta() bool { return s.ev != nil && s.ev.Ph == "M" }
+
+// at is the slot's start time in trace microseconds.
+func (s *traceSlot) at() float64 {
+	if s.ev != nil {
+		return s.ev.TS
+	}
+	return float64(s.ts)
+}
+
+// event renders the slot as a Chrome trace event.
+func (s *traceSlot) event() simtel.Event {
+	if s.ev != nil {
+		return *s.ev
+	}
+	args := map[string]any{"stage": s.stage, "tier": s.tier}
+	if s.reqID != "" {
+		args["request_id"] = s.reqID
+	}
+	return simtel.Event{
+		Name: s.job + "/" + s.stage, Cat: "job", Ph: "X",
+		TS: float64(s.ts), Dur: float64(s.dur),
+		PID: 0, TID: s.tid, Args: args,
+	}
+}
 
 // newTracer returns a tracer whose timestamps count from now.
 func newTracer(maxEvents int) *Tracer {
@@ -78,10 +122,10 @@ func (t *Tracer) ensureTrackLocked(tid int) {
 	} else if tid > 0 {
 		name = fmt.Sprintf("worker %d", tid-1)
 	}
-	t.events = append(t.events, simtel.Event{
+	t.events = append(t.events, traceSlot{ev: &simtel.Event{
 		Name: "thread_name", Ph: "M", PID: 0, TID: tid,
 		Args: map[string]any{"name": name},
-	})
+	}})
 }
 
 // namedTIDLocked returns (assigning on first use) the tid of a named
@@ -122,12 +166,12 @@ func (t *Tracer) AddSpan(track, name, cat string, start time.Time, dur time.Dura
 	defer t.mu.Unlock()
 	tid := t.namedTIDLocked(track)
 	t.ensureTrackLocked(tid)
-	t.events = append(t.events, simtel.Event{
+	t.events = append(t.events, traceSlot{ev: &simtel.Event{
 		Name: name, Cat: cat, Ph: "X",
 		TS:  float64(start.Sub(t.start).Microseconds()),
 		Dur: float64(dur.Microseconds()),
 		PID: 0, TID: tid, Args: args,
-	})
+	}})
 	t.trimLocked()
 }
 
@@ -141,11 +185,11 @@ func (t *Tracer) AddInstant(track, name, cat string, ts time.Time, args map[stri
 	defer t.mu.Unlock()
 	tid := t.namedTIDLocked(track)
 	t.ensureTrackLocked(tid)
-	t.events = append(t.events, simtel.Event{
+	t.events = append(t.events, traceSlot{ev: &simtel.Event{
 		Name: name, Cat: cat, Ph: "i",
 		TS:  float64(ts.Sub(t.start).Microseconds()),
 		PID: 0, TID: tid, Args: args,
-	})
+	}})
 	t.trimLocked()
 }
 
@@ -183,7 +227,8 @@ func (t *Tracer) AddTimeline(track string, ts *TimelineSummary) {
 	}
 }
 
-// addJob appends one finished job's stage spans to the ring.
+// addJob appends one finished job's stage spans to the ring as compact
+// slots: no allocation beyond amortized ring growth.
 func (t *Tracer) addJob(name, reqID, tier string, worker int, spans []StageSpan) {
 	if t == nil {
 		return
@@ -197,15 +242,11 @@ func (t *Tracer) addJob(name, reqID, tier string, worker int, spans []StageSpan)
 		if dur <= 0 {
 			continue
 		}
-		args := map[string]any{"stage": sp.Stage, "tier": tier}
-		if reqID != "" {
-			args["request_id"] = reqID
-		}
-		t.events = append(t.events, simtel.Event{
-			Name: fmt.Sprintf("%s/%s", name, sp.Stage), Cat: "job", Ph: "X",
-			TS:  float64(sp.Start.Sub(t.start).Microseconds()),
-			Dur: float64(dur.Microseconds()),
-			PID: 0, TID: tid, Args: args,
+		t.events = append(t.events, traceSlot{
+			job: name, stage: sp.Stage, tier: tier, reqID: reqID,
+			ts:  sp.Start.Sub(t.start).Microseconds(),
+			dur: dur.Microseconds(),
+			tid: tid,
 		})
 	}
 	t.trimLocked()
@@ -218,22 +259,26 @@ func (t *Tracer) Events() []simtel.Event {
 		return nil
 	}
 	t.mu.Lock()
-	evs := append([]simtel.Event(nil), t.events...)
+	slots := append([]traceSlot(nil), t.events...)
 	start := t.start
 	t.mu.Unlock()
-	sort.SliceStable(evs, func(i, j int) bool {
-		mi, mj := evs[i].Ph == "M", evs[j].Ph == "M"
+	sort.SliceStable(slots, func(i, j int) bool {
+		mi, mj := slots[i].meta(), slots[j].meta()
 		if mi != mj {
 			return mi
 		}
-		return evs[i].TS < evs[j].TS
+		return slots[i].at() < slots[j].at()
 	})
 	// Re-name the process once per write; cheap and keeps addJob lean.
-	meta := []simtel.Event{{
+	evs := make([]simtel.Event, 1, len(slots)+1)
+	evs[0] = simtel.Event{
 		Name: "process_name", Ph: "M", PID: 0,
 		Args: map[string]any{"name": fmt.Sprintf("ladm service (t0=%s)", start.Format(time.RFC3339))},
-	}}
-	return append(meta, evs...)
+	}
+	for i := range slots {
+		evs = append(evs, slots[i].event())
+	}
+	return evs
 }
 
 // WriteTrace writes the service trace as Chrome trace JSON, loadable in
