@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,31 @@ func TestHistogramVecExposition(t *testing.T) {
 	v.WriteProm(&b2)
 	if b.String() != b2.String() {
 		t.Error("exposition not deterministic")
+	}
+}
+
+// TestHistogramVecChildren pins that Children hands back label values
+// exactly as With received them, including characters the exposition
+// must escape.
+func TestHistogramVecChildren(t *testing.T) {
+	v := NewHistogramVec("c_seconds", "help", []string{"endpoint", "outcome"}, []float64{1})
+	odd := `http://a"b\c:1`
+	v.Observe(0.5, odd, "success")
+	v.Observe(1.5, odd, "success")
+	v.Observe(2, "http://plain:2", `err"or`)
+	got := v.Children()
+	want := []HistogramChild{
+		{Labels: []string{odd, "success"}, Count: 2, Sum: 2},
+		{Labels: []string{"http://plain:2", `err"or`}, Count: 1, Sum: 2},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("children = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !slices.Equal(g.Labels, w.Labels) || g.Count != w.Count || g.Sum != w.Sum {
+			t.Errorf("child %d = %+v, want %+v", i, g, w)
+		}
 	}
 }
 
