@@ -268,9 +268,7 @@ func main() {
 	}
 	if *metrics {
 		pool.Metrics().WriteProm(os.Stdout)
-		if store != nil {
-			simsvc.WriteStoreProm(os.Stdout, store.Store.Stats())
-		}
+		store.Registry().WriteProm(os.Stdout)
 		if fl != nil {
 			fl.WriteProm(os.Stdout)
 		}

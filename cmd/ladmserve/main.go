@@ -49,8 +49,8 @@
 //	               in-flight jobs with their lifecycle stage, cache/store hit
 //	               rates, tier mix, slowest recent jobs (?format=html for a
 //	               human-readable page)
-//	GET  /fleetz   cluster snapshot (front-end mode): every worker's
-//	               /statusz + /metrics scraped and merged — queue depths,
+//	GET  /fleetz   cluster snapshot (front-end mode): one /statusz per
+//	               worker, scraped and merged — queue depths,
 //	               cache/store hit rates, tier mix, breaker states and
 //	               dispatcher-side attempt latencies (?format=html)
 //	GET  /debug/servicetrace  wall-clock service trace (Chrome/Perfetto):

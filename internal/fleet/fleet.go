@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strings"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"ladm/internal/core"
+	"ladm/internal/simstore"
 	"ladm/internal/simsvc"
 	"ladm/internal/stats"
 	"ladm/internal/svcobs"
@@ -168,7 +168,7 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("fleet: Config.Local (the degrade target) is required")
 	}
-	r := &Runner{cfg: cfg, m: newMetrics(), obs: cfg.Observer,
+	r := &Runner{cfg: cfg, obs: cfg.Observer,
 		started: time.Now(), stop: make(chan struct{})}
 	r.client = cfg.Client
 	if r.client == nil {
@@ -205,6 +205,7 @@ func New(cfg Config) (*Runner, error) {
 		})
 		r.eps = append(r.eps, ep)
 	}
+	r.m = newMetrics(r.eps)
 	if hi := r.healthInterval(); hi > 0 {
 		r.wg.Add(1)
 		go r.healthLoop(hi)
@@ -471,7 +472,7 @@ func (r *Runner) runRemote(ctx context.Context, req simsvc.Request, d *dispatch)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			r.m.retries.Add(1)
-			if !sleepCtx(ctx, r.backoff(attempt)) {
+			if !sleepCtx(ctx, simstore.Backoff(r.retryBase(), r.retryMax(), attempt-1)) {
 				return nil, fmt.Errorf("fleet: remote run %s/%s: %w", req.Workload, req.Policy, ctx.Err())
 			}
 		}
@@ -496,18 +497,6 @@ func (r *Runner) runRemote(ctx context.Context, req simsvc.Request, d *dispatch)
 		}
 	}
 	return nil, fmt.Errorf("fleet: remote run %s/%s failed: %w", req.Workload, req.Policy, lastErr)
-}
-
-// backoff is the capped exponential delay before retry `attempt`
-// (attempt >= 1), jittered to half-to-full so synchronized clients
-// spread out.
-func (r *Runner) backoff(attempt int) time.Duration {
-	d := r.retryBase() << (attempt - 1)
-	if m := r.retryMax(); d > m || d <= 0 {
-		d = m
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {

@@ -125,9 +125,10 @@ func TestSweepRemoteByteIdentical(t *testing.T) {
 	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
 		t.Fatalf("fleet sweep diverged from local:\n got %s\nwant %s", g, w)
 	}
-	s := fl.Snapshot()
-	if s.RemoteJobs != int64(len(jobs)) || s.DegradedJobs != 0 || s.LocalJobs != 0 {
-		t.Fatalf("snapshot = %+v, want all %d jobs remote", s, len(jobs))
+	m := fl.m
+	if m.remoteJobs.Load() != int64(len(jobs)) || m.degraded.Load() != 0 || m.localJobs.Load() != 0 {
+		t.Fatalf("remote/degraded/local = %d/%d/%d, want all %d jobs remote",
+			m.remoteJobs.Load(), m.degraded.Load(), m.localJobs.Load(), len(jobs))
 	}
 	if n := hitsA.Load() + hitsB.Load(); n != int64(len(jobs)) {
 		t.Fatalf("workers served %d /run requests, want %d", n, len(jobs))
@@ -160,9 +161,10 @@ func TestSweepUnnameableStaysLocal(t *testing.T) {
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("local-batch result diverged")
 	}
-	s := fl.Snapshot()
-	if s.LocalJobs != 1 || s.RemoteJobs != 0 || hits.Load() != 0 {
-		t.Fatalf("custom job leaked to the fleet: snapshot %+v, hits %d", s, hits.Load())
+	m := fl.m
+	if m.localJobs.Load() != 1 || m.remoteJobs.Load() != 0 || hits.Load() != 0 {
+		t.Fatalf("custom job leaked to the fleet: local %d, remote %d, hits %d",
+			m.localJobs.Load(), m.remoteJobs.Load(), hits.Load())
 	}
 }
 
@@ -200,9 +202,10 @@ func TestRetryThenSucceed(t *testing.T) {
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("retried result diverged from local")
 	}
-	s := fl.Snapshot()
-	if s.Retries != 2 || s.Attempts != 3 || s.RemoteJobs != 1 || s.DegradedJobs != 0 {
-		t.Fatalf("snapshot = %+v, want 2 retries, 3 attempts, remote success", s)
+	m := fl.m
+	if m.retries.Load() != 2 || m.attempts.Load() != 3 || m.remoteJobs.Load() != 1 || m.degraded.Load() != 0 {
+		t.Fatalf("retries/attempts/remote/degraded = %d/%d/%d/%d, want 2 retries, 3 attempts, remote success",
+			m.retries.Load(), m.attempts.Load(), m.remoteJobs.Load(), m.degraded.Load())
 	}
 }
 
@@ -255,9 +258,9 @@ func TestBreakerOpensAndDegrades(t *testing.T) {
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("degraded result diverged from local")
 	}
-	s := fl.Snapshot()
-	if s.DegradedJobs != 1 || s.RemoteJobs != 0 {
-		t.Fatalf("snapshot = %+v, want 1 degraded job", s)
+	m := fl.m
+	if m.degraded.Load() != 1 || m.remoteJobs.Load() != 0 {
+		t.Fatalf("degraded/remote = %d/%d, want 1 degraded job", m.degraded.Load(), m.remoteJobs.Load())
 	}
 	eps := fl.Endpoints()
 	if eps[0].Breaker != "open" || eps[0].Failures != 2 {
@@ -310,9 +313,9 @@ func TestBreakerRecovers(t *testing.T) {
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("post-recovery result diverged from local")
 	}
-	s := fl.Snapshot()
-	if s.RemoteJobs != 1 || s.DegradedJobs != 1 {
-		t.Fatalf("snapshot = %+v, want 1 degraded then 1 remote", s)
+	m := fl.m
+	if m.remoteJobs.Load() != 1 || m.degraded.Load() != 1 {
+		t.Fatalf("remote/degraded = %d/%d, want 1 degraded then 1 remote", m.remoteJobs.Load(), m.degraded.Load())
 	}
 	if st := fl.Endpoints()[0].Breaker; st != "closed" {
 		t.Fatalf("breaker = %s after successful probe, want closed", st)
@@ -356,12 +359,12 @@ func TestHedgeWins(t *testing.T) {
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("hedged sweep diverged from local")
 	}
-	s := fl.Snapshot()
-	if s.Hedges < 1 || s.HedgeWins < 1 {
-		t.Fatalf("snapshot = %+v, want at least one hedge win", s)
+	m := fl.m
+	if m.hedges.Load() < 1 || m.hedgeWins.Load() < 1 {
+		t.Fatalf("hedges/wins = %d/%d, want at least one hedge win", m.hedges.Load(), m.hedgeWins.Load())
 	}
-	if s.RemoteJobs != 2 || s.DegradedJobs != 0 {
-		t.Fatalf("snapshot = %+v, want both jobs served remotely", s)
+	if m.remoteJobs.Load() != 2 || m.degraded.Load() != 0 {
+		t.Fatalf("remote/degraded = %d/%d, want both jobs served remotely", m.remoteJobs.Load(), m.degraded.Load())
 	}
 }
 
@@ -394,9 +397,9 @@ func TestDegradeToLocalWhenFleetDown(t *testing.T) {
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("degraded sweep diverged from local")
 	}
-	s := fl.Snapshot()
-	if s.DegradedJobs != int64(len(jobs)) || s.RemoteJobs != 0 {
-		t.Fatalf("snapshot = %+v, want all %d jobs degraded", s, len(jobs))
+	m := fl.m
+	if m.degraded.Load() != int64(len(jobs)) || m.remoteJobs.Load() != 0 {
+		t.Fatalf("degraded/remote = %d/%d, want all %d jobs degraded", m.degraded.Load(), m.remoteJobs.Load(), len(jobs))
 	}
 
 	var buf bytes.Buffer
@@ -438,9 +441,9 @@ func TestJobFailedDegradesWithLocalError(t *testing.T) {
 	if err.Error() != wantErr.Error() {
 		t.Fatalf("fleet error %q != local error %q", err, wantErr)
 	}
-	s := fl.Snapshot()
-	if s.DegradedJobs != 1 || s.Retries != 0 {
-		t.Fatalf("snapshot = %+v, want 1 degraded job with no retries", s)
+	m := fl.m
+	if m.degraded.Load() != 1 || m.retries.Load() != 0 {
+		t.Fatalf("degraded/retries = %d/%d, want 1 degraded job with no retries", m.degraded.Load(), m.retries.Load())
 	}
 }
 
@@ -490,9 +493,9 @@ func TestFaultInjectedByteIdentical(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Fatalf("fault plane injected nothing; the chaos pin proved nothing")
 	}
-	s := fl.Snapshot()
-	if s.RemoteJobs+s.DegradedJobs != int64(len(jobs)) {
-		t.Fatalf("snapshot = %+v, want remote+degraded == %d", s, len(jobs))
+	m := fl.m
+	if m.remoteJobs.Load()+m.degraded.Load() != int64(len(jobs)) {
+		t.Fatalf("remote/degraded = %d/%d, want remote+degraded == %d", m.remoteJobs.Load(), m.degraded.Load(), len(jobs))
 	}
 }
 
@@ -535,7 +538,7 @@ func TestHealthRoutesAroundDrainingEndpoint(t *testing.T) {
 	if hitsB.Load() != int64(len(jobs)) {
 		t.Fatalf("healthy endpoint served %d jobs, want %d", hitsB.Load(), len(jobs))
 	}
-	if fl.Snapshot().HealthTransitions < 1 {
+	if fl.m.healthTransitions.Load() < 1 {
 		t.Fatalf("health transition not counted")
 	}
 }

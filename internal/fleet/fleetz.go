@@ -1,31 +1,28 @@
 package fleet
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"ladm/internal/simsvc"
 )
 
-// scrapeTimeout bounds one worker's /statusz + /metrics scrape; a
-// wedged worker must not stall the whole /fleetz response.
+// scrapeTimeout bounds one worker's /statusz scrape; a wedged worker
+// must not stall the whole /fleetz response.
 const scrapeTimeout = 2 * time.Second
 
-// maxScrapeBytes caps each scraped document (a worker /metrics page is
-// a few KB; this is sabotage protection, not a limit).
+// maxScrapeBytes caps each scraped document (a worker /statusz is a
+// few KB; this is sabotage protection, not a limit).
 const maxScrapeBytes = 4 << 20
 
 // Cluster implements the /fleetz aggregation (simsvc.Fleet): every
-// endpoint's /statusz and /metrics scraped concurrently through the
-// fleet's own client — including any fault-injecting transport —
+// endpoint's /statusz scraped concurrently through the fleet's own
+// client — including any fault-injecting transport —
 // merged with the dispatcher's local endpoint state and the per-
 // endpoint fleet_attempt_seconds digests.
 func (r *Runner) Cluster(ctx context.Context) []simsvc.FleetWorker {
@@ -64,8 +61,9 @@ func (r *Runner) attemptDigests() map[string][]simsvc.FleetAttemptDigest {
 	return out
 }
 
-// scrapeWorker fills one worker's self-reported state; on failure the
-// dispatcher-side fields stay and Error says why.
+// scrapeWorker fills one worker's self-reported state from one GET
+// /statusz; on failure the dispatcher-side fields stay and Error says
+// why.
 func (r *Runner) scrapeWorker(ctx context.Context, w *simsvc.FleetWorker) {
 	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
@@ -75,65 +73,20 @@ func (r *Runner) scrapeWorker(ctx context.Context, w *simsvc.FleetWorker) {
 		return
 	}
 	w.Statusz = &st
-	scalars, err := r.scrapeScalars(ctx, w.URL+"/metrics")
-	if err != nil {
-		w.Error = err.Error()
-		return
-	}
-	w.Metrics = scalars
-}
-
-func (r *Runner) scrapeGet(ctx context.Context, url string) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("%s answered %d", url, resp.StatusCode)
-	}
-	return resp.Body, nil
 }
 
 func (r *Runner) scrapeJSON(ctx context.Context, url string, v any) error {
-	body, err := r.scrapeGet(ctx, url)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
 	}
-	defer body.Close()
-	return json.NewDecoder(io.LimitReader(body, maxScrapeBytes)).Decode(v)
-}
-
-// scrapeScalars reads a Prometheus text exposition and keeps the
-// unlabeled scalar samples ("name value"); labeled families — whose
-// useful aggregates /statusz already carries — are skipped.
-func (r *Runner) scrapeScalars(ctx context.Context, url string) (map[string]float64, error) {
-	body, err := r.scrapeGet(ctx, url)
+	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer body.Close()
-	out := map[string]float64{}
-	sc := bufio.NewScanner(io.LimitReader(body, maxScrapeBytes))
-	sc.Buffer(make([]byte, 64<<10), 64<<10)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			continue
-		}
-		out[name] = f
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s answered %d", url, resp.StatusCode)
 	}
-	return out, sc.Err()
+	return json.NewDecoder(io.LimitReader(resp.Body, maxScrapeBytes)).Decode(v)
 }

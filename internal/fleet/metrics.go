@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -39,92 +38,63 @@ type Metrics struct {
 	// verdict — the histogram /fleetz draws its per-endpoint latency
 	// column from.
 	attemptSeconds *svcobs.HistogramVec
+
+	// reg exposes the counters above and the per-endpoint state of eps.
+	reg svcobs.Registry
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{
+// newMetrics returns an empty counter set whose exposition covers eps.
+func newMetrics(eps []*endpoint) *Metrics {
+	m := &Metrics{
 		attemptSeconds: svcobs.NewHistogramVec("fleet_attempt_seconds",
 			"Wall-clock remote attempt latency by endpoint and outcome.",
 			[]string{"endpoint", "outcome"}, nil),
 	}
-}
-
-// AttemptSeconds exposes the attempt-latency histogram family
-// (aggregation views and tests).
-func (m *Metrics) AttemptSeconds() *svcobs.HistogramVec { return m.attemptSeconds }
-
-// Snapshot is the exported view of the fleet counters.
-type Snapshot struct {
-	Attempts          int64 `json:"attempts"`
-	Retries           int64 `json:"retries"`
-	Hedges            int64 `json:"hedges"`
-	HedgeWins         int64 `json:"hedge_wins"`
-	RemoteJobs        int64 `json:"remote_jobs"`
-	LocalJobs         int64 `json:"local_jobs"`
-	DegradedJobs      int64 `json:"degraded_jobs"`
-	HealthTransitions int64 `json:"health_transitions"`
-}
-
-// Metrics returns the runner's counter set (for tests and embedding).
-func (r *Runner) Metrics() *Metrics { return r.m }
-
-// Snapshot reads every fleet-wide counter at once.
-func (r *Runner) Snapshot() Snapshot {
-	m := r.m
-	return Snapshot{
-		Attempts:          m.attempts.Load(),
-		Retries:           m.retries.Load(),
-		Hedges:            m.hedges.Load(),
-		HedgeWins:         m.hedgeWins.Load(),
-		RemoteJobs:        m.remoteJobs.Load(),
-		LocalJobs:         m.localJobs.Load(),
-		DegradedJobs:      m.degraded.Load(),
-		HealthTransitions: m.healthTransitions.Load(),
+	r := &m.reg
+	r.Int("fleet_attempts_total", "Remote call attempts (including hedges).", svcobs.Counter, m.attempts.Load)
+	r.Int("fleet_retries_total", "Backoff retries taken.", svcobs.Counter, m.retries.Load)
+	r.Int("fleet_hedges_total", "Hedge calls launched for stragglers.", svcobs.Counter, m.hedges.Load)
+	r.Int("fleet_hedge_wins_total", "Hedge calls that beat the primary.", svcobs.Counter, m.hedgeWins.Load)
+	r.Int("fleet_remote_jobs_total", "Jobs served by a remote endpoint.", svcobs.Counter, m.remoteJobs.Load)
+	r.Int("fleet_local_jobs_total", "Jobs that were never remote-eligible.", svcobs.Counter, m.localJobs.Load)
+	r.Int("fleet_degraded_jobs_total", "Jobs that fell back to the local runner after remote failure.", svcobs.Counter, m.degraded.Load)
+	r.Int("fleet_health_transitions_total", "Endpoint healthy/unhealthy flips observed by the health checker.", svcobs.Counter, m.healthTransitions.Load)
+	perEndpoint := func(name, help, typ string, get func(*endpoint) int64) {
+		r.Family(name, help, typ, []string{"endpoint"}, func(emit svcobs.Emit) {
+			for _, ep := range eps {
+				emit(svcobs.Int(get(ep)), ep.url)
+			}
+		})
 	}
+	perEndpoint("fleet_endpoint_attempts_total", "Remote call attempts per endpoint.", svcobs.Counter,
+		func(ep *endpoint) int64 { return ep.attempts.Load() })
+	perEndpoint("fleet_endpoint_failures_total", "Failed calls per endpoint (canceled calls excluded).", svcobs.Counter,
+		func(ep *endpoint) int64 { return ep.failures.Load() })
+	perEndpoint("fleet_endpoint_healthy", "Endpoint readiness as seen by the health checker (1 ready).", svcobs.Gauge,
+		func(ep *endpoint) int64 {
+			if ep.healthy.Load() {
+				return 1
+			}
+			return 0
+		})
+	perEndpoint("fleet_breaker_state", "Circuit breaker position per endpoint (0 closed, 1 open, 2 half-open).", svcobs.Gauge,
+		func(ep *endpoint) int64 { return int64(ep.br.State().gauge()) })
+	r.Family("fleet_breaker_transitions_total", "Breaker transitions per endpoint by destination state.", svcobs.Counter,
+		[]string{"endpoint", "to"}, func(emit svcobs.Emit) {
+			for _, ep := range eps {
+				emit(svcobs.Int(ep.toClosed.Load()), ep.url, "closed")
+				emit(svcobs.Int(ep.toOpen.Load()), ep.url, "open")
+				emit(svcobs.Int(ep.toHalfOpen.Load()), ep.url, "half-open")
+			}
+		})
+	r.HistogramVec(m.attemptSeconds)
+	return m
 }
 
-// WriteProm renders the fleet_* metric family in Prometheus text
-// format; ladmserve appends it to /metrics and ladmbench prints it
+// Registry returns the fleet_* metric families.
+func (r *Runner) Registry() *svcobs.Registry { return &r.m.reg }
+
+// WriteProm renders the fleet_* metric families in Prometheus text
+// format; ladmserve appends them to /metrics and ladmbench prints them
 // under -metrics.
-func (r *Runner) WriteProm(w io.Writer) {
-	s := r.Snapshot()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("fleet_attempts_total", "Remote call attempts (including hedges).", s.Attempts)
-	counter("fleet_retries_total", "Backoff retries taken.", s.Retries)
-	counter("fleet_hedges_total", "Hedge calls launched for stragglers.", s.Hedges)
-	counter("fleet_hedge_wins_total", "Hedge calls that beat the primary.", s.HedgeWins)
-	counter("fleet_remote_jobs_total", "Jobs served by a remote endpoint.", s.RemoteJobs)
-	counter("fleet_local_jobs_total", "Jobs that were never remote-eligible.", s.LocalJobs)
-	counter("fleet_degraded_jobs_total", "Jobs that fell back to the local runner after remote failure.", s.DegradedJobs)
-	counter("fleet_health_transitions_total", "Endpoint healthy/unhealthy flips observed by the health checker.", s.HealthTransitions)
-
-	fmt.Fprintf(w, "# HELP fleet_endpoint_attempts_total Remote call attempts per endpoint.\n# TYPE fleet_endpoint_attempts_total counter\n")
-	for _, ep := range r.eps {
-		fmt.Fprintf(w, "fleet_endpoint_attempts_total{endpoint=%q} %d\n", ep.url, ep.attempts.Load())
-	}
-	fmt.Fprintf(w, "# HELP fleet_endpoint_failures_total Failed calls per endpoint (canceled calls excluded).\n# TYPE fleet_endpoint_failures_total counter\n")
-	for _, ep := range r.eps {
-		fmt.Fprintf(w, "fleet_endpoint_failures_total{endpoint=%q} %d\n", ep.url, ep.failures.Load())
-	}
-	fmt.Fprintf(w, "# HELP fleet_endpoint_healthy Endpoint readiness as seen by the health checker (1 ready).\n# TYPE fleet_endpoint_healthy gauge\n")
-	for _, ep := range r.eps {
-		v := 0
-		if ep.healthy.Load() {
-			v = 1
-		}
-		fmt.Fprintf(w, "fleet_endpoint_healthy{endpoint=%q} %d\n", ep.url, v)
-	}
-	fmt.Fprintf(w, "# HELP fleet_breaker_state Circuit breaker position per endpoint (0 closed, 1 open, 2 half-open).\n# TYPE fleet_breaker_state gauge\n")
-	for _, ep := range r.eps {
-		fmt.Fprintf(w, "fleet_breaker_state{endpoint=%q} %d\n", ep.url, ep.br.State().gauge())
-	}
-	fmt.Fprintf(w, "# HELP fleet_breaker_transitions_total Breaker transitions per endpoint by destination state.\n# TYPE fleet_breaker_transitions_total counter\n")
-	for _, ep := range r.eps {
-		fmt.Fprintf(w, "fleet_breaker_transitions_total{endpoint=%q,to=\"closed\"} %d\n", ep.url, ep.toClosed.Load())
-		fmt.Fprintf(w, "fleet_breaker_transitions_total{endpoint=%q,to=\"open\"} %d\n", ep.url, ep.toOpen.Load())
-		fmt.Fprintf(w, "fleet_breaker_transitions_total{endpoint=%q,to=\"half-open\"} %d\n", ep.url, ep.toHalfOpen.Load())
-	}
-	r.m.attemptSeconds.WriteProm(w)
-}
+func (r *Runner) WriteProm(w io.Writer) { r.m.reg.WriteProm(w) }

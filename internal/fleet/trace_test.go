@@ -108,8 +108,8 @@ func TestTracePropagationHedged(t *testing.T) {
 	if _, err := fl.Sweep(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	if fl.Snapshot().HedgeWins < 1 {
-		t.Fatalf("snapshot = %+v, want a hedge win", fl.Snapshot())
+	if fl.m.hedgeWins.Load() < 1 {
+		t.Fatalf("hedge wins = %d, want a hedge win", fl.m.hedgeWins.Load())
 	}
 
 	fastTraces, fastIDs := fastTrap.snapshot()
@@ -243,7 +243,7 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 	if !strings.Contains(out, `fleet_attempt_seconds_count{endpoint="`+ts.URL+`",outcome="success"}`) {
 		t.Fatalf("attempt histogram missing success outcome:\n%s", out)
 	}
-	if fl.Snapshot().Retries > 0 && !strings.Contains(out, `outcome="error"`) {
+	if fl.m.retries.Load() > 0 && !strings.Contains(out, `outcome="error"`) {
 		t.Fatalf("retries happened but no error-outcome attempts recorded:\n%s", out)
 	}
 }
@@ -308,8 +308,8 @@ func TestClusterScrape(t *testing.T) {
 		if w.Statusz.Jobs.Submitted == 0 {
 			t.Fatalf("worker %s reports no submitted jobs", w.URL)
 		}
-		if _, ok := w.Metrics["simsvc_tracked_jobs"]; !ok {
-			t.Fatalf("worker %s metrics scrape missing scalars: %v", w.URL, w.Metrics)
+		if _, ok := w.Statusz.Metrics["simsvc_tracked_jobs"]; !ok {
+			t.Fatalf("worker %s metrics scrape missing scalars: %v", w.URL, w.Statusz.Metrics)
 		}
 		digests += len(w.Attempts)
 	}

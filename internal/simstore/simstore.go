@@ -288,10 +288,21 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, objectsDir, shard, key+recExt)
 }
 
-// withRetry runs fn, retrying transient errors with doubling, jittered,
-// capped backoff. Exhausting the retries degrades the store.
+// Backoff returns the delay before retry number attempt (0 for the
+// first): d = base<<attempt capped at max (overflow-safe), jittered to a
+// uniform draw in [d/2, d] so concurrent retriers spread out.
+func Backoff(base, max time.Duration, attempt int) time.Duration {
+	d := max
+	if base <= max>>attempt {
+		d = base << attempt
+	}
+	half := d / 2
+	return half + time.Duration(rand.Int63n(int64(d-half)+1))
+}
+
+// withRetry runs fn, retrying transient errors with Backoff delays.
+// Exhausting the retries degrades the store.
 func (s *Store) withRetry(op string, fn func() error) error {
-	delay := s.retryBase
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = fn(); err == nil {
@@ -301,13 +312,7 @@ func (s *Store) withRetry(op string, fn func() error) error {
 			break
 		}
 		s.retried.Add(1)
-		// Full jitter: sleep a uniform fraction of the current delay so
-		// concurrent retriers spread out instead of stampeding.
-		time.Sleep(delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1)))
-		delay *= 2
-		if delay > s.retryMax {
-			delay = s.retryMax
-		}
+		time.Sleep(Backoff(s.retryBase, s.retryMax, attempt))
 	}
 	if s.degraded.CompareAndSwap(false, true) {
 		s.logf("simstore: %s failed after %d retries (%v); degrading to store-less operation", op, s.retries, err)

@@ -240,3 +240,33 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 		t.Error("Open over a regular file succeeded")
 	}
 }
+
+// TestBackoff pins the shared retry delay: the undithered delay doubles
+// from base up to the cap, every draw lands in [d/2, d], and attempt
+// counts far past the cap neither overflow nor go negative.
+func TestBackoff(t *testing.T) {
+	const base, max = 25 * time.Millisecond, time.Second
+	for _, tc := range []struct {
+		attempt int
+		d       time.Duration
+	}{
+		{0, 25 * time.Millisecond},
+		{1, 50 * time.Millisecond},
+		{2, 100 * time.Millisecond},
+		{3, 200 * time.Millisecond},
+		{4, 400 * time.Millisecond},
+		{5, 800 * time.Millisecond},
+		{6, time.Second},
+		{7, time.Second},
+		{40, time.Second},
+		{63, time.Second},
+		{64, time.Second},
+		{1000, time.Second},
+	} {
+		for i := 0; i < 200; i++ {
+			if got := Backoff(base, max, tc.attempt); got < tc.d/2 || got > tc.d {
+				t.Fatalf("Backoff(%v, %v, %d) = %v, want in [%v, %v]", base, max, tc.attempt, got, tc.d/2, tc.d)
+			}
+		}
+	}
+}

@@ -93,8 +93,8 @@ func TestCacheHit(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("fn calls = %d", calls.Load())
 	}
-	if c.metrics.Snapshot().Cached != 1 {
-		t.Errorf("cached metric = %d", c.metrics.Snapshot().Cached)
+	if c.metrics.cached.Load() != 1 {
+		t.Errorf("cached metric = %d", c.metrics.cached.Load())
 	}
 }
 

@@ -164,7 +164,7 @@ func TestEventHubSubscriberAccounting(t *testing.T) {
 	hub := newEventHub(m)
 
 	ch := hub.subscribe(0)
-	if got := m.Snapshot().EventsSubscribers; got != 1 {
+	if got := m.eventsSubs.Load(); got != 1 {
 		t.Fatalf("subscribers = %d, want 1", got)
 	}
 
@@ -182,12 +182,12 @@ func TestEventHubSubscriberAccounting(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish blocked on a slow subscriber")
 	}
-	if got := m.Snapshot().EventsDropped; got != int64(100) {
+	if got := m.eventsDropped.Load(); got != int64(100) {
 		t.Errorf("dropped = %d, want 100", got)
 	}
 
 	hub.unsubscribe(ch)
-	if got := m.Snapshot().EventsSubscribers; got != 0 {
+	if got := m.eventsSubs.Load(); got != 0 {
 		t.Errorf("subscribers after unsubscribe = %d, want 0", got)
 	}
 
@@ -206,7 +206,7 @@ func TestEventHubSubscriberAccounting(t *testing.T) {
 	}
 	// Unsubscribing a closed-hub channel must not underflow the gauge.
 	hub.unsubscribe(late)
-	if got := m.Snapshot().EventsSubscribers; got != 0 {
+	if got := m.eventsSubs.Load(); got != 0 {
 		t.Errorf("subscribers after closed-hub unsubscribe = %d, want 0", got)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"html/template"
 	"net/http"
 	"time"
-
-	"ladm/internal/svcobs"
 )
 
 // FleetAttemptDigest is one (outcome → count, mean latency) row of the
@@ -21,8 +19,8 @@ type FleetAttemptDigest struct {
 
 // FleetWorker is one worker's merged view on GET /fleetz: the
 // dispatcher's local endpoint state (health, breaker, attempt digests)
-// joined with what the worker reports about itself (/statusz and the
-// unlabeled scalars of /metrics).
+// joined with what the worker reports about itself on /statusz (its
+// unlabeled /metrics samples included, under statusz.metrics).
 type FleetWorker struct {
 	FleetEndpoint
 	// Error is why the scrape failed ("" on success) — the worker is
@@ -30,9 +28,6 @@ type FleetWorker struct {
 	Error string `json:"error,omitempty"`
 	// Statusz is the worker's own operational snapshot.
 	Statusz *Statusz `json:"statusz,omitempty"`
-	// Metrics holds the unlabeled scalar samples (plain gauges and
-	// counters) of the worker's /metrics exposition.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Attempts is the dispatcher-side attempt-latency digest for this
 	// endpoint, one row per outcome.
 	Attempts []FleetAttemptDigest `json:"attempts,omitempty"`
@@ -155,18 +150,5 @@ func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no fleet attached (start with -remote to serve /fleetz)"))
 		return
 	}
-	fz := buildFleetz(s.fleet.Cluster(r.Context()))
-	switch r.URL.Query().Get("format") {
-	case "", "json":
-		writeJSON(w, http.StatusOK, fz)
-	case "html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := fleetzTmpl.Execute(w, fz); err != nil {
-			svcobs.Log(r.Context()).WarnContext(r.Context(),
-				"simsvc: fleetz render failed", "error", err.Error())
-		}
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown format %q (valid: json, html)", r.URL.Query().Get("format")))
-	}
+	writeView(w, r, fleetzTmpl, buildFleetz(s.fleet.Cluster(r.Context())))
 }

@@ -33,7 +33,7 @@ func (f *stubFleet) Endpoints() []FleetEndpoint {
 }
 
 func (f *stubFleet) Cluster(ctx context.Context) []FleetWorker { return f.workers }
-func (f *stubFleet) WriteProm(w io.Writer)                     {}
+func (f *stubFleet) Registry() *svcobs.Registry                { return nil }
 
 // TestFleetzHandler pins the /fleetz contract: 404 on a plain worker,
 // JSON roll-up and HTML view on a front end, 400 on a bogus format.
@@ -54,13 +54,13 @@ func TestFleetzHandler(t *testing.T) {
 		FleetEndpoint: FleetEndpoint{URL: "http://a:1", Healthy: true, Breaker: "closed",
 			HealthySeconds: 12, BreakerSeconds: 12},
 		Statusz: &Statusz{
-			Pool:  StatuszPool{QueueDepth: 3, Running: 2, QueueCap: 16},
-			Jobs:  StatuszJobs{Submitted: 10, Completed: 8},
-			Cache: StatuszCache{Hits: 2},
-			Store: &StatuszStore{Hits: 4, Misses: 4},
-			Tier:  StatuszTier{Analytic: 5, Escalated: 3},
+			Pool:    StatuszPool{QueueDepth: 3, Running: 2, QueueCap: 16},
+			Jobs:    StatuszJobs{Submitted: 10, Completed: 8},
+			Cache:   StatuszCache{Hits: 2},
+			Store:   &StatuszStore{Hits: 4, Misses: 4},
+			Tier:    StatuszTier{Analytic: 5, Escalated: 3},
+			Metrics: map[string]float64{"simsvc_tracked_jobs": 10},
 		},
-		Metrics:  map[string]float64{"simsvc_tracked_jobs": 10},
 		Attempts: []FleetAttemptDigest{{Outcome: "success", Count: 8, MeanSeconds: 0.02}},
 	}
 	dead := FleetWorker{

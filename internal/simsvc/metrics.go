@@ -1,7 +1,6 @@
 package simsvc
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -51,14 +50,19 @@ type Metrics struct {
 	wallMax     float64 // longest single job
 	simCycles   float64 // summed simulated cycles of completed jobs
 	tierReasons map[string]int64
+
+	// reg exposes every field above.
+	reg svcobs.Registry
 }
 
 // NewMetrics returns an empty metrics set.
 func NewMetrics() *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		wall:        svcobs.NewHistogram(nil),
 		tierReasons: map[string]int64{},
 	}
+	m.register()
+	return m
 }
 
 func (m *Metrics) jobDone(wall time.Duration, cycles float64) {
@@ -107,139 +111,109 @@ func (m *Metrics) ObserveTierDecision(tier string, d analytic.Decision) {
 	m.mu.Unlock()
 }
 
-// Snapshot is a point-in-time copy of every metric, for tests and
-// programmatic consumers.
-type Snapshot struct {
-	Submitted, Started, Completed, Failed, Canceled, Cached int64
-	QueueDepth, Workers                                     int64
-	Evicted, TelemetryJobs, Timeouts                        int64
-	TelemetrySpilled, EventsSubscribers, EventsDropped      int64
-	TierAnalytic, TierEscalated                             int64
-	// TierReasons counts escalations by bounded reason class.
-	TierReasons                            map[string]int64
-	PeakLinkUtil                           float64
-	WallSeconds, WallMaxSeconds, SimCycles float64
-	// WallCount is the number of finished jobs the wall-time histogram
-	// has observed.
-	WallCount int64
-	// CyclesPerSecond is simulated cycles per wall-second of job
-	// execution (0 until a job completes).
-	CyclesPerSecond float64
-}
-
-// Snapshot returns the current values.
-func (m *Metrics) Snapshot() Snapshot {
-	wall, wallCount := m.wall.Sum(), m.wall.Count()
+// tierReasonCounts copies the escalation counts by reason class.
+func (m *Metrics) tierReasonCounts() map[string]int64 {
 	m.mu.Lock()
-	wallMax, cycles := m.wallMax, m.simCycles
-	reasons := make(map[string]int64, len(m.tierReasons))
+	defer m.mu.Unlock()
+	out := make(map[string]int64, len(m.tierReasons))
 	for k, v := range m.tierReasons {
-		reasons[k] = v
+		out[k] = v
 	}
-	m.mu.Unlock()
-	s := Snapshot{
-		Submitted:         m.submitted.Load(),
-		Started:           m.started.Load(),
-		Completed:         m.completed.Load(),
-		Failed:            m.failed.Load(),
-		Canceled:          m.canceled.Load(),
-		Cached:            m.cached.Load(),
-		QueueDepth:        m.depth.Load(),
-		Workers:           m.workers.Load(),
-		Evicted:           m.evicted.Load(),
-		TelemetryJobs:     m.telemetry.Load(),
-		Timeouts:          m.timeouts.Load(),
-		TelemetrySpilled:  m.telemetrySpilled.Load(),
-		EventsSubscribers: m.eventsSubs.Load(),
-		EventsDropped:     m.eventsDropped.Load(),
-		TierAnalytic:      m.tierAnalytic.Load(),
-		TierEscalated:     m.tierEscalated.Load(),
-		TierReasons:       reasons,
-		PeakLinkUtil:      math.Float64frombits(m.peakLink.Load()),
-		WallSeconds:       wall,
-		WallMaxSeconds:    wallMax,
-		WallCount:         wallCount,
-		SimCycles:         cycles,
-	}
-	if wall > 0 {
-		s.CyclesPerSecond = cycles / wall
-	}
-	return s
+	return out
 }
 
-// WriteProm renders the metrics in Prometheus text exposition format.
-func (m *Metrics) WriteProm(w io.Writer) {
-	s := m.Snapshot()
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("simsvc_jobs_submitted_total", "Jobs accepted into the queue.", float64(s.Submitted))
-	counter("simsvc_jobs_started_total", "Jobs a worker began executing.", float64(s.Started))
-	counter("simsvc_jobs_completed_total", "Jobs that produced a record.", float64(s.Completed))
-	counter("simsvc_jobs_failed_total", "Jobs that errored or panicked.", float64(s.Failed))
-	counter("simsvc_jobs_canceled_total", "Jobs canceled before execution.", float64(s.Canceled))
-	counter("simsvc_jobs_cached_total", "Requests served from the result cache.", float64(s.Cached))
+// wallTotals returns the longest single job and the summed simulated
+// cycles.
+func (m *Metrics) wallTotals() (wallMax, cycles float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wallMax, m.simCycles
+}
+
+// register declares every pool metric family, in /metrics order.
+func (m *Metrics) register() {
+	r := &m.reg
+	r.Int("simsvc_jobs_submitted_total", "Jobs accepted into the queue.", svcobs.Counter, m.submitted.Load)
+	r.Int("simsvc_jobs_started_total", "Jobs a worker began executing.", svcobs.Counter, m.started.Load)
+	r.Int("simsvc_jobs_completed_total", "Jobs that produced a record.", svcobs.Counter, m.completed.Load)
+	r.Int("simsvc_jobs_failed_total", "Jobs that errored or panicked.", svcobs.Counter, m.failed.Load)
+	r.Int("simsvc_jobs_canceled_total", "Jobs canceled before execution.", svcobs.Counter, m.canceled.Load)
+	r.Int("simsvc_jobs_cached_total", "Requests served from the result cache.", svcobs.Counter, m.cached.Load)
 	// The same counter under the name operations dashboards alert on:
 	// every hit, whether from memory or the durable store.
-	counter("simsvc_cache_hits_total", "Requests served from the result cache (memory or store).", float64(s.Cached))
-	counter("simsvc_jobs_timeout_total", "Jobs that failed on the per-job deadline.", float64(s.Timeouts))
-	counter("simsvc_jobs_evicted_total", "Job records dropped by registry retention.", float64(s.Evicted))
-	counter("simsvc_telemetry_jobs_total", "Jobs executed with telemetry collection.", float64(s.TelemetryJobs))
-	counter("simsvc_telemetry_spilled_total", "Telemetry records persisted to the durable store.", float64(s.TelemetrySpilled))
-	counter("simsvc_events_dropped_total", "Job events dropped on slow subscriber channels.", float64(s.EventsDropped))
-	fmt.Fprintf(w, "# HELP simsvc_tier_jobs_total Jobs by the fidelity tier that served them.\n# TYPE simsvc_tier_jobs_total counter\n")
-	fmt.Fprintf(w, "simsvc_tier_jobs_total{tier=\"analytic\",confidence=\"high\"} %d\n", s.TierAnalytic)
-	fmt.Fprintf(w, "simsvc_tier_jobs_total{tier=\"event\",confidence=\"escalate\"} %d\n", s.TierEscalated)
-	// Escalations are labeled by their bounded reason class — the
-	// diagnostic ROADMAP item 5 asks for — alongside the unlabeled
-	// total every existing dashboard already scrapes.
-	fmt.Fprintf(w, "# HELP simsvc_tier_escalations_total Jobs the analytic tier escalated to the event engine.\n# TYPE simsvc_tier_escalations_total counter\n")
-	fmt.Fprintf(w, "simsvc_tier_escalations_total %d\n", s.TierEscalated)
-	reasons := make([]string, 0, len(s.TierReasons))
-	for r := range s.TierReasons {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(w, "simsvc_tier_escalations_total{reason=%q} %d\n", r, s.TierReasons[r])
-	}
-	gauge("simsvc_events_subscribers", "Live job-event stream subscribers.", float64(s.EventsSubscribers))
-	gauge("simsvc_queue_depth", "Jobs currently queued.", float64(s.QueueDepth))
-	gauge("simsvc_workers", "Worker goroutines in the pool.", float64(s.Workers))
-	gauge("simsvc_telemetry_peak_link_util", "Highest peak inter-GPU link utilization any telemetry job reported.", s.PeakLinkUtil)
-	// A real histogram since the service-plane observability PR; the
-	// _sum/_count series keep the names of the old hand-rolled summary
-	// so existing dashboards survive.
-	m.wall.WriteProm(w, "simsvc_job_wall_seconds", "Per-job wall time.")
-	gauge("simsvc_job_wall_seconds_max", "Longest single job.", s.WallMaxSeconds)
-	counter("simsvc_simulated_cycles_total", "Simulated GPU cycles across completed jobs.", s.SimCycles)
-	gauge("simsvc_simulated_cycles_per_second", "Simulated cycles per wall-second of execution.", s.CyclesPerSecond)
+	r.Int("simsvc_cache_hits_total", "Requests served from the result cache (memory or store).", svcobs.Counter, m.cached.Load)
+	r.Int("simsvc_jobs_timeout_total", "Jobs that failed on the per-job deadline.", svcobs.Counter, m.timeouts.Load)
+	r.Int("simsvc_jobs_evicted_total", "Job records dropped by registry retention.", svcobs.Counter, m.evicted.Load)
+	r.Int("simsvc_telemetry_jobs_total", "Jobs executed with telemetry collection.", svcobs.Counter, m.telemetry.Load)
+	r.Int("simsvc_telemetry_spilled_total", "Telemetry records persisted to the durable store.", svcobs.Counter, m.telemetrySpilled.Load)
+	r.Int("simsvc_events_dropped_total", "Job events dropped on slow subscriber channels.", svcobs.Counter, m.eventsDropped.Load)
+	r.Family("simsvc_tier_jobs_total", "Jobs by the fidelity tier that served them.", svcobs.Counter,
+		[]string{"tier", "confidence"}, func(emit svcobs.Emit) {
+			emit(svcobs.Int(m.tierAnalytic.Load()), analytic.TierAnalytic, analytic.ConfidenceHigh)
+			emit(svcobs.Int(m.tierEscalated.Load()), analytic.TierEvent, analytic.ConfidenceEscalate)
+		})
+	// Escalations are labeled by their bounded reason class, alongside
+	// the unlabeled total every existing dashboard already scrapes.
+	r.Family("simsvc_tier_escalations_total", "Jobs the analytic tier escalated to the event engine.", svcobs.Counter,
+		[]string{"reason"}, func(emit svcobs.Emit) {
+			emit(svcobs.Int(m.tierEscalated.Load()))
+			counts := m.tierReasonCounts()
+			reasons := make([]string, 0, len(counts))
+			for r := range counts {
+				reasons = append(reasons, r)
+			}
+			sort.Strings(reasons)
+			for _, r := range reasons {
+				emit(svcobs.Int(counts[r]), r)
+			}
+		})
+	r.Int("simsvc_events_subscribers", "Live job-event stream subscribers.", svcobs.Gauge, m.eventsSubs.Load)
+	r.Int("simsvc_queue_depth", "Jobs currently queued.", svcobs.Gauge, m.depth.Load)
+	r.Int("simsvc_workers", "Worker goroutines in the pool.", svcobs.Gauge, m.workers.Load)
+	r.Float("simsvc_telemetry_peak_link_util", "Highest peak inter-GPU link utilization any telemetry job reported.", svcobs.Gauge,
+		func() float64 { return math.Float64frombits(m.peakLink.Load()) })
+	r.Histogram("simsvc_job_wall_seconds", "Per-job wall time.", m.wall)
+	r.Float("simsvc_job_wall_seconds_max", "Longest single job.", svcobs.Gauge,
+		func() float64 { wallMax, _ := m.wallTotals(); return wallMax })
+	r.Float("simsvc_simulated_cycles_total", "Simulated GPU cycles across completed jobs.", svcobs.Counter,
+		func() float64 { _, cycles := m.wallTotals(); return cycles })
+	r.Float("simsvc_simulated_cycles_per_second", "Simulated cycles per wall-second of execution.", svcobs.Gauge,
+		func() float64 {
+			wall := m.wall.Sum()
+			if wall <= 0 {
+				return 0
+			}
+			_, cycles := m.wallTotals()
+			return cycles / wall
+		})
 }
 
-// WriteStoreProm renders the durable result store's counters in
-// Prometheus text exposition format, next to the pool's metrics.
-func WriteStoreProm(w io.Writer, s simstore.Stats) {
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
+// Registry returns the pool's metric families.
+func (m *Metrics) Registry() *svcobs.Registry { return &m.reg }
+
+// WriteProm renders the pool's metrics in Prometheus text exposition
+// format.
+func (m *Metrics) WriteProm(w io.Writer) { m.reg.WriteProm(w) }
+
+// registerStore declares the durable result store's families, read from
+// its Stats at scrape time.
+func registerStore(r *svcobs.Registry, st *simstore.Store) {
+	stat := func(name, help, typ string, get func(simstore.Stats) int64) {
+		r.Int(name, help, typ, func() int64 { return get(st.Stats()) })
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("simsvc_store_hits_total", "Records served from the durable store.", float64(s.Hits))
-	counter("simsvc_store_misses_total", "Store lookups that found nothing.", float64(s.Misses))
-	counter("simsvc_store_writes_total", "Records durably written.", float64(s.Writes))
-	counter("simsvc_store_corrupt_total", "Records quarantined after failing validation.", float64(s.Corrupt))
-	counter("simsvc_store_evicted_total", "Records evicted by the size cap.", float64(s.Evicted))
-	counter("simsvc_store_retries_total", "Backed-off retries of transient store I/O errors.", float64(s.Retries))
-	counter("simsvc_store_dropped_writes_total", "Writes discarded while the store was degraded.", float64(s.Dropped))
-	gauge("simsvc_store_records", "Live records in the store.", float64(s.Records))
-	gauge("simsvc_store_bytes", "Summed size of live records.", float64(s.Bytes))
-	healthy := 0.0
-	if s.Healthy {
-		healthy = 1
-	}
-	gauge("simsvc_store_healthy", "1 while the store is operating, 0 once degraded to store-less mode.", healthy)
+	stat("simsvc_store_hits_total", "Records served from the durable store.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Hits })
+	stat("simsvc_store_misses_total", "Store lookups that found nothing.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Misses })
+	stat("simsvc_store_writes_total", "Records durably written.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Writes })
+	stat("simsvc_store_corrupt_total", "Records quarantined after failing validation.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Corrupt })
+	stat("simsvc_store_evicted_total", "Records evicted by the size cap.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Evicted })
+	stat("simsvc_store_retries_total", "Backed-off retries of transient store I/O errors.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Retries })
+	stat("simsvc_store_dropped_writes_total", "Writes discarded while the store was degraded.", svcobs.Counter, func(s simstore.Stats) int64 { return s.Dropped })
+	stat("simsvc_store_records", "Live records in the store.", svcobs.Gauge, func(s simstore.Stats) int64 { return int64(s.Records) })
+	stat("simsvc_store_bytes", "Summed size of live records.", svcobs.Gauge, func(s simstore.Stats) int64 { return s.Bytes })
+	stat("simsvc_store_healthy", "1 while the store is operating, 0 once degraded to store-less mode.", svcobs.Gauge, func(s simstore.Stats) int64 {
+		if s.Healthy {
+			return 1
+		}
+		return 0
+	})
 }

@@ -101,7 +101,7 @@ func TestPromExpositionParses(t *testing.T) {
 }
 
 // TestCountersMonotonicUnderConcurrentJobs hammers the service from many
-// goroutines while a watcher polls Snapshot, asserting every counter
+// goroutines while a watcher polls the counters, asserting every counter
 // only ever moves forward.
 func TestCountersMonotonicUnderConcurrentJobs(t *testing.T) {
 	var calls atomic.Int64
@@ -111,34 +111,32 @@ func TestCountersMonotonicUnderConcurrentJobs(t *testing.T) {
 	stop := make(chan struct{})
 	watcherErr := make(chan string, 1)
 	go func() {
-		var prev Snapshot
+		watched := []*atomic.Int64{&m.submitted, &m.started, &m.completed, &m.failed,
+			&m.canceled, &m.cached, &m.evicted, &m.telemetry, &m.telemetrySpilled, &m.eventsDropped}
+		prev := make([]int64, len(watched))
+		var prevWall, prevCycles float64
 		for {
-			s := m.Snapshot()
-			counters := [][2]int64{
-				{prev.Submitted, s.Submitted}, {prev.Started, s.Started},
-				{prev.Completed, s.Completed}, {prev.Failed, s.Failed},
-				{prev.Canceled, s.Canceled}, {prev.Cached, s.Cached},
-				{prev.Evicted, s.Evicted}, {prev.TelemetryJobs, s.TelemetryJobs},
-				{prev.TelemetrySpilled, s.TelemetrySpilled},
-				{prev.EventsDropped, s.EventsDropped},
-			}
-			for i, c := range counters {
-				if c[1] < c[0] {
+			for i, c := range watched {
+				v := c.Load()
+				if v < prev[i] {
 					select {
-					case watcherErr <- fmt.Sprintf("counter %d went backwards: %d -> %d", i, c[0], c[1]):
+					case watcherErr <- fmt.Sprintf("counter %d went backwards: %d -> %d", i, prev[i], v):
 					default:
 					}
 					return
 				}
+				prev[i] = v
 			}
-			if s.WallSeconds < prev.WallSeconds || s.SimCycles < prev.SimCycles {
+			wall := m.wall.Sum()
+			_, cycles := m.wallTotals()
+			if wall < prevWall || cycles < prevCycles {
 				select {
 				case watcherErr <- "wall/cycle accumulators went backwards":
 				default:
 				}
 				return
 			}
-			prev = s
+			prevWall, prevCycles = wall, cycles
 			select {
 			case <-stop:
 				return
@@ -166,18 +164,19 @@ func TestCountersMonotonicUnderConcurrentJobs(t *testing.T) {
 	default:
 	}
 
-	s := m.Snapshot()
+	submitted, completed := m.submitted.Load(), m.completed.Load()
+	cached, failed, canceled := m.cached.Load(), m.failed.Load(), m.canceled.Load()
 	// Cached/deduped requests never enter the queue, so only fresh
 	// executions count as submitted.
-	if s.Submitted != s.Completed {
-		t.Errorf("submitted = %d, completed = %d", s.Submitted, s.Completed)
+	if submitted != completed {
+		t.Errorf("submitted = %d, completed = %d", submitted, completed)
 	}
-	if got := s.Completed + s.Cached + s.Failed + s.Canceled; got != n {
+	if got := completed + cached + failed + canceled; got != n {
 		t.Errorf("completed %d + cached %d + failed %d + canceled %d = %d, want %d",
-			s.Completed, s.Cached, s.Failed, s.Canceled, got, n)
+			completed, cached, failed, canceled, got, n)
 	}
-	if s.Completed != calls.Load() {
-		t.Errorf("completed = %d but simulator ran %d times", s.Completed, calls.Load())
+	if completed != calls.Load() {
+		t.Errorf("completed = %d but simulator ran %d times", completed, calls.Load())
 	}
 }
 
@@ -203,13 +202,13 @@ func TestQueueDepthReturnsToZeroAfterDrain(t *testing.T) {
 		}()
 	}
 	<-started // worker busy on the first job
-	waitFor(t, func() bool { return m.Snapshot().QueueDepth > 0 })
+	waitFor(t, func() bool { return m.depth.Load() > 0 })
 
 	close(release)
 	for i := 0; i < jobs; i++ {
 		<-done
 	}
-	if depth := m.Snapshot().QueueDepth; depth != 0 {
+	if depth := m.depth.Load(); depth != 0 {
 		t.Errorf("queue depth after drain = %d, want 0", depth)
 	}
 	var buf strings.Builder

@@ -252,7 +252,7 @@ func TestStageHistogramSeparatesQueueFromCompute(t *testing.T) {
 	<-started // worker busy on job 1
 	rec2 := srv.register(context.Background(), Request{Workload: "vecadd", Scale: 9}.Normalize())
 	go func() { srv.execute(context.Background(), rec2); done <- struct{}{} }()
-	waitFor(t, func() bool { return m.Snapshot().QueueDepth > 0 })
+	waitFor(t, func() bool { return m.depth.Load() > 0 })
 
 	time.Sleep(60 * time.Millisecond)
 	st := srv.Statusz()
@@ -298,8 +298,8 @@ func TestStageHistogramSeparatesQueueFromCompute(t *testing.T) {
 		job2.Stages[svcobs.StageQueue] <= job2.Stages[svcobs.StageCompute] {
 		t.Errorf("job 2 stages = %v, want queue_wait >= 0.05 and > compute", job2.Stages)
 	}
-	if snap := m.Snapshot(); snap.WallCount != 2 {
-		t.Errorf("wall histogram count = %d, want 2", snap.WallCount)
+	if n := m.wall.Count(); n != 2 {
+		t.Errorf("wall histogram count = %d, want 2", n)
 	}
 }
 

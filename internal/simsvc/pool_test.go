@@ -39,9 +39,10 @@ func TestPoolExecutesJobs(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("calls = %d", calls.Load())
 	}
-	m := p.Metrics().Snapshot()
-	if m.Submitted != 1 || m.Started != 1 || m.Completed != 1 || m.Failed != 0 {
-		t.Errorf("metrics = %+v", m)
+	m := p.Metrics()
+	if m.submitted.Load() != 1 || m.started.Load() != 1 || m.completed.Load() != 1 || m.failed.Load() != 0 {
+		t.Errorf("submitted/started/completed/failed = %d/%d/%d/%d, want 1/1/1/0",
+			m.submitted.Load(), m.started.Load(), m.completed.Load(), m.failed.Load())
 	}
 }
 
@@ -121,9 +122,9 @@ func TestCancellationMidQueue(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("simulate calls = %d, want 1", calls.Load())
 	}
-	m := p.Metrics().Snapshot()
-	if m.Canceled != 3 || m.Started != 1 {
-		t.Errorf("metrics = %+v", m)
+	m := p.Metrics()
+	if m.canceled.Load() != 3 || m.started.Load() != 1 {
+		t.Errorf("canceled/started = %d/%d, want 3/1", m.canceled.Load(), m.started.Load())
 	}
 }
 
@@ -145,9 +146,9 @@ func TestPanicRecovery(t *testing.T) {
 	if err != nil || run.Workload != "ok" {
 		t.Errorf("post-panic run = %v, %v", run, err)
 	}
-	m := p.Metrics().Snapshot()
-	if m.Failed != 1 || m.Completed != 1 {
-		t.Errorf("metrics = %+v", m)
+	m := p.Metrics()
+	if m.failed.Load() != 1 || m.completed.Load() != 1 {
+		t.Errorf("failed/completed = %d/%d, want 1/1", m.failed.Load(), m.completed.Load())
 	}
 }
 
@@ -171,7 +172,7 @@ func TestBackpressureWhenQueueFull(t *testing.T) {
 	if _, err := p.Submit(context.Background(), labeled("over")); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overflow err = %v, want ErrQueueFull", err)
 	}
-	if d := p.Metrics().Snapshot().QueueDepth; d != 2 {
+	if d := p.Metrics().depth.Load(); d != 2 {
 		t.Errorf("queue depth = %d, want 2", d)
 	}
 

@@ -167,6 +167,9 @@ type Server struct {
 	// draining flips when shutdown begins: /readyz answers 503 so
 	// upstream fleets stop routing here while in-flight work finishes.
 	draining atomic.Bool
+
+	// reg exposes the cache-size and registry-size gauges.
+	reg svcobs.Registry
 }
 
 // Fleet is the remote-dispatch seam the server routes jobs through when
@@ -178,11 +181,11 @@ type Fleet interface {
 	ExecRequest(ctx context.Context, req Request, job core.Job) (*stats.Run, error)
 	// Endpoints snapshots per-endpoint health for /statusz.
 	Endpoints() []FleetEndpoint
-	// Cluster scrapes every endpoint's /statusz and /metrics and merges
-	// them with the dispatcher's own view, for GET /fleetz.
+	// Cluster scrapes every endpoint's /statusz and merges it with the
+	// dispatcher's own view, for GET /fleetz.
 	Cluster(ctx context.Context) []FleetWorker
-	// WriteProm renders the fleet_* metric family.
-	WriteProm(w io.Writer)
+	// Registry holds the fleet_* metric families.
+	Registry() *svcobs.Registry
 }
 
 // FleetEndpoint is one remote endpoint's health as shown on /statusz.
@@ -218,7 +221,7 @@ const retainSweeps = 1024
 
 // NewServer wraps a pool with a result cache and a job registry.
 func NewServer(pool *Pool) *Server {
-	return &Server{
+	s := &Server{
 		pool:      pool,
 		cache:     NewCache(pool.Metrics()),
 		obs:       svcobs.NewObserver(nil),
@@ -227,6 +230,24 @@ func NewServer(pool *Pool) *Server {
 		retainMax: DefaultRetainJobs,
 		maxBody:   DefaultMaxBody,
 	}
+	s.reg.Int("simsvc_cache_entries", "Cached or in-flight results.", svcobs.Gauge,
+		func() int64 { return int64(s.cache.Len()) })
+	s.reg.Int("simsvc_tracked_jobs", "Jobs in the registry.", svcobs.Gauge, func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(len(s.jobs))
+	})
+	return s
+}
+
+// registries lists every metric source in /metrics order: the pool,
+// the server's own gauges, the store, the fleet and the observer.
+func (s *Server) registries() []*svcobs.Registry {
+	regs := []*svcobs.Registry{s.pool.Metrics().Registry(), &s.reg, s.store.Registry()}
+	if s.fleet != nil {
+		regs = append(regs, s.fleet.Registry())
+	}
+	return append(regs, s.obs.Registry())
 }
 
 // SetObserver swaps in the process-wide observer (shared with the HTTP
@@ -918,28 +939,29 @@ func (s *Server) sweepView(sw *sweepRecord) SweepView {
 	}
 }
 
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
+// lookup returns the registry entry named by the request's {id}, or
+// answers 404 and returns nil.
+func lookup[T any](s *Server, w http.ResponseWriter, r *http.Request, registry map[string]*T, kind string) *T {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	sw := s.sweeps[id]
+	v := registry[id]
 	s.mu.Unlock()
-	if sw == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-		return
+	if v == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", kind, id))
 	}
-	writeJSON(w, http.StatusOK, s.sweepView(sw))
+	return v
+}
+
+func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
+	if sw := lookup(s, w, r, s.sweeps, "sweep"); sw != nil {
+		writeJSON(w, http.StatusOK, s.sweepView(sw))
+	}
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	sw := s.sweeps[id]
-	s.mu.Unlock()
-	if sw == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", id))
-		return
+	if sw := lookup(s, w, r, s.sweeps, "sweep"); sw != nil {
+		streamEvents(w, r, sw.hub)
 	}
-	streamEvents(w, r, sw.hub)
 }
 
 // handleJobEvents streams a job's lifecycle transitions as SSE. The
@@ -947,15 +969,9 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 // queued -> running -> terminal sequence; the stream ends at the
 // terminal status.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	rec := s.jobs[id]
-	s.mu.Unlock()
-	if rec == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
-		return
+	if rec := lookup(s, w, r, s.jobs, "job"); rec != nil {
+		streamEvents(w, r, rec.hub)
 	}
-	streamEvents(w, r, rec.hub)
 }
 
 func (s *Server) views(recs []*jobRecord) []JobView {
@@ -978,15 +994,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	rec := s.jobs[id]
-	s.mu.Unlock()
-	if rec == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
-		return
+	if rec := lookup(s, w, r, s.jobs, "job"); rec != nil {
+		writeJSON(w, http.StatusOK, s.view(rec))
 	}
-	writeJSON(w, http.StatusOK, s.view(rec))
 }
 
 // TelemetryView is the JSON shape of one job's telemetry.
@@ -1126,17 +1136,7 @@ func (s *Server) renderTelemetry(w http.ResponseWriter, r *http.Request, v Telem
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.pool.Metrics().WriteProm(w)
-	fmt.Fprintf(w, "# HELP simsvc_cache_entries Cached or in-flight results.\n# TYPE simsvc_cache_entries gauge\nsimsvc_cache_entries %d\n", s.cache.Len())
-	s.mu.Lock()
-	n := len(s.jobs)
-	s.mu.Unlock()
-	fmt.Fprintf(w, "# HELP simsvc_tracked_jobs Jobs in the registry.\n# TYPE simsvc_tracked_jobs gauge\nsimsvc_tracked_jobs %d\n", n)
-	if s.store != nil {
-		WriteStoreProm(w, s.store.Store.Stats())
+	for _, reg := range s.registries() {
+		reg.WriteProm(w)
 	}
-	if s.fleet != nil {
-		s.fleet.WriteProm(w)
-	}
-	s.obs.WriteProm(w)
 }

@@ -438,5 +438,5 @@ func TestServerJobTimeout(t *testing.T) {
 	if !strings.Contains(v.Error, "deadline exceeded") || !strings.Contains(v.Error, "job-timeout") {
 		t.Errorf("error = %q", v.Error)
 	}
-	waitFor(t, func() bool { return pool.Metrics().Snapshot().Timeouts >= 1 })
+	waitFor(t, func() bool { return pool.Metrics().timeouts.Load() >= 1 })
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"ladm/internal/simstore"
 	"ladm/internal/svcobs"
 )
 
@@ -39,7 +38,7 @@ type StatuszJobs struct {
 type StatuszCache struct {
 	Entries int   `json:"entries"`
 	Hits    int64 `json:"hits"`
-	// HitRate is hits over submitted jobs (0 until traffic arrives).
+	// HitRate is hits / (hits + completed jobs); 0 until traffic arrives.
 	HitRate float64 `json:"hit_rate"`
 }
 
@@ -76,11 +75,16 @@ type Statusz struct {
 	Fleet         []FleetEndpoint         `json:"fleet,omitempty"`
 	InFlight      []svcobs.TimelineStatus `json:"in_flight"`
 	Slowest       []svcobs.JobSummary     `json:"slowest"`
+	// Metrics holds every unlabeled sample of /metrics (plain counters
+	// and gauges, histogram _sum/_count), keyed by series name.
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // Statusz builds the current operational snapshot.
 func (s *Server) Statusz() Statusz {
-	m := s.pool.Metrics().Snapshot()
+	m := s.pool.Metrics()
+	started, completed, failed := m.started.Load(), m.completed.Load(), m.failed.Load()
+	cached := m.cached.Load()
 	s.mu.Lock()
 	tracked := len(s.jobs)
 	s.mu.Unlock()
@@ -89,36 +93,37 @@ func (s *Server) Statusz() Statusz {
 		Time:          time.Now(),
 		UptimeSeconds: s.obs.UptimeSeconds(),
 		Pool: StatuszPool{
-			Workers:             m.Workers,
-			Running:             m.Started - m.Completed - m.Failed,
-			QueueDepth:          m.QueueDepth,
+			Workers:             m.workers.Load(),
+			Running:             max(started-completed-failed, 0),
+			QueueDepth:          m.depth.Load(),
 			QueueCap:            s.pool.QueueCap(),
 			OldestQueuedSeconds: s.obs.OldestQueuedSeconds(),
 		},
 		Jobs: StatuszJobs{
-			Submitted: m.Submitted,
-			Started:   m.Started,
-			Completed: m.Completed,
-			Failed:    m.Failed,
-			Canceled:  m.Canceled,
-			Timeouts:  m.Timeouts,
-			Evicted:   m.Evicted,
+			Submitted: m.submitted.Load(),
+			Started:   started,
+			Completed: completed,
+			Failed:    failed,
+			Canceled:  m.canceled.Load(),
+			Timeouts:  m.timeouts.Load(),
+			Evicted:   m.evicted.Load(),
 			Tracked:   tracked,
 		},
 		Cache: StatuszCache{
 			Entries: s.cache.Len(),
-			Hits:    m.Cached,
+			Hits:    cached,
 		},
 		Tier: StatuszTier{
-			Analytic:  m.TierAnalytic,
-			Escalated: m.TierEscalated,
-			Reasons:   m.TierReasons,
+			Analytic:  m.tierAnalytic.Load(),
+			Escalated: m.tierEscalated.Load(),
+			Reasons:   m.tierReasonCounts(),
 		},
 		InFlight: s.obs.InFlight(),
 		Slowest:  s.obs.Slowest(statuszSlowest),
+		Metrics:  map[string]float64{},
 	}
-	if served := m.Cached + m.Completed; served > 0 {
-		st.Cache.HitRate = float64(m.Cached) / float64(served)
+	if served := cached + completed; served > 0 {
+		st.Cache.HitRate = float64(cached) / float64(served)
 	}
 	if s.store != nil {
 		ss := s.store.Store.Stats()
@@ -134,8 +139,8 @@ func (s *Server) Statusz() Statusz {
 	if s.fleet != nil {
 		st.Fleet = s.fleet.Endpoints()
 	}
-	if st.Pool.Running < 0 {
-		st.Pool.Running = 0
+	for _, reg := range s.registries() {
+		reg.Scalars(st.Metrics)
 	}
 	return st
 }
@@ -219,19 +224,23 @@ table{border-collapse:collapse} td,th{border:1px solid #ccc;padding:2px 8px;text
 `))
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	st := s.Statusz()
-	switch r.URL.Query().Get("format") {
+	writeView(w, r, statuszTmpl, s.Statusz())
+}
+
+// writeView answers an operations page as JSON (the default) or, with
+// ?format=html, rendered through tmpl.
+func writeView(w http.ResponseWriter, r *http.Request, tmpl *template.Template, v any) {
+	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, v)
 	case "html":
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := statuszTmpl.Execute(w, st); err != nil {
+		if err := tmpl.Execute(w, v); err != nil {
 			svcobs.Log(r.Context()).WarnContext(r.Context(),
-				"simsvc: statusz render failed", "error", err.Error())
+				"simsvc: "+tmpl.Name()+" render failed", "error", err.Error())
 		}
 	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown format %q (valid: json, html)", r.URL.Query().Get("format")))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (valid: json, html)", format))
 	}
 }
 
@@ -244,12 +253,4 @@ func (s *Server) handleServiceTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="servicetrace.json"`)
 	s.obs.Tracer.WriteTrace(w)
-}
-
-// storeStatsForTest exposes the raw store stats to package tests.
-func (s *Server) storeStatsForTest() (simstore.Stats, bool) {
-	if s.store == nil {
-		return simstore.Stats{}, false
-	}
-	return s.store.Store.Stats(), true
 }

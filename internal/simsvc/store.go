@@ -16,6 +16,7 @@ import (
 	"ladm/internal/simstore"
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
+	"ladm/internal/svcobs"
 )
 
 // TelemetrySchema is the key schema of spilled telemetry records. It is
@@ -49,6 +50,17 @@ type DiskStore struct {
 	Tel *simstore.Store
 	// Tool names the producing binary in each envelope's provenance.
 	Tool string
+
+	// reg exposes Store's counters as the simsvc_store_* families.
+	reg svcobs.Registry
+}
+
+// Registry returns the store's metric families (nil for a nil store).
+func (d *DiskStore) Registry() *svcobs.Registry {
+	if d == nil {
+		return nil
+	}
+	return &d.reg
 }
 
 // TelemetryDir returns the telemetry store's directory under a result
@@ -81,7 +93,9 @@ func NewDiskStore(dir string, maxBytes int64, tool string, logf func(string, ...
 		}
 		tel = nil
 	}
-	return &DiskStore{Store: st, Tel: tel, Tool: tool}, nil
+	d := &DiskStore{Store: st, Tel: tel, Tool: tool}
+	registerStore(&d.reg, st)
+	return d, nil
 }
 
 // Rescan picks up records written to the shared store directory by

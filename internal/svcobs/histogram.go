@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -74,19 +74,15 @@ func (h *Histogram) writeSamples(w io.Writer, name, labels string) {
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, h.Sum())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count())
-	}
+	fmt.Fprintf(w, "%s %g\n", series(name+"_sum", labels), h.Sum())
+	fmt.Fprintf(w, "%s %d\n", series(name+"_count", labels), h.Count())
 }
 
 // WriteProm renders the histogram as a full exposition family.
 func (h *Histogram) WriteProm(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	h.writeSamples(w, name, "")
+	var r Registry
+	r.Histogram(name, help, h)
+	r.WriteProm(w)
 }
 
 // HistogramVec is a family of histograms sharing bucket bounds, keyed by
@@ -102,8 +98,15 @@ type HistogramVec struct {
 	bounds []float64
 
 	mu       sync.Mutex
-	children map[string]*Histogram
+	children map[string]*vecChild
 	keys     []string // sorted for deterministic exposition
+}
+
+// vecChild is one labeled histogram and the label values it was
+// created with.
+type vecChild struct {
+	h      *Histogram
+	values []string
 }
 
 // NewHistogramVec returns an empty labeled histogram family.
@@ -113,42 +116,27 @@ func NewHistogramVec(name, help string, labels []string, bounds []float64) *Hist
 	}
 	return &HistogramVec{
 		name: name, help: help, labels: labels, bounds: bounds,
-		children: map[string]*Histogram{},
+		children: map[string]*vecChild{},
 	}
-}
-
-// labelString renders `k1="v1",k2="v2"` for the child key and exposition.
-func (v *HistogramVec) labelString(values []string) string {
-	var b strings.Builder
-	for i, name := range v.labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		val := ""
-		if i < len(values) {
-			val = values[i]
-		}
-		fmt.Fprintf(&b, "%s=%q", name, val)
-	}
-	return b.String()
 }
 
 // With returns the child histogram for the given label values (in label
 // order), creating it on first use.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	key := v.labelString(values)
+	key := labelPairs(v.labels, values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	h := v.children[key]
-	if h == nil {
-		h = NewHistogram(v.bounds)
-		v.children[key] = h
+	c := v.children[key]
+	if c == nil {
+		c = &vecChild{h: NewHistogram(v.bounds), values: make([]string, len(v.labels))}
+		copy(c.values, values)
+		v.children[key] = c
 		i := sort.SearchStrings(v.keys, key)
 		v.keys = append(v.keys, "")
 		copy(v.keys[i+1:], v.keys[i:])
 		v.keys[i] = key
 	}
-	return h
+	return c.h
 }
 
 // Observe records one value under the given label values.
@@ -167,55 +155,14 @@ type HistogramChild struct {
 }
 
 // Children snapshots every child's count and sum, in sorted label
-// order. The label values are recovered from the child key, so they
-// match what With was called with.
+// order, with the label values With was called with.
 func (v *HistogramVec) Children() []HistogramChild {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := make([]HistogramChild, 0, len(v.keys))
 	for _, key := range v.keys {
-		h := v.children[key]
-		out = append(out, HistogramChild{
-			Labels: parseLabelValues(key, len(v.labels)),
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-		})
-	}
-	return out
-}
-
-// parseLabelValues inverts labelString: `k1="v1",k2="v2"` → [v1 v2].
-// Label values are bounded identifiers (endpoints, outcomes, stages),
-// so the quoted-string parse stays simple: strconv-style unquoting of
-// each `k=%q` segment.
-func parseLabelValues(key string, n int) []string {
-	out := make([]string, 0, n)
-	rest := key
-	for rest != "" {
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 || eq+1 >= len(rest) || rest[eq+1] != '"' {
-			break
-		}
-		rest = rest[eq+2:]
-		end := strings.IndexByte(rest, '"')
-		for end > 0 && rest[end-1] == '\\' {
-			next := strings.IndexByte(rest[end+1:], '"')
-			if next < 0 {
-				end = -1
-				break
-			}
-			end += 1 + next
-		}
-		if end < 0 {
-			break
-		}
-		val := strings.ReplaceAll(strings.ReplaceAll(rest[:end], `\"`, `"`), `\\`, `\`)
-		out = append(out, val)
-		rest = rest[end+1:]
-		rest = strings.TrimPrefix(rest, ",")
-	}
-	for len(out) < n {
-		out = append(out, "")
+		c := v.children[key]
+		out = append(out, HistogramChild{Labels: slices.Clone(c.values), Count: c.h.Count(), Sum: c.h.Sum()})
 	}
 	return out
 }
@@ -224,18 +171,7 @@ func parseLabelValues(key string, n int) []string {
 // sorted label order. A family with no children is omitted entirely
 // (Prometheus treats absent and empty identically).
 func (v *HistogramVec) WriteProm(w io.Writer) {
-	v.mu.Lock()
-	keys := append([]string(nil), v.keys...)
-	children := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		children[i] = v.children[k]
-	}
-	v.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", v.name, v.help, v.name)
-	for i, k := range keys {
-		children[i].writeSamples(w, v.name, k)
-	}
+	var r Registry
+	r.HistogramVec(v)
+	r.WriteProm(w)
 }

@@ -35,6 +35,9 @@ type Observer struct {
 	// Tracer records finished timelines as a Chrome/Perfetto trace.
 	Tracer *Tracer
 
+	// reg exposes Stage and HTTP.
+	reg Registry
+
 	start time.Time
 
 	mu       sync.Mutex
@@ -55,7 +58,7 @@ func NewObserver(log *slog.Logger) *Observer {
 	if log == nil {
 		log = nopLogger
 	}
-	return &Observer{
+	o := &Observer{
 		Log: log,
 		Stage: NewHistogramVec("simsvc_job_stage_seconds",
 			"Wall-clock seconds jobs spent per lifecycle stage.",
@@ -68,6 +71,9 @@ func NewObserver(log *slog.Logger) *Observer {
 		inflight:  map[*Timeline]struct{}{},
 		summaries: map[string]*TimelineSummary{},
 	}
+	o.reg.HistogramVec(o.Stage)
+	o.reg.HistogramVec(o.HTTP)
+	return o
 }
 
 // StartTimeline opens a job timeline in the received stage and indexes
@@ -184,12 +190,15 @@ func (o *Observer) Slowest(n int) []JobSummary {
 	return all
 }
 
+// Registry returns the observer's metric families: the stage and HTTP
+// histograms (nil for a nil Observer).
+func (o *Observer) Registry() *Registry {
+	if o == nil {
+		return nil
+	}
+	return &o.reg
+}
+
 // WriteProm renders the observer's histogram families in Prometheus
 // text exposition format.
-func (o *Observer) WriteProm(w io.Writer) {
-	if o == nil {
-		return
-	}
-	o.Stage.WriteProm(w)
-	o.HTTP.WriteProm(w)
-}
+func (o *Observer) WriteProm(w io.Writer) { o.Registry().WriteProm(w) }

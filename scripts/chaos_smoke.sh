@@ -11,36 +11,21 @@ set -euo pipefail
 
 ADDR_A="${ADDR_A:-127.0.0.1:18091}"
 ADDR_B="${ADDR_B:-127.0.0.1:18092}"
-BIN="$(mktemp -d)"
-OUT="$(mktemp -d)"
-PID_A=""
+. scripts/lib.sh
+OUT="$WORK"
 PID_B=""
-trap 'kill "$PID_A" "$PID_B" 2>/dev/null || true; rm -rf "$BIN" "$OUT"' EXIT
 
 EXP=fig9
 SCALE=16
 WORKLOADS=vecadd,sq-gemm
 
-go build -o "$BIN/ladmserve" ./cmd/ladmserve
-go build -o "$BIN/ladmbench" ./cmd/ladmbench
-
-wait_ready() {
-  local addr="$1"
-  for _ in $(seq 1 100); do
-    curl -sf "http://$addr/healthz" > /dev/null && return 0
-    sleep 0.1
-  done
-  echo "chaos_smoke: worker $addr never became ready" >&2
-  cat "$OUT"/*.log >&2 || true
-  exit 1
-}
+build_bins ladmserve ladmbench
 
 "$BIN/ladmserve" -addr "$ADDR_A" > "$OUT/worker_a.log" 2>&1 &
-PID_A=$!
 "$BIN/ladmserve" -addr "$ADDR_B" > "$OUT/worker_b.log" 2>&1 &
 PID_B=$!
-wait_ready "$ADDR_A"
-wait_ready "$ADDR_B"
+wait_ready "$ADDR_A" "$OUT"/*.log
+wait_ready "$ADDR_B" "$OUT"/*.log
 
 echo "chaos_smoke: reference run (pure local)"
 "$BIN/ladmbench" -experiment "$EXP" -scale "$SCALE" -workloads "$WORKLOADS" \

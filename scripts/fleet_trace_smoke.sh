@@ -12,33 +12,15 @@ set -euo pipefail
 ADDR_A="${ADDR_A:-127.0.0.1:18093}"
 ADDR_B="${ADDR_B:-127.0.0.1:18094}"
 ADDR_FE="${ADDR_FE:-127.0.0.1:18095}"
-BIN="$(mktemp -d)"
-OUT="$(mktemp -d)"
-PID_A=""
-PID_B=""
-PID_FE=""
-trap 'kill "$PID_A" "$PID_B" "$PID_FE" 2>/dev/null || true; rm -rf "$BIN" "$OUT"' EXIT
+. scripts/lib.sh
+OUT="$WORK"
 
-go build -o "$BIN/ladmserve" ./cmd/ladmserve
-go build -o "$BIN/ladmbench" ./cmd/ladmbench
-
-wait_ready() {
-  local addr="$1"
-  for _ in $(seq 1 100); do
-    curl -sf "http://$addr/healthz" > /dev/null && return 0
-    sleep 0.1
-  done
-  echo "fleet_trace_smoke: worker $addr never became ready" >&2
-  cat "$OUT"/*.log >&2 || true
-  exit 1
-}
+build_bins ladmserve ladmbench
 
 "$BIN/ladmserve" -addr "$ADDR_A" > "$OUT/worker_a.log" 2>&1 &
-PID_A=$!
 "$BIN/ladmserve" -addr "$ADDR_B" > "$OUT/worker_b.log" 2>&1 &
-PID_B=$!
-wait_ready "$ADDR_A"
-wait_ready "$ADDR_B"
+wait_ready "$ADDR_A" "$OUT"/*.log
+wait_ready "$ADDR_B" "$OUT"/*.log
 
 echo "fleet_trace_smoke: hedged campaign under faults with -campaign-trace"
 "$BIN/ladmbench" -experiment fig9 -scale 16 -workloads vecadd,sq-gemm \
@@ -82,8 +64,7 @@ PY
 
 echo "fleet_trace_smoke: front-end /fleetz over both workers"
 "$BIN/ladmserve" -addr "$ADDR_FE" -remote "$ADDR_A,$ADDR_B" > "$OUT/fe.log" 2>&1 &
-PID_FE=$!
-wait_ready "$ADDR_FE"
+wait_ready "$ADDR_FE" "$OUT"/*.log
 curl -sf "http://$ADDR_FE/fleetz" > "$OUT/fleetz.json"
 
 python3 - "$OUT/fleetz.json" <<'PY'

@@ -7,20 +7,18 @@
 # float off in the last ulp — fails the diff.
 set -euo pipefail
 
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
-
-BIN="$TMP/ladmsim"
-go build -o "$BIN" ./cmd/ladmsim
+. scripts/lib.sh
+TMP="$WORK"
+build_bins ladmsim
 
 check() {
   local workload="$1" policy="$2" scale="$3" extra="${4:-}"
   local tag="${workload}_${policy}${extra:+_steal}"
   # shellcheck disable=SC2086
-  "$BIN" -workload "$workload" -policy "$policy" -scale "$scale" $extra \
+  "$BIN/ladmsim" -workload "$workload" -policy "$policy" -scale "$scale" $extra \
     -json > "$TMP/$tag.seq.json"
   # shellcheck disable=SC2086
-  "$BIN" -workload "$workload" -policy "$policy" -scale "$scale" $extra \
+  "$BIN/ladmsim" -workload "$workload" -policy "$policy" -scale "$scale" $extra \
     -parallel 4 -json > "$TMP/$tag.par.json"
   if ! diff -q "$TMP/$tag.seq.json" "$TMP/$tag.par.json" > /dev/null; then
     echo "parallel_smoke: $tag diverged between sequential and -parallel 4" >&2

@@ -7,31 +7,20 @@
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18080}"
-STORE="$(mktemp -d)"
-LOG="$(mktemp)"
-BIN="$(mktemp -d)"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$STORE" "$LOG" "$BIN"' EXIT
+. scripts/lib.sh
+STORE="$WORK/store"
+LOG="$WORK/server.log"
 
 SWEEP='{"workloads":["vecadd","sq-gemm"],"policies":["ladm","h-coda"],"scale":8}'
 CELLS=4
 
-wait_ready() {
-  for _ in $(seq 1 100); do
-    curl -sf "http://$ADDR/metrics" > /dev/null && return 0
-    sleep 0.1
-  done
-  echo "restart_smoke: server never became ready" >&2
-  cat "$LOG" >&2
-  exit 1
-}
-
 start_server() {
   "$BIN/ladmserve" -addr "$ADDR" -store-dir "$STORE" -drain-timeout 10s >> "$LOG" 2>&1 &
   PID=$!
-  wait_ready
+  wait_ready "$ADDR" "$LOG"
 }
 
-go build -o "$BIN/ladmserve" ./cmd/ladmserve
+build_bins ladmserve
 
 echo "restart_smoke: first run (cold store)"
 start_server

@@ -12,28 +12,17 @@
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18082}"
-STORE="$(mktemp -d)"
-LOG="$(mktemp)"
-BIN="$(mktemp -d)"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$STORE" "$LOG" "$BIN"' EXIT
+. scripts/lib.sh
+STORE="$WORK/store"
+LOG="$WORK/server.log"
 
 RID="smoke-rid-$$"
 
-wait_ready() {
-  for _ in $(seq 1 100); do
-    curl -sf "http://$ADDR/metrics" > /dev/null && return 0
-    sleep 0.1
-  done
-  echo "svcobs_smoke: server never became ready" >&2
-  cat "$LOG" >&2
-  exit 1
-}
-
-go build -o "$BIN/ladmserve" ./cmd/ladmserve
+build_bins ladmserve
 
 "$BIN/ladmserve" -addr "$ADDR" -store-dir "$STORE" -log-json -drain-timeout 10s >> "$LOG" 2>&1 &
 PID=$!
-wait_ready
+wait_ready "$ADDR" "$LOG"
 
 echo "svcobs_smoke: run with X-Request-ID $RID"
 HDRS="$(mktemp)"

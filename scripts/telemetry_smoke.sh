@@ -9,32 +9,20 @@
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18081}"
-STORE="$(mktemp -d)"
-LOG="$(mktemp)"
-BIN="$(mktemp -d)"
-TMP="$(mktemp -d)"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$STORE" "$LOG" "$BIN" "$TMP"' EXIT
+. scripts/lib.sh
+STORE="$WORK/store"
+LOG="$WORK/server.log"
+TMP="$WORK"
 
 RUN='{"workload":"vecadd","policy":"ladm","scale":16,"telemetry":true}'
-
-wait_ready() {
-  for _ in $(seq 1 100); do
-    curl -sf "http://$ADDR/metrics" > /dev/null && return 0
-    sleep 0.1
-  done
-  echo "telemetry_smoke: server never became ready" >&2
-  cat "$LOG" >&2
-  exit 1
-}
 
 start_server() {
   "$BIN/ladmserve" -addr "$ADDR" -store-dir "$STORE" -drain-timeout 10s >> "$LOG" 2>&1 &
   PID=$!
-  wait_ready
+  wait_ready "$ADDR" "$LOG"
 }
 
-go build -o "$BIN/ladmserve" ./cmd/ladmserve
-go build -o "$BIN/ladmstore" ./cmd/ladmstore
+build_bins ladmserve ladmstore
 
 echo "telemetry_smoke: telemetry run"
 start_server
