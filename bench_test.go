@@ -92,39 +92,6 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9Parallel runs the same Figure 9 cells with the event
-// core's generation shards on (degree 4). Records are byte-identical to
-// the sequential cells — the benchguard pins only the wall-time ratio,
-// so a shard-protocol regression that erodes the offload win fails CI
-// even while every correctness test still passes.
-func BenchmarkFig9Parallel(b *testing.B) {
-	b.ReportAllocs()
-	for _, name := range []string{"vecadd", "sq-gemm", "pagerank", "lbm"} {
-		spec := mustWorkload(b, name)
-		sys := ladm.TableIIISystem()
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				base, err := ladm.SimulateJob(ladm.Job{
-					Workload: spec.W, Arch: sys, Policy: ladm.HCODA(), Parallel: 4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				best, err := ladm.SimulateJob(ladm.Job{
-					Workload: spec.W, Arch: sys, Policy: ladm.LADM(), Parallel: 4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				speedup = best.Speedup(base)
-			}
-			b.ReportMetric(speedup, "speedup-vs-hcoda")
-		})
-	}
-}
-
 // BenchmarkFig10OffNodeTraffic reports the off-node traffic fraction under
 // LADM for a strided workload.
 func BenchmarkFig10OffNodeTraffic(b *testing.B) {

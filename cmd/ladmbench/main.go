@@ -28,7 +28,6 @@
 package main
 
 import (
-	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -40,13 +39,11 @@ import (
 	"time"
 
 	"ladm/internal/analytic"
-	"ladm/internal/core"
 	"ladm/internal/experiments"
 	"ladm/internal/faultinject"
 	"ladm/internal/fleet"
 	"ladm/internal/kernels"
 	"ladm/internal/simsvc"
-	"ladm/internal/stats"
 	"ladm/internal/svcobs"
 )
 
@@ -68,8 +65,6 @@ func main() {
 		"serving tier for sweep cells: event, analytic (model-only), or auto (model with escalation)")
 	serviceTrace := flag.String("service-trace", "",
 		"write a wall-clock Chrome/Perfetto trace of the campaign's pool activity (one track per worker, one span per job stage) to this file")
-	parallel := flag.Int("parallel", 1,
-		"parallel degree of the event core per cell (NUMA-node generation shards; records are byte-identical at every degree, so caches and stores are shared)")
 	remote := flag.String("remote", "",
 		"comma-separated ladmserve endpoints to dispatch cells to (retries, hedging, "+
 			"circuit breaking; cells degrade to local execution when no remote is healthy, "+
@@ -100,16 +95,7 @@ func main() {
 	pool := simsvc.NewPool(simsvc.PoolConfig{Workers: *workers, Observer: obs})
 	defer pool.Close()
 
-	// -parallel wraps the pool so every path into it — direct sweeps and
-	// analytic-tier escalations alike — stamps the event core's degree on
-	// the jobs. The records are byte-identical at any degree, so this
-	// changes wall time only.
-	var base simsvc.Runner = pool
-	if *parallel > 1 {
-		base = parallelRunner{inner: pool, degree: *parallel}
-	}
-
-	o := experiments.Options{Scale: *scale, Workers: *workers, Runner: base}
+	o := experiments.Options{Scale: *scale, Workers: *workers, Runner: pool}
 	if *full {
 		o.Scale = 1
 	}
@@ -123,7 +109,7 @@ func main() {
 		cacheFidelity = *fidelity
 		tr := &analytic.Runner{Scale: o.Scale, OnDecision: pool.Metrics().ObserveTierDecision}
 		if *fidelity == simsvc.FidelityAuto {
-			tr.Fallback = base
+			tr.Fallback = pool
 		}
 		o.Runner = tr
 	default:
@@ -299,23 +285,6 @@ func main() {
 	if *campaignTrace != "" {
 		writeTrace(*campaignTrace, "campaign trace")
 	}
-}
-
-// parallelRunner stamps the event core's parallel degree onto every job
-// before handing the sweep to the inner runner. Jobs that already chose a
-// degree keep it.
-type parallelRunner struct {
-	inner  simsvc.Runner
-	degree int
-}
-
-func (p parallelRunner) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	for i := range jobs {
-		if jobs[i].Parallel == 0 {
-			jobs[i].Parallel = p.degree
-		}
-	}
-	return p.inner.Sweep(ctx, jobs)
 }
 
 // appendCSV writes the experiment's structured values as

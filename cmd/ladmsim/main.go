@@ -29,10 +29,6 @@
 // -steal enables experimental cross-node TB work stealing; steal counts
 // appear in the telemetry summary.
 //
-// -parallel N runs the event core with N NUMA-node generation shards
-// (clamped to the machine's node count). Any degree produces the same
-// record byte for byte — parallelism only changes wall time.
-//
 // Machines: hier (Table III), hier-perlink (per-hop ring links),
 // monolithic, xbar-90, xbar-180, xbar-360, ring-1400, ring-2800, dgx.
 package main
@@ -85,7 +81,6 @@ func main() {
 	sample := flag.Float64("sample", simtel.DefaultSampleEvery, "telemetry sampling interval in cycles")
 	telemetry := flag.Bool("telemetry", false, "sample the run and print its telemetry summary")
 	steal := flag.Bool("steal", false, "let idle nodes steal queued TBs from the deepest queue (experimental)")
-	parallel := flag.Int("parallel", 1, "parallel degree of the event core (NUMA-node generation shards; results are byte-identical at every degree)")
 	tier := flag.String("tier", "event",
 		"serving tier: event, analytic (closed-form model only), or auto (model with escalation)")
 	flag.Parse()
@@ -126,7 +121,7 @@ func main() {
 	}
 	tel := simtel.New(telCfg) // nil when nothing is enabled
 
-	job := core.Job{Workload: spec.W, Arch: cfg, Policy: pol, Tel: tel, Parallel: *parallel}
+	job := core.Job{Workload: spec.W, Arch: cfg, Policy: pol, Tel: tel}
 	var run *stats.Run
 	switch *tier {
 	case "", simsvc.FidelityEvent:

@@ -31,10 +31,7 @@ type Job struct {
 	// Tel, when non-nil, collects telemetry for the run (time series
 	// and/or trace spans); it never affects the simulated results.
 	Tel *simtel.Collector
-	// Parallel is the event core's parallel degree: trace generation is
-	// sharded across this many NUMA-node goroutines (clamped to the node
-	// count; 0/1 = sequential). Results are byte-identical at every
-	// degree, so Parallel never participates in job identity or caching.
+	// Deprecated: ignored; the event core is sequential.
 	Parallel int
 }
 
@@ -61,7 +58,6 @@ func SimulateJobContext(ctx context.Context, j Job) (*stats.Run, error) {
 	}
 	plan.Tel = j.Tel
 	plan.Interrupt = ctx.Done()
-	plan.Parallel = j.Parallel
 	run, err := engine.New(plan).Run()
 	if err != nil {
 		if errors.Is(err, engine.ErrInterrupted) {

@@ -66,6 +66,11 @@ type Engine struct {
 	prFree []*phaseRun
 	tbFree []*tbExec
 
+	// Objects carved from slabs so far, per free list. Once a run
+	// drains, every carved object is back on its list; the tests check
+	// these books after each run.
+	txCarved, prCarved, tbCarved int
+
 	// Per-node TB queue storage, reused across kernel launches and
 	// EffTimes() repetitions instead of reallocating every launch.
 	queues    [][]int32
@@ -74,12 +79,6 @@ type Engine struct {
 	// bufHint is the high-water transaction-buffer capacity, used to
 	// presize fresh executors' buffers so they skip the growth reallocs.
 	bufHint int
-
-	// par, when non-nil, is the parallel event core: NUMA-node-sharded
-	// goroutines generate memory phases ahead of the commit loop (this
-	// goroutine), which dispatches every event in the sequential (t, seq)
-	// order. Results are byte-identical at every degree; see parallel.go.
-	par *parEngine
 
 	// stealTBs mirrors Policy.StealTBs: an SM whose node queue drained
 	// may pull TBs from the deepest other queue (see takeTB).
@@ -171,15 +170,6 @@ func New(plan *runtime.Plan) *Engine {
 		e.sched.startSampling(e.tel.SampleEvery(), e.telSample)
 	}
 	e.tel.SetTopology(cfg.Nodes(), cfg.SMsPerChiplet)
-	if deg := plan.Parallel; deg > 1 {
-		if deg > cfg.Nodes() {
-			deg = cfg.Nodes()
-		}
-		if deg > 1 {
-			e.par = newParEngine(e, deg)
-			e.sched.startEpochs(e.net.MinCrossNodeLatency(), e.par.pump)
-		}
-	}
 	return e
 }
 
@@ -204,6 +194,7 @@ func (e *Engine) acquireTx() *txState {
 		return st
 	}
 	slab := make([]txState, txSlabSize)
+	e.txCarved += txSlabSize
 	for i := range slab[1:] {
 		e.txFree = append(e.txFree, &slab[1+i])
 	}
@@ -226,6 +217,7 @@ func (e *Engine) acquirePR() *phaseRun {
 		return p
 	}
 	slab := make([]phaseRun, prSlabSize)
+	e.prCarved += prSlabSize
 	for i := range slab[1:] {
 		e.prFree = append(e.prFree, &slab[1+i])
 	}
@@ -256,6 +248,7 @@ func (e *Engine) acquireTB() *tbExec {
 		return x
 	}
 	slab := make([]tbExec, tbSlabSize)
+	e.tbCarved += tbSlabSize
 	for i := range slab[1:] {
 		e.tbFree = append(e.tbFree, &slab[1+i])
 	}
@@ -403,20 +396,12 @@ var ErrInterrupted = errors.New("engine: simulation interrupted")
 // Run simulates every launch of the plan's workload and returns the
 // aggregated measurements.
 func (e *Engine) Run() (*stats.Run, error) {
-	if e.par != nil {
-		e.par.start()
-		defer e.par.stop()
-	}
 	resolver := e.plan.Workload.Resolver()
 	for _, lp := range e.plan.Launches {
 		gen, err := trace.New(lp.Launch.Kernel, e.plan.Space, resolver,
 			e.cfg.LineBytes, e.cfg.SectorBytes, e.cfg.WarpSize)
 		if err != nil {
 			return nil, err
-		}
-		if e.par != nil {
-			e.par.setLaunch(gen, lp.Launch.Kernel,
-				lp.Launch.Kernel.WarpsPerTB(e.cfg.WarpSize))
 		}
 		for rep := 0; rep < lp.Launch.EffTimes(); rep++ {
 			e.runKernel(gen, &lp)
@@ -540,9 +525,6 @@ func (e *Engine) runKernel(gen *trace.Generator, lp *runtime.LaunchPlan) {
 			if !ok {
 				continue
 			}
-			if e.par != nil {
-				e.par.bind(int(tb), node)
-			}
 			ex := e.acquireTB()
 			ex.e = e
 			ex.gen = gen
@@ -559,13 +541,6 @@ func (e *Engine) runKernel(gen *trace.Generator, lp *runtime.LaunchPlan) {
 		}
 	}
 	e.sched.drain()
-	if e.par != nil && !e.sched.stopped {
-		// Epoch barrier: every phase of the repetition has been consumed,
-		// so quiesce the shards before the next repetition rebinds the
-		// same threadblock ids (or the next launch installs a new
-		// generator).
-		e.par.barrier()
-	}
 	e.tel.KernelSpan(k.Name, lp.Assignment.TotalTBs(), start, e.sched.now)
 }
 
@@ -612,13 +587,7 @@ func (x *tbExec) phaseDone(end float64) {
 	e.tel.TBSpan(x.k.Name, x.node, x.sm, x.tb, x.born, end)
 	e.telRetired[x.node]++
 	e.curRetired++
-	if e.par != nil {
-		e.par.unbind(x.tb)
-	}
 	if tb, ok := e.takeTB(x.node); ok {
-		if e.par != nil {
-			e.par.bind(int(tb), x.node)
-		}
 		x.tb = int(tb)
 		x.stage = 0
 		x.m = 0
@@ -645,36 +614,24 @@ func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 		return
 	}
 
-	var shell *genShell
-	if e.par != nil {
-		// Parallel core: the phase was pre-generated by the owning shard.
-		// This fetch sits at exactly the point the sequential engine
-		// generates, so the accounting below lands in the same event order.
-		shell = e.par.fetch(x.tb)
-		if shell.phase != phase || shell.m != m {
-			panic("parallel: phase stream out of step with the executor")
-		}
-		e.run.WarpInstrs += uint64(shell.instrs)
-	} else {
-		if cap(x.buf) < e.bufHint {
-			// A peer executor already saw a bigger phase: jump straight to
-			// the high-water capacity instead of re-growing through the
-			// doublings.
-			x.buf = make([]trace.Transaction, 0, e.bufHint)
-		}
-		x.buf = x.buf[:0]
-		instrs := 0
-		for w := 0; w < x.warps; w++ {
-			var n int
-			x.buf, n = x.gen.WarpTransactions(x.tb, w, m, phase, x.buf)
-			instrs += n
-		}
-		x.gen.FinalizeBytes(x.buf)
-		if c := cap(x.buf); c > e.bufHint {
-			e.bufHint = c
-		}
-		e.run.WarpInstrs += uint64(instrs)
+	if cap(x.buf) < e.bufHint {
+		// A peer executor already saw a bigger phase: jump straight to
+		// the high-water capacity instead of re-growing through the
+		// doublings.
+		x.buf = make([]trace.Transaction, 0, e.bufHint)
 	}
+	x.buf = x.buf[:0]
+	instrs := 0
+	for w := 0; w < x.warps; w++ {
+		var n int
+		x.buf, n = x.gen.WarpTransactions(x.tb, w, m, phase, x.buf)
+		instrs += n
+	}
+	x.gen.FinalizeBytes(x.buf)
+	if c := cap(x.buf); c > e.bufHint {
+		e.bufHint = c
+	}
+	e.run.WarpInstrs += uint64(instrs)
 
 	// Each resident threadblock owns a share of the SM's MSHRs: at most
 	// `window` of its transactions are in flight at once.
@@ -687,23 +644,14 @@ func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 	pr.x = x
 	pr.t0 = t0
 	pr.compute = compute
-	if shell != nil {
-		// The shard counted loads while filling the shell; the buffer goes
-		// home for refilling once every transaction has been issued.
-		pr.txs = shell.txs
-		pr.shell = shell
-		pr.loadsTotal = shell.loads
-	} else {
-		// Hand the buffer off instead of copying: every transaction is
-		// issued (read out of txs) before the phase can end, and x refills
-		// buf only when its next phase begins — after this phase's
-		// phaseDone — so the backing array is never read and rewritten
-		// concurrently.
-		pr.txs = x.buf
-		for i := range pr.txs {
-			if pr.txs[i].Mode == kir.Load {
-				pr.loadsTotal++
-			}
+	// Hand the buffer off instead of copying: every transaction is issued
+	// (read out of txs) before the phase can end, and x refills buf only
+	// when its next phase begins — after this phase's phaseDone — so the
+	// backing array is never read and rewritten concurrently.
+	pr.txs = x.buf
+	for i := range pr.txs {
+		if pr.txs[i].Mode == kir.Load {
+			pr.loadsTotal++
 		}
 	}
 	pr.window = window
@@ -728,8 +676,7 @@ type phaseRun struct {
 	compute float64
 
 	txs    []trace.Transaction
-	shell  *genShell // parallel core: the shard-owned buffer behind txs
-	next   int       // next tx to issue
+	next   int // next tx to issue
 	window int
 
 	inFlight   int
@@ -793,14 +740,6 @@ func (p *phaseRun) maybeFinish() {
 		return
 	}
 	p.finished = true
-	if p.shell != nil {
-		// Every transaction has been issued (copied by value into its
-		// txState), so nothing reads txs again — the shell can go home for
-		// refilling even while this phase's stores drain.
-		p.e.par.release(p.shell)
-		p.shell = nil
-		p.txs = nil
-	}
 	end := maxF(p.maxLoad, p.lastIssue) + p.compute
 	p.observe(end)
 	x, e := p.x, p.e

@@ -3,7 +3,7 @@ package engine
 // The event core is allocation-free in steady state. Three things make
 // that work:
 //
-//  1. Events are values in one slice-backed binary heap, not *event
+//  1. Events are values in one slice-backed 4-ary heap, not *event
 //     pointers pushed through container/heap's `any` interface — no
 //     per-event allocation, no boxing, and the sift loops inline.
 //  2. The payload is a `runner` interface holding a pointer-shaped value
@@ -41,11 +41,12 @@ type event struct {
 
 // eventHeap is a value-typed 4-ary min-heap ordered on (t, seq). The
 // 4-ary layout halves the tree depth of a binary heap and keeps each
-// node's children in one-two cache lines, which matters because the sift
-// loops dominated event-core profiles (pop+less was ~33% of a pagerank
-// run on the binary layout). The ordering contract is untouched — (t, seq)
-// is a strict total order, so pops come out in exactly the same sequence
-// as any correct heap, which the golden run records pin.
+// node's children in one-two cache lines. The heap and scheduler take
+// ~25% of sampled CPU on the perfbench fig9-campaign workload (2 vCPU);
+// no measurement yet compares this layout against a binary one. The
+// ordering contract is untouched — (t, seq) is a strict total order, so
+// pops come out in exactly the same sequence as any correct heap, which
+// the golden run records pin.
 type eventHeap []event
 
 // heapArity is the fan-out of the event heap. Power of two so child/parent
@@ -120,15 +121,6 @@ type scheduler struct {
 	sampleEvery float64
 	nextSample  float64
 
-	// epochFn, when non-nil, fires whenever simulated time crosses
-	// epochEvery-spaced boundaries — the conservative-window epochs of
-	// the parallel event core, spaced by the minimum cross-node link
-	// latency. The hook moves shard output into commit-side queues; it
-	// books nothing and schedules nothing, so it cannot perturb timing.
-	epochFn    func()
-	epochEvery float64
-	nextEpoch  float64
-
 	// interrupt, when non-nil, aborts drain: it is polled every
 	// interruptCheckEvery events (a counter increment and branch on the
 	// hot path, a channel poll only at the mask boundary), so a canceled
@@ -143,13 +135,6 @@ type scheduler struct {
 // interruptCheckEvery is the event-count granularity of cancellation
 // polling. Power of two so the check compiles to a mask.
 const interruptCheckEvery = 1 << 16
-
-// startEpochs arms the conservative-window pump of the parallel core.
-func (s *scheduler) startEpochs(every float64, fn func()) {
-	s.epochEvery = every
-	s.nextEpoch = every
-	s.epochFn = fn
-}
 
 // startSampling arms the periodic telemetry hook.
 func (s *scheduler) startSampling(every float64, fn func(t float64)) {
@@ -194,12 +179,6 @@ func (s *scheduler) drain() float64 {
 			}
 		}
 		ev := s.events.pop()
-		if s.epochFn != nil && s.nextEpoch <= ev.t {
-			s.epochFn()
-			// Jump, don't replay: the pump is a cadence, not a per-boundary
-			// observation like sampling below.
-			s.nextEpoch = ev.t + s.epochEvery
-		}
 		for s.sampleFn != nil && s.nextSample <= ev.t {
 			s.sampleFn(s.nextSample)
 			s.nextSample += s.sampleEvery

@@ -301,7 +301,6 @@ func (r *Runner) requestFor(job core.Job) (simsvc.Request, bool) {
 		return simsvc.Request{}, false
 	}
 	req.Fidelity = r.cfg.Fidelity
-	req.Parallel = job.Parallel
 	return req.Normalize(), true
 }
 

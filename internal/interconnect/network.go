@@ -192,31 +192,6 @@ func (n *Network) Transfer(now float64, src, dst, bytes int) (arrive float64, ki
 	}
 }
 
-// MinCrossNodeLatency returns the smallest fixed hop latency any
-// node-to-node transfer pays: the minimum of the inter-chiplet ring and
-// inter-GPU switch latencies over the levels the machine actually has.
-// This is the conservative-window horizon of the parallel event core — no
-// event on one node can affect another node sooner than this many cycles
-// in the future, so it bounds how far cross-shard traffic can lag without
-// changing any outcome. Never less than 1 cycle, so it is always a usable
-// epoch width even for degenerate zero-latency configs.
-func (n *Network) MinCrossNodeLatency() float64 {
-	cfg := n.cfg
-	m := -1.0
-	if cfg.ChipletsPerGPU > 1 {
-		m = float64(cfg.InterChipletLat)
-	}
-	if cfg.GPUs > 1 {
-		if l := float64(cfg.InterGPULat); m < 0 || l < m {
-			m = l
-		}
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
 // Bytes returns the total bytes moved at the given level.
 func (n *Network) Bytes(kind Kind) uint64 { return n.bytes[kind] }
 

@@ -46,11 +46,7 @@ type Plan struct {
 	// it. Telemetry is a pure observer — it never changes cycle counts.
 	Tel *simtel.Collector
 
-	// Parallel is the requested parallel degree of the event core: the
-	// engine offloads trace generation to this many NUMA-node-sharded
-	// goroutines (clamped to the node count). 0 or 1 is the sequential
-	// path; any degree produces byte-identical results, so Parallel is an
-	// execution hint, never part of a job's identity.
+	// Deprecated: ignored; the event core is sequential.
 	Parallel int
 
 	// Interrupt, when non-nil, aborts the simulation when the channel

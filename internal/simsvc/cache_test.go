@@ -1,8 +1,13 @@
 package simsvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,29 +32,50 @@ func TestJobKeyDeterministic(t *testing.T) {
 	}
 }
 
-// TestJobKeyParallelInvariant pins the sharing contract of the parallel
-// event core: the degree is an execution hint, never job identity, so a
-// parallel request hashes to the same key — and therefore the same cache
-// entry, store record and golden — as its sequential twin, while Resolve
-// still carries the degree through to the engine.
+// TestJobKeyParallelInvariant pins compatibility for clients written
+// against the retired "parallel" request field: the server decodes
+// requests without rejecting unknown fields, so a request still carrying
+// it gets 200, the JobKey of the same request without the field, and a
+// byte-identical record.
 func TestJobKeyParallelInvariant(t *testing.T) {
-	seq := Request{Workload: "vecadd"}
-	for _, degree := range []int{-1, 0, 1, 4} {
-		par := Request{Workload: "vecadd", Parallel: degree}
-		if par.Key() != seq.Key() {
-			t.Errorf("Parallel=%d changed the JobKey: %s vs %s",
-				degree, par.Key(), seq.Key())
+	type view struct {
+		Key string          `json:"key"`
+		Run json.RawMessage `json:"run"`
+	}
+	post := func(body string) view {
+		t.Helper()
+		pool := NewPool(PoolConfig{Workers: 1})
+		defer pool.Close()
+		ts := httptest.NewServer(NewServer(pool).Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", body, resp.StatusCode, data)
+		}
+		var v view
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Run) == 0 {
+			t.Fatalf("POST %s: no record: %s", body, data)
+		}
+		return v
 	}
-	job, err := Request{Workload: "vecadd", Parallel: 4}.Resolve()
-	if err != nil {
-		t.Fatal(err)
+	old := post(`{"workload":"vecadd","parallel":4}`)
+	plain := post(`{"workload":"vecadd"}`)
+	if old.Key != plain.Key {
+		t.Errorf("retired field changed the JobKey: %s vs %s", old.Key, plain.Key)
 	}
-	if job.Parallel != 4 {
-		t.Errorf("Resolve dropped the parallel degree: got %d, want 4", job.Parallel)
-	}
-	if job, _ := (Request{Workload: "vecadd", Parallel: -3}).Resolve(); job.Parallel != 0 {
-		t.Errorf("negative degree should normalize to 0, got %d", job.Parallel)
+	if !bytes.Equal(old.Run, plain.Run) {
+		t.Errorf("retired field changed the record:\nwith    %s\nwithout %s", old.Run, plain.Run)
 	}
 }
 

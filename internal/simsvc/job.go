@@ -61,14 +61,6 @@ type Request struct {
 	// an analytic answer and an event answer for the same cell are
 	// different records and must never collide in the cache or store.
 	Fidelity string `json:"fidelity,omitempty"`
-	// Parallel is the parallel degree of the event core: the engine
-	// offloads trace generation to this many NUMA-node-sharded goroutines
-	// (clamped to the machine's node count; 0/1 = sequential).
-	// Deliberately NOT part of the JobKey: every degree produces a
-	// byte-identical record — pinned by the engine's lockstep tests — so
-	// parallelism is an execution hint, and caches, stores and golden
-	// records are shared across degrees.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // Normalize fills defaulted fields so that equal jobs hash equally.
@@ -87,9 +79,6 @@ func (r Request) Normalize() Request {
 	}
 	if r.Fidelity == FidelityEvent {
 		r.Fidelity = ""
-	}
-	if r.Parallel < 0 {
-		r.Parallel = 0
 	}
 	return r
 }
@@ -171,7 +160,7 @@ func (r Request) Resolve() (core.Job, error) {
 	if err != nil {
 		return core.Job{}, err
 	}
-	return core.Job{Workload: spec.W, Policy: pol, Arch: cfg, Parallel: r.Parallel}, nil
+	return core.Job{Workload: spec.W, Policy: pol, Arch: cfg}, nil
 }
 
 // buildWorkload is the kernel registry's builder; a variable so tests

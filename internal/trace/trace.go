@@ -45,7 +45,6 @@ type compiledAccess struct {
 type Generator struct {
 	k        *kir.Kernel
 	accesses []compiledAccess
-	resolve  func(table string, idx int64) int64
 
 	lineBytes   uint64
 	sectorBytes uint64
@@ -66,7 +65,6 @@ func New(k *kir.Kernel, space *page.Space, resolve func(string, int64) int64,
 	}
 	g := &Generator{
 		k:           k,
-		resolve:     resolve,
 		lineBytes:   uint64(lineBytes),
 		sectorBytes: uint64(sectorBytes),
 		warpSize:    warpSize,
@@ -97,21 +95,6 @@ func New(k *kir.Kernel, space *page.Space, resolve func(string, int64) int64,
 
 // Kernel returns the kernel the generator was built for.
 func (g *Generator) Kernel() *kir.Kernel { return g.k }
-
-// Clone returns an independent generator over the same kernel and address
-// space, safe to use from another goroutine. Everything a generator reads
-// during WarpTransactions — the kernel, the compiled index/predicate
-// closures, the allocations, and the resolver's tables — is immutable
-// after New; the only mutable state is the evaluation-environment scratch,
-// which the clone gets its own copy of. Clones therefore generate
-// concurrently with each other and with the original, and produce
-// identical transactions for identical (tb, warp, m, phase) inputs.
-func (g *Generator) Clone() *Generator {
-	c := *g
-	c.env = g.k.BaseEnv()
-	c.env.Resolve = g.resolve
-	return &c
-}
 
 // AccessSites returns the number of access sites per phase, used by the
 // engine to size its per-iteration instruction accounting.

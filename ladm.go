@@ -187,9 +187,8 @@ func Simulate(w *KernelWorkload, sys System, pol Policy) (*Result, error) {
 // Job names one simulation for a parallel sweep.
 type Job = core.Job
 
-// SimulateJob runs one fully-specified job — including its telemetry
-// collector and the event core's parallel degree (Job.Parallel; every
-// degree yields a byte-identical record).
+// SimulateJob runs one fully-specified job, including its telemetry
+// collector.
 func SimulateJob(j Job) (*Result, error) {
 	return core.SimulateJob(j)
 }
