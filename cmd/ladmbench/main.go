@@ -36,6 +36,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"ladm/internal/analytic"
@@ -207,12 +208,19 @@ func main() {
 			}
 			o.Runner = cr
 		}
-		cr.Progress = func(done, total int, cell string, cached bool) {
+		// One counter numbers the cells across the whole campaign; the
+		// lock keeps the numbers and the lines in the same order.
+		var mu sync.Mutex
+		done := 0
+		cr.Progress = func(cell string, cached bool) {
 			src := "simulated"
 			if cached {
 				src = "cached"
 			}
-			fmt.Fprintf(os.Stderr, "ladmbench: [%d/%d] %s (%s)\n", done, total, cell, src)
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			fmt.Fprintf(os.Stderr, "ladmbench: [%d] %s (%s)\n", done, cell, src)
 		}
 	}
 	if *workloads != "" {

@@ -52,22 +52,6 @@ import (
 	"ladm/internal/stats"
 )
 
-// coreFallback runs escalated jobs on the in-process event engine — the
-// single-run analogue of the worker pool ladmserve hands the tier runner.
-type coreFallback struct{}
-
-func (coreFallback) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	out := make([]*stats.Run, len(jobs))
-	for i, j := range jobs {
-		r, err := core.SimulateJob(j)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
 func main() {
 	workload := flag.String("workload", "vecadd", "workload name")
 	policy := flag.String("policy", "ladm", "management policy")
@@ -129,7 +113,8 @@ func main() {
 	case simsvc.FidelityAnalytic, simsvc.FidelityAuto:
 		tr := &analytic.Runner{Scale: *scale}
 		if *tier == simsvc.FidelityAuto {
-			tr.Fallback = coreFallback{}
+			// Escalated jobs run on the in-process event engine.
+			tr.Fallback = core.RunFunc(core.SimulateJobContext)
 		}
 		run, err = tr.Exec(context.Background(), job)
 	default:

@@ -480,9 +480,6 @@ func (m *model) finish(job core.Job) *Prediction {
 		TBs:        job.Workload.TotalTBs(),
 		WarpInstrs: uint64(m.warpInstrs),
 	}
-	if job.Label != "" {
-		run.Policy = job.Label
-	}
 	run.L1Sectors = uint64(m.l1Sectors)
 	run.L2[stats.LocalLocal].Sectors = uint64(m.ll)
 	run.L2[stats.LocalRemote].Sectors = uint64(m.lr)

@@ -2,6 +2,8 @@ package analytic
 
 import (
 	"context"
+	"sort"
+	"sync"
 	"testing"
 
 	"ladm/internal/core"
@@ -9,16 +11,15 @@ import (
 )
 
 type fakeFallback struct {
-	got []core.Job
+	mu  sync.Mutex
+	got []string
 }
 
-func (f *fakeFallback) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	f.got = jobs
-	runs := make([]*stats.Run, len(jobs))
-	for i, j := range jobs {
-		runs[i] = &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name}
-	}
-	return runs, nil
+func (f *fakeFallback) Exec(ctx context.Context, j core.Job) (*stats.Run, error) {
+	f.mu.Lock()
+	f.got = append(f.got, j.Workload.Name)
+	f.mu.Unlock()
+	return &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name}, nil
 }
 
 // TestRunnerSweepSplitsTiers drives a mixed sweep through the oracle:
@@ -32,18 +33,23 @@ func TestRunnerSweepSplitsTiers(t *testing.T) {
 		testJob(t, "spmv-jds", testScale), // per-block trip counts: escalates
 	}
 	fb := &fakeFallback{}
-	var decisions, classes []string
+	var (
+		mu                 sync.Mutex
+		decisions, classes []string
+	)
 	r := &Runner{
 		Fallback: fb,
 		Scale:    testScale,
 		OnDecision: func(tier string, d Decision) {
+			mu.Lock()
+			defer mu.Unlock()
 			decisions = append(decisions, tier+"/"+d.Confidence)
 			if d.Confidence == ConfidenceEscalate {
 				classes = append(classes, d.Class)
 			}
 		},
 	}
-	runs, err := r.Sweep(context.Background(), jobs)
+	runs, err := core.Sweep(context.Background(), r, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +70,19 @@ func TestRunnerSweepSplitsTiers(t *testing.T) {
 	if runs[3].Tier != TierEvent || runs[3].Confidence != ConfidenceEscalate {
 		t.Errorf("spmv-jds tagged %q/%q, want event/escalate", runs[3].Tier, runs[3].Confidence)
 	}
-	if len(fb.got) != 2 || fb.got[0].Workload.Name != "lbm" || fb.got[1].Workload.Name != "spmv-jds" {
-		t.Errorf("fallback saw wrong batch: %d jobs", len(fb.got))
+	// Jobs run concurrently, so the fallback's jobs and the decisions are
+	// compared as sorted sets; the per-job tier tags above pin which job
+	// got which.
+	sort.Strings(fb.got)
+	if len(fb.got) != 2 || fb.got[0] != "lbm" || fb.got[1] != "spmv-jds" {
+		t.Errorf("fallback saw %v, want [lbm spmv-jds]", fb.got)
 	}
+	sort.Strings(decisions)
+	sort.Strings(classes)
 	want := []string{
 		TierAnalytic + "/" + ConfidenceHigh,
-		TierEvent + "/" + ConfidenceEscalate,
 		TierAnalytic + "/" + ConfidenceHigh,
+		TierEvent + "/" + ConfidenceEscalate,
 		TierEvent + "/" + ConfidenceEscalate,
 	}
 	if len(decisions) != len(want) {
@@ -84,6 +96,7 @@ func TestRunnerSweepSplitsTiers(t *testing.T) {
 	// Every escalation carries a bounded reason class for the metrics
 	// label (lbm is data-dependent, spmv-jds has per-block trip counts).
 	wantClasses := []string{ReasonDataDependent, ReasonBlockTrips}
+	sort.Strings(wantClasses)
 	if len(classes) != len(wantClasses) {
 		t.Fatalf("got %d escalation classes %v, want %d", len(classes), classes, len(wantClasses))
 	}

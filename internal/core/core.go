@@ -2,16 +2,17 @@
 // locality table), plan (LASP placement, scheduling, CRB caching), and
 // simulate (the event-driven NUMA-GPU engine). One call — Simulate — is
 // the whole LADM pipeline of Figure 5 for one workload under one policy on
-// one machine; Sweep fans combinations out across CPU cores for the
-// benchmark harness.
+// one machine. Runner is the one executor interface every serving layer
+// implements per job, and Sweep runs a batch of jobs through any Runner,
+// returning the records in job order.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ladm/internal/arch"
 	"ladm/internal/engine"
@@ -70,52 +71,57 @@ func SimulateJobContext(ctx context.Context, j Job) (*stats.Run, error) {
 	return run, nil
 }
 
-// Sweep simulates all jobs, fanning out across CPUs, and returns results
-// in job order. The first error encountered is returned.
-func Sweep(jobs []Job, workers int) ([]*stats.Run, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// Runner executes one job. It is the only executor interface: the
+// simsvc worker pool, the store-backed cache, the fleet dispatcher and
+// the analytic tier all implement it and wrap one another per job, and
+// Sweep turns any of them into an ordered batch.
+type Runner interface {
+	Exec(ctx context.Context, job Job) (*stats.Run, error)
+}
 
-	results := make([]*stats.Run, len(jobs))
+// RunFunc adapts a function to Runner. RunFunc(SimulateJobContext) is
+// the pool-free executor: it runs each job on the caller's goroutine
+// with no queue, bound or panic recovery, which makes it the reference
+// the determinism tests hold the pool against. Under Sweep every job
+// simulates at once, so keep such sweeps small.
+type RunFunc func(ctx context.Context, job Job) (*stats.Run, error)
+
+// Exec calls f.
+func (f RunFunc) Exec(ctx context.Context, job Job) (*stats.Run, error) { return f(ctx, job) }
+
+// Sweep runs every job through r concurrently and returns the records
+// in job order. A job's Label, when set, replaces Policy on a clone of
+// its record — executors return canonical records, which caches share —
+// and this is the only place a label is applied. Jobs reach r.Exec in
+// job order as far as goroutine start-up allows: each goroutine claims
+// the next index from a shared counter, because the scheduler runs the
+// most recently spawned goroutine first. After every job has settled,
+// the error of the earliest failed job is returned.
+func Sweep(ctx context.Context, r Runner, jobs []Job) ([]*stats.Run, error) {
+	runs := make([]*stats.Run, len(jobs))
 	errs := make([]error, len(jobs))
-	next := make(chan int)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	wg.Add(len(jobs))
+	for range jobs {
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				j := jobs[i]
-				run, err := Simulate(j.Workload, j.Arch, j.Policy)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				if j.Label != "" {
-					run.Policy = j.Label
-				}
-				results[i] = run
+			i := next.Add(1) - 1
+			run, err := r.Exec(ctx, jobs[i])
+			if err == nil && jobs[i].Label != "" {
+				run = run.Clone()
+				run.Policy = jobs[i].Label
 			}
+			runs[i], errs[i] = run, err
 		}()
 	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
-
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return results, nil
+	return runs, nil
 }

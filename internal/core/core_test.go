@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestSweepOrderAndLabels(t *testing.T) {
 		{Workload: spec.W, Policy: rt.LADM(), Arch: cfg, Label: "tagged"},
 		{Workload: spec.W, Policy: rt.KernelWide(), Arch: cfg},
 	}
-	runs, err := Sweep(jobs, 2)
+	runs, err := Sweep(context.Background(), RunFunc(SimulateJobContext), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 		{Workload: spec.W, Policy: rt.LADM(), Arch: cfg},
 		{Workload: spec.W, Policy: rt.LADM(), Arch: cfg},
 	}
-	runs, err := Sweep(jobs, 2)
+	runs, err := Sweep(context.Background(), RunFunc(SimulateJobContext), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestSweepErrors(t *testing.T) {
 	bad := arch.DefaultHierarchical()
 	bad.GPUs = 0
 	jobs := []Job{{Workload: spec.W, Policy: rt.LADM(), Arch: bad}}
-	if _, err := Sweep(jobs, 4); err == nil {
+	if _, err := Sweep(context.Background(), RunFunc(SimulateJobContext), jobs); err == nil {
 		t.Error("sweep should surface job errors")
 	}
 	// Empty sweep is fine.
-	if runs, err := Sweep(nil, 4); err != nil || len(runs) != 0 {
+	if runs, err := Sweep(context.Background(), RunFunc(SimulateJobContext), nil); err != nil || len(runs) != 0 {
 		t.Errorf("empty sweep: %v %v", runs, err)
 	}
 }

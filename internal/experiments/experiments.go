@@ -34,7 +34,7 @@ type Options struct {
 	// simsvc worker pool of Workers workers per sweep; callers that run
 	// several experiments (cmd/ladmbench, the service) pass one shared
 	// pool so queueing and metrics span the whole campaign.
-	Runner simsvc.Runner
+	Runner core.Runner
 }
 
 // DefaultOptions returns the fast-run defaults used by the harness.
@@ -92,7 +92,7 @@ func runMatrix(specs []*kernels.Spec, cells []core.Job, o Options) (map[string][
 		defer pool.Close()
 		runner = pool
 	}
-	runs, err := runner.Sweep(context.Background(), jobs)
+	runs, err := core.Sweep(context.Background(), runner, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func Tiercheck(o Options) (*Result, error) {
 		runner = pool
 	}
 	t1 := time.Now()
-	evs, err := runner.Sweep(context.Background(), highJobs)
+	evs, err := core.Sweep(context.Background(), runner, highJobs)
 	if err != nil {
 		return nil, err
 	}

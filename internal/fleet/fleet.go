@@ -64,7 +64,7 @@ type Config struct {
 	// Local is the degrade target: jobs that cannot be served remotely
 	// (unnameable jobs, fleet-wide unhealth, exhausted retries) run
 	// here. Required — degradation is the design, not an option.
-	Local simsvc.Runner
+	Local core.Runner
 	// Scale is the input-scale divisor the sweep's jobs were built at
 	// (0 = simsvc.DefaultScale); it is part of every remote request.
 	Scale int
@@ -96,8 +96,8 @@ type Config struct {
 	// endpoints. Negative disables health checking (endpoints then rely
 	// on the breaker alone).
 	HealthInterval time.Duration
-	// Concurrency bounds in-flight remote jobs per Sweep call
-	// (0 = 4x endpoints).
+	// Concurrency bounds the remote jobs in flight through one Runner's
+	// Exec (0 = 4x endpoints).
 	Concurrency int
 	// Log receives breaker, health and degrade events (nil = discard).
 	// Request-scoped lines carry the svcobs correlation ID.
@@ -140,9 +140,9 @@ type endpoint struct {
 	toHalfOpen atomic.Int64
 }
 
-// Runner is the fleet dispatcher. It implements simsvc.Runner (Sweep)
-// for campaign use and simsvc.Fleet (ExecRequest) for the server's
-// per-job path.
+// Runner is the fleet dispatcher. It implements core.Runner (Exec) for
+// campaign use and simsvc.Fleet (ExecRequest) for the server's per-job
+// path.
 type Runner struct {
 	cfg     Config
 	client  *http.Client
@@ -304,67 +304,23 @@ func (r *Runner) requestFor(job core.Job) (simsvc.Request, bool) {
 	return req.Normalize(), true
 }
 
-// Sweep implements simsvc.Runner: registry-named jobs fan out to the
-// fleet (degrading to Local per job on failure), everything else runs
-// as one local batch. Records return in job order, byte-identical to a
-// pure local sweep — that equivalence is pinned by tests.
-func (r *Runner) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	results := make([]*stats.Run, len(jobs))
-	var (
-		localJobs []core.Job
-		localIdx  []int
-		wg        sync.WaitGroup
-		errMu     sync.Mutex
-		firstErr  error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+// Exec implements core.Runner: a registry-named job is dispatched to the
+// fleet (degrading to Local on failure) and anything else runs on Local.
+// Records are byte-identical to a pure local run — that equivalence is
+// pinned by tests.
+func (r *Runner) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
+	req, ok := r.requestFor(job)
+	if !ok {
+		r.m.localJobs.Add(1)
+		return r.cfg.Local.Exec(ctx, job)
 	}
-	for i, job := range jobs {
-		req, ok := r.requestFor(job)
-		if !ok {
-			localJobs = append(localJobs, job)
-			localIdx = append(localIdx, i)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, job core.Job, req simsvc.Request) {
-			defer wg.Done()
-			select {
-			case r.sem <- struct{}{}:
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
-			}
-			defer func() { <-r.sem }()
-			run, err := r.ExecRequest(ctx, req, job)
-			if err != nil {
-				fail(err)
-				return
-			}
-			results[i] = run
-		}(i, job, req)
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	if len(localJobs) > 0 {
-		r.m.localJobs.Add(int64(len(localJobs)))
-		rs, err := r.cfg.Local.Sweep(ctx, localJobs)
-		if err != nil {
-			fail(err)
-		} else {
-			for k, i := range localIdx {
-				results[i] = rs[k]
-			}
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	defer func() { <-r.sem }()
+	return r.ExecRequest(ctx, req, job)
 }
 
 // dispatch carries one job's distributed-trace identity through the
@@ -429,13 +385,6 @@ func (r *Runner) ExecRequest(ctx context.Context, req simsvc.Request, job core.J
 	if err == nil {
 		r.m.remoteJobs.Add(1)
 		r.dispatchSpan(d, req, start, "remote")
-		if job.Label != "" {
-			// The remote record is canonical (run.Policy = the policy
-			// name); apply the sweep's label exactly as a local runner
-			// would. The record is exclusively ours — fresh off the wire —
-			// so mutating in place is safe.
-			run.Policy = job.Label
-		}
 		return run, nil
 	}
 	if ctx.Err() != nil {
@@ -447,13 +396,13 @@ func (r *Runner) ExecRequest(ctx context.Context, req simsvc.Request, job core.J
 	r.log.Warn("fleet: degrading job to local",
 		"workload", req.Workload, "policy", req.Policy, "machine", req.Machine,
 		"error", err.Error(), "request_id", svcobs.RequestIDFrom(ctx))
-	runs, lerr := r.cfg.Local.Sweep(ctx, []core.Job{job})
-	if lerr != nil {
+	run, err = r.cfg.Local.Exec(ctx, job)
+	if err != nil {
 		r.dispatchSpan(d, req, start, "failed")
-		return nil, lerr
+		return nil, err
 	}
 	r.dispatchSpan(d, req, start, "degraded")
-	return runs[0], nil
+	return run, nil
 }
 
 // errNoEndpoints marks a fleet-wide outage: nothing healthy, nothing

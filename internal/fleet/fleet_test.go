@@ -71,7 +71,7 @@ func testJobs(t *testing.T, pairs ...[2]string) []core.Job {
 
 // testConfig is the base fleet config for tests: fast retries, hedging
 // and health checking off unless a test opts in.
-func testConfig(local simsvc.Runner, endpoints ...string) Config {
+func testConfig(local core.Runner, endpoints ...string) Config {
 	return Config{
 		Endpoints:        endpoints,
 		Local:            local,
@@ -97,12 +97,12 @@ func mustJSON(t *testing.T, v any) string {
 
 // TestSweepRemoteByteIdentical is the core promise: a fleet sweep over
 // healthy remotes returns records byte-identical to a pure local run —
-// including a labeled job, whose label the fleet applies client-side
-// exactly as a local runner would.
+// including a labeled job, whose label core.Sweep applies to the remote
+// record exactly as to a local one.
 func TestSweepRemoteByteIdentical(t *testing.T) {
 	tsA, _, hitsA := newWorker(t)
 	tsB, _, hitsB := newWorker(t)
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	fl, err := New(testConfig(local, tsA.URL, tsB.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +114,11 @@ func TestSweepRemoteByteIdentical(t *testing.T) {
 		[2]string{"scalarprod", "ladm"}, [2]string{"scalarprod", "baseline-rr"})
 	jobs[0].Label = "variant-a"
 
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := local.Sweep(context.Background(), jobs)
+	want, err := core.Sweep(context.Background(), local, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,10 @@ func TestSweepRemoteByteIdentical(t *testing.T) {
 }
 
 // TestSweepUnnameableStaysLocal: jobs with no registry name (custom
-// workloads) must never be sent over the wire — they run as one local
-// batch.
+// workloads) must never be sent over the wire — they run on Local.
 func TestSweepUnnameableStaysLocal(t *testing.T) {
 	ts, _, hits := newWorker(t)
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	fl, err := New(testConfig(local, ts.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +152,11 @@ func TestSweepUnnameableStaysLocal(t *testing.T) {
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	jobs[0].Workload = &kir.Workload{Name: "custom-gemm"}
 
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs)
+	want, _ := core.Sweep(context.Background(), local, jobs)
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("local-batch result diverged")
 	}
@@ -184,7 +183,7 @@ func TestRetryThenSucceed(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, flaky.URL)
 	cfg.BreakerThreshold = 5
 	fl, err := New(cfg)
@@ -194,11 +193,11 @@ func TestRetryThenSucceed(t *testing.T) {
 	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs)
+	want, _ := core.Sweep(context.Background(), local, jobs)
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("retried result diverged from local")
 	}
@@ -239,7 +238,7 @@ func TestBreakerOpensAndDegrades(t *testing.T) {
 	}))
 	defer dead.Close()
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, dead.URL)
 	cfg.BreakerThreshold = 2
 	cfg.MaxAttempts = 4
@@ -250,11 +249,11 @@ func TestBreakerOpensAndDegrades(t *testing.T) {
 	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs)
+	want, _ := core.Sweep(context.Background(), local, jobs)
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("degraded result diverged from local")
 	}
@@ -282,7 +281,7 @@ func TestBreakerRecovers(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, flaky.URL)
 	cfg.BreakerThreshold = 2
 	cfg.MaxAttempts = 2
@@ -296,7 +295,7 @@ func TestBreakerRecovers(t *testing.T) {
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
 
 	// Job 1: both attempts fail, the breaker opens, the job degrades.
-	if _, err := fl.Sweep(context.Background(), jobs[:1]); err != nil {
+	if _, err := core.Sweep(context.Background(), fl, jobs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if st := fl.Endpoints()[0].Breaker; st != "open" {
@@ -305,11 +304,11 @@ func TestBreakerRecovers(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 
 	// Job 2: the half-open probe succeeds and the circuit closes.
-	got, err := fl.Sweep(context.Background(), jobs[1:])
+	got, err := core.Sweep(context.Background(), fl, jobs[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs[1:])
+	want, _ := core.Sweep(context.Background(), local, jobs[1:])
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("post-recovery result diverged from local")
 	}
@@ -339,7 +338,7 @@ func TestHedgeWins(t *testing.T) {
 	defer stall.Close()
 	defer close(done)
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, fast.URL, stall.URL)
 	cfg.HedgeAfter = 20 * time.Millisecond
 	fl, err := New(cfg)
@@ -351,11 +350,11 @@ func TestHedgeWins(t *testing.T) {
 	// Round-robin spreads the two jobs' primaries across both endpoints,
 	// so exactly the stall-primary job exercises the hedge path.
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs)
+	want, _ := core.Sweep(context.Background(), local, jobs)
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("hedged sweep diverged from local")
 	}
@@ -376,7 +375,7 @@ func TestDegradeToLocalWhenFleetDown(t *testing.T) {
 	url := gone.URL
 	gone.Close() // connection refused from here on
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, url)
 	cfg.BreakerThreshold = 2
 	cfg.MaxAttempts = 2
@@ -389,11 +388,11 @@ func TestDegradeToLocalWhenFleetDown(t *testing.T) {
 	jobs := testJobs(t,
 		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
 		[2]string{"scalarprod", "ladm"})
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs)
+	want, _ := core.Sweep(context.Background(), local, jobs)
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatalf("degraded sweep diverged from local")
 	}
@@ -425,7 +424,7 @@ func TestJobFailedDegradesWithLocalError(t *testing.T) {
 	ts := httptest.NewServer(simsvc.NewServer(pool).Handler())
 	defer ts.Close()
 
-	local := simsvc.Sequential{Simulate: failSim}
+	local := core.RunFunc(failSim)
 	fl, err := New(testConfig(local, ts.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -433,8 +432,8 @@ func TestJobFailedDegradesWithLocalError(t *testing.T) {
 	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
-	_, err = fl.Sweep(context.Background(), jobs)
-	_, wantErr := local.Sweep(context.Background(), jobs)
+	_, err = core.Sweep(context.Background(), fl, jobs)
+	_, wantErr := core.Sweep(context.Background(), local, jobs)
 	if err == nil || wantErr == nil {
 		t.Fatalf("both runs should fail: fleet=%v local=%v", err, wantErr)
 	}
@@ -462,7 +461,7 @@ func TestFaultInjectedByteIdentical(t *testing.T) {
 	inj := faultinject.New(spec)
 	client := &http.Client{Transport: &faultinject.Transport{Injector: inj}}
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, tsA.URL, tsB.URL)
 	cfg.Client = client
 	cfg.MaxAttempts = 5
@@ -479,11 +478,11 @@ func TestFaultInjectedByteIdentical(t *testing.T) {
 		[2]string{"scalarprod", "ladm"}, [2]string{"scalarprod", "h-coda"},
 		[2]string{"srad", "ladm"}, [2]string{"blk", "ladm"})
 
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := local.Sweep(context.Background(), jobs)
+	want, err := core.Sweep(context.Background(), local, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +505,7 @@ func TestHealthRoutesAroundDrainingEndpoint(t *testing.T) {
 	tsB, _, hitsB := newWorker(t)
 	srvA.SetDraining(true)
 
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, tsA.URL, tsB.URL)
 	cfg.HealthInterval = 10 * time.Millisecond
 	fl, err := New(cfg)
@@ -529,7 +528,7 @@ func TestHealthRoutesAroundDrainingEndpoint(t *testing.T) {
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
 		[2]string{"scalarprod", "ladm"})
-	if _, err := fl.Sweep(context.Background(), jobs); err != nil {
+	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if hitsA.Load() != 0 {
@@ -618,7 +617,7 @@ func TestNormalizeEndpoint(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Local: simsvc.Sequential{}}); err == nil {
+	if _, err := New(Config{Local: core.RunFunc(core.SimulateJobContext)}); err == nil {
 		t.Fatalf("New without endpoints should fail")
 	}
 	if _, err := New(Config{Endpoints: []string{"h:1"}}); err == nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ladm/internal/core"
 	"ladm/internal/faultinject"
 	"ladm/internal/simsvc"
 	"ladm/internal/simtel"
@@ -93,7 +94,7 @@ func TestTracePropagationHedged(t *testing.T) {
 
 	obs := svcobs.NewObserver(nil)
 	root := svcobs.NewTraceContext()
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, fast.URL, stall.URL)
 	cfg.HedgeAfter = 20 * time.Millisecond
 	cfg.Observer = obs
@@ -105,7 +106,7 @@ func TestTracePropagationHedged(t *testing.T) {
 	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
-	if _, err := fl.Sweep(context.Background(), jobs); err != nil {
+	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if fl.m.hedgeWins.Load() < 1 {
@@ -196,7 +197,7 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 
 	obs := svcobs.NewObserver(nil)
 	root := svcobs.NewTraceContext()
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	cfg := testConfig(local, ts.URL)
 	cfg.Client = &http.Client{Transport: &faultinject.Transport{Injector: inj}}
 	cfg.MaxAttempts = 6
@@ -212,11 +213,11 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 	jobs := testJobs(t,
 		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
 		[2]string{"scalarprod", "ladm"}, [2]string{"srad", "ladm"})
-	got, err := fl.Sweep(context.Background(), jobs)
+	got, err := core.Sweep(context.Background(), fl, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := local.Sweep(context.Background(), jobs)
+	want, _ := core.Sweep(context.Background(), local, jobs)
 	if mustJSON(t, got) != mustJSON(t, want) {
 		t.Fatal("traced fault-injected sweep diverged from local")
 	}
@@ -254,7 +255,7 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 // plain metric, not a trace) still fills.
 func TestUntracedStaysBare(t *testing.T) {
 	ts, _, trap := trappedWorker(t)
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	fl, err := New(testConfig(local, ts.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +263,7 @@ func TestUntracedStaysBare(t *testing.T) {
 	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
-	if _, err := fl.Sweep(context.Background(), jobs); err != nil {
+	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
 		t.Fatal(err)
 	}
 	traces, _ := trap.snapshot()
@@ -284,7 +285,7 @@ func TestUntracedStaysBare(t *testing.T) {
 func TestClusterScrape(t *testing.T) {
 	tsA, _, _ := trappedWorker(t)
 	tsB, _, _ := trappedWorker(t)
-	local := simsvc.Sequential{Simulate: testSim}
+	local := core.RunFunc(testSim)
 	fl, err := New(testConfig(local, tsA.URL, tsB.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +293,7 @@ func TestClusterScrape(t *testing.T) {
 	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
-	if _, err := fl.Sweep(context.Background(), jobs); err != nil {
+	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
 		t.Fatal(err)
 	}
 

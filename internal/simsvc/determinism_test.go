@@ -2,21 +2,23 @@ package simsvc_test
 
 // The determinism guard: running a paper-figure sweep through the worker
 // pool at parallelism 4 must produce byte-identical measurement records
-// to the inline sequential path. This is what lets cmd/ladmbench fan the
-// figure suite across cores without changing a single reported number.
+// to the pool-free path (core.RunFunc over the pipeline). This is what
+// lets cmd/ladmbench fan the figure suite across cores without changing
+// a single reported number.
 
 import (
 	"encoding/json"
 	"testing"
 	"time"
 
+	"ladm/internal/core"
 	"ladm/internal/experiments"
 	"ladm/internal/simsvc"
 )
 
 // figureResults runs the Figure 9/10 sweep on a workload subset with the
 // given runner and returns the rendered text and the records as JSON.
-func figureResults(t *testing.T, runner simsvc.Runner) (string, []byte) {
+func figureResults(t *testing.T, runner core.Runner) (string, []byte) {
 	t.Helper()
 	o := experiments.Options{
 		Scale:     16,
@@ -35,7 +37,7 @@ func figureResults(t *testing.T, runner simsvc.Runner) (string, []byte) {
 }
 
 func TestPoolSweepMatchesSequential(t *testing.T) {
-	seqText, seqRecords := figureResults(t, simsvc.Sequential{})
+	seqText, seqRecords := figureResults(t, core.RunFunc(core.SimulateJobContext))
 
 	pool := simsvc.NewPool(simsvc.PoolConfig{Workers: 4})
 	defer pool.Close()
@@ -51,14 +53,14 @@ func TestPoolSweepMatchesSequential(t *testing.T) {
 }
 
 // TestPoolWallClockInfo logs the wall-clock comparison between the
-// sequential path and the pool (informational: the speedup tracks the
+// pool-free path and the pool (informational: the speedup tracks the
 // runner's core count, so no threshold is asserted here).
 func TestPoolWallClockInfo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing info only")
 	}
 	start := time.Now()
-	figureResults(t, simsvc.Sequential{})
+	figureResults(t, core.RunFunc(core.SimulateJobContext))
 	seq := time.Since(start)
 
 	pool := simsvc.NewPool(simsvc.PoolConfig{Workers: 4})
@@ -68,5 +70,5 @@ func TestPoolWallClockInfo(t *testing.T) {
 	par := time.Since(start)
 
 	speedup := float64(seq) / float64(par)
-	t.Logf("sequential %v, pool(4) %v, speedup %.2fx (GOMAXPROCS-bound)", seq, par, speedup)
+	t.Logf("pool-free %v, pool(4) %v, speedup %.2fx (GOMAXPROCS-bound)", seq, par, speedup)
 }

@@ -366,13 +366,13 @@ func TestCachedRunnerSpillsSweepTelemetry(t *testing.T) {
 
 	ds := testDiskStore(t, t.TempDir())
 	defer ds.Close()
-	inner := Sequential{Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+	inner := core.RunFunc(func(_ context.Context, j core.Job) (*stats.Run, error) {
 		run := &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name, Cycles: 99}
 		if j.Tel != nil {
 			run.Telemetry = &stats.Telemetry{Samples: 1, SaturationCycle: -1}
 		}
 		return run, nil
-	}}
+	})
 	cr := &CachedRunner{Inner: inner, Cache: NewCache(nil), Scale: scale, Spill: ds}
 
 	tel := simtel.New(simtel.Config{SampleEvery: simtel.DefaultSampleEvery, Trace: true})
@@ -380,7 +380,7 @@ func TestCachedRunnerSpillsSweepTelemetry(t *testing.T) {
 		{Workload: spec.W, Policy: pol, Arch: cfg},           // cacheable, no collector
 		{Workload: spec.W, Policy: pol, Arch: cfg, Tel: tel}, // telemetry cell
 	}
-	runs, err := cr.Sweep(context.Background(), jobs)
+	runs, err := core.Sweep(context.Background(), cr, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,25 +421,25 @@ func TestCachedRunnerFidelitySeparation(t *testing.T) {
 	job := core.Job{Workload: spec.W, Policy: pol, Arch: cfg}
 
 	var calls atomic.Int64
-	inner := Sequential{Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+	inner := core.RunFunc(func(_ context.Context, j core.Job) (*stats.Run, error) {
 		calls.Add(1)
 		return &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name}, nil
-	}}
+	})
 	cache := NewCache(nil)
 	event := &CachedRunner{Inner: inner, Cache: cache, Scale: scale}
 	auto := &CachedRunner{Inner: inner, Cache: cache, Scale: scale, Fidelity: FidelityAuto}
 
-	if _, err := event.Sweep(context.Background(), []core.Job{job}); err != nil {
+	if _, err := core.Sweep(context.Background(), event, []core.Job{job}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := auto.Sweep(context.Background(), []core.Job{job}); err != nil {
+	if _, err := core.Sweep(context.Background(), auto, []core.Job{job}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("inner simulations = %d, want 2 (tiers must not share entries)", calls.Load())
 	}
 	// Same tier again: served from its own entry.
-	if _, err := auto.Sweep(context.Background(), []core.Job{job}); err != nil {
+	if _, err := core.Sweep(context.Background(), auto, []core.Job{job}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {

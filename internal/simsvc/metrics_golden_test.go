@@ -32,12 +32,8 @@ const metricsGolden = "testdata/metrics.golden.prom"
 // same record, instantly.
 type fixedRunner struct{}
 
-func (fixedRunner) Sweep(_ context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	out := make([]*stats.Run, len(jobs))
-	for i := range out {
-		out[i] = &stats.Run{Workload: "golden", Policy: "ladm", Cycles: 100}
-	}
-	return out, nil
+func (fixedRunner) Exec(context.Context, core.Job) (*stats.Run, error) {
+	return &stats.Run{Workload: "golden", Policy: "ladm", Cycles: 100}, nil
 }
 
 // notReadyTransport answers every request with 503 without dialing, so
@@ -147,7 +143,7 @@ func goldenServer(t *testing.T) *simsvc.Server {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fl.Sweep(ctx, []core.Job{{}}); err != nil {
+	if _, err := core.Sweep(ctx, fl, []core.Job{{}}); err != nil {
 		t.Fatal(err)
 	}
 	srv.SetFleet(fl)

@@ -21,13 +21,6 @@ var (
 	ErrPoolClosed = errors.New("simsvc: pool closed")
 )
 
-// Runner executes a batch of simulation jobs and returns their records
-// in job order. Pool and Sequential both implement it; experiment sweeps
-// are written against this interface.
-type Runner interface {
-	Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error)
-}
-
 // SimulateFunc executes one job. The default is the full LADM pipeline
 // (core.Simulate); tests substitute fakes.
 type SimulateFunc func(ctx context.Context, job core.Job) (*stats.Run, error)
@@ -263,11 +256,7 @@ func (p *Pool) runIsolated(t *Task) (run *stats.Run, err error) {
 				name, t.Job.Policy.Name, r)
 		}
 	}()
-	run, err = p.simulate(t.ctx, t.Job)
-	if err == nil && t.Job.Label != "" {
-		run.Policy = t.Job.Label
-	}
-	return run, err
+	return p.simulate(t.ctx, t.Job)
 }
 
 // Submit enqueues a job without blocking. It returns ErrQueueFull when
@@ -331,82 +320,8 @@ func (p *Pool) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
 	}
 }
 
-// Sweep submits every job through the queue and returns the records in
-// job order. The first error encountered is returned (after all
-// submitted jobs settle).
+// Sweep is core.Sweep(ctx, p, jobs): the jobs run through Exec and the
+// records come back in job order.
 func (p *Pool) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	tasks := make([]*Task, 0, len(jobs))
-	var submitErr error
-	for _, j := range jobs {
-		t := &Task{Job: j, ctx: ctx, done: make(chan struct{})}
-		select {
-		case <-p.done:
-			submitErr = ErrPoolClosed
-		default:
-		}
-		if submitErr != nil {
-			break
-		}
-		p.noteQueued(ctx, t)
-		select {
-		case p.queue <- t:
-			p.metrics.submitted.Add(1)
-			p.metrics.depth.Add(1)
-			tasks = append(tasks, t)
-		case <-p.done:
-			submitErr = ErrPoolClosed
-		case <-ctx.Done():
-			submitErr = ctx.Err()
-		}
-		if submitErr != nil && t.ownTL {
-			t.tl.Finish()
-		}
-		if submitErr != nil {
-			break
-		}
-	}
-	results := make([]*stats.Run, len(jobs))
-	err := submitErr
-	for i, t := range tasks {
-		<-t.done
-		if t.err != nil && err == nil {
-			err = t.err
-		}
-		results[i] = t.run
-	}
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// Sequential is the inline Runner: it executes jobs one at a time on the
-// calling goroutine with no pool, queue or recovery — the reference path
-// the determinism guard compares the pool against.
-type Sequential struct {
-	// Simulate overrides the executor (nil: the LADM pipeline).
-	Simulate SimulateFunc
-}
-
-// Sweep runs the jobs in order on the calling goroutine.
-func (s Sequential) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	sim := s.Simulate
-	if sim == nil {
-		sim = core.SimulateJobContext
-	}
-	results := make([]*stats.Run, len(jobs))
-	for i, j := range jobs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		run, err := sim(ctx, j)
-		if err != nil {
-			return nil, err
-		}
-		if j.Label != "" {
-			run.Policy = j.Label
-		}
-		results[i] = run
-	}
-	return results, nil
+	return core.Sweep(ctx, p, jobs)
 }

@@ -33,7 +33,8 @@ func TestPoolExecutesJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Workload != "a" || run.Policy != "a" {
+	// Exec returns the canonical record: labels are core.Sweep's to apply.
+	if run.Workload != "a" || run.Policy != "" {
 		t.Errorf("run = %+v", run)
 	}
 	if calls.Load() != 1 {
@@ -55,7 +56,7 @@ func TestSweepPreservesOrder(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = labeled(fmt.Sprintf("j%02d", i))
 	}
-	runs, err := p.Sweep(context.Background(), jobs)
+	runs, err := core.Sweep(context.Background(), p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestSweepFirstError(t *testing.T) {
 		return &stats.Run{Workload: j.Label}, nil
 	}})
 	defer p.Close()
-	_, err := p.Sweep(context.Background(), []core.Job{labeled("a"), labeled("bad"), labeled("c")})
+	_, err := core.Sweep(context.Background(), p, []core.Job{labeled("a"), labeled("bad"), labeled("c")})
 	if err == nil || !strings.Contains(err.Error(), "synthetic failure") {
 		t.Errorf("sweep err = %v", err)
 	}
@@ -216,13 +217,13 @@ func TestSequentialMatchesPool(t *testing.T) {
 	var calls atomic.Int64
 	sim := fakeSim(&calls)
 	jobs := []core.Job{labeled("a"), labeled("b")}
-	seq, err := Sequential{Simulate: sim}.Sweep(context.Background(), jobs)
+	seq, err := core.Sweep(context.Background(), core.RunFunc(sim), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool(PoolConfig{Workers: 2, Simulate: sim})
 	defer p.Close()
-	par, err := p.Sweep(context.Background(), jobs)
+	par, err := core.Sweep(context.Background(), p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

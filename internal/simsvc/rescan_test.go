@@ -13,11 +13,11 @@ import (
 	"ladm/internal/stats"
 )
 
-// refuseRunner fails every sweep — proof that a result was served from
+// refuseRunner fails every job — proof that a result was served from
 // the shared store, not recomputed.
 type refuseRunner struct{}
 
-func (refuseRunner) Sweep(context.Context, []core.Job) ([]*stats.Run, error) {
+func (refuseRunner) Exec(context.Context, core.Job) (*stats.Run, error) {
 	return nil, errors.New("recompute attempted: the shared store record was not found")
 }
 
@@ -56,13 +56,13 @@ func TestCachedRunnerCrossProcessRescan(t *testing.T) {
 	cacheA := NewCache(nil)
 	cacheA.SetStore(dsA)
 	runnerA := &CachedRunner{
-		Inner: Sequential{Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+		Inner: core.RunFunc(func(_ context.Context, j core.Job) (*stats.Run, error) {
 			return &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name,
 				Arch: j.Arch.Name, Cycles: 1234, WarpInstrs: 99}, nil
-		}},
+		}),
 		Cache: cacheA, Scale: scale,
 	}
-	want, err := runnerA.Sweep(context.Background(), []core.Job{mkJob()})
+	want, err := core.Sweep(context.Background(), runnerA, []core.Job{mkJob()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCachedRunnerCrossProcessRescan(t *testing.T) {
 	cacheB := NewCache(nil)
 	cacheB.SetStore(dsB)
 	runnerB := &CachedRunner{Inner: refuseRunner{}, Cache: cacheB, Scale: scale}
-	got, err := runnerB.Sweep(context.Background(), []core.Job{mkJob()})
+	got, err := core.Sweep(context.Background(), runnerB, []core.Job{mkJob()})
 	if err != nil {
 		t.Fatalf("cross-process cell was recomputed or missed: %v", err)
 	}

@@ -195,20 +195,35 @@ func (d *DiskStore) Close() {
 // telemetry-carrying jobs) report ok=false — they have no stable content
 // key and must not be served from, or written to, the result cache.
 func RequestForJob(job core.Job, scale int) (Request, bool) {
-	if job.Tel != nil || job.Workload == nil {
+	if job.Tel != nil {
 		return Request{}, false
 	}
-	spec, err := kernels.ByName(job.Workload.Name, scale)
-	if err != nil || !kir.Equal(spec.W, job.Workload) {
-		return Request{}, false
-	}
-	return namedRequest(job, scale)
+	return nameJob(job, scale, func(name string) *kir.Workload {
+		return registryWorkload(name, scale)
+	})
 }
 
-// namedRequest finishes the mapping once the workload is known to match
-// its registry build: the policy must be a preset, the machine a
-// registered configuration.
-func namedRequest(job core.Job, scale int) (Request, bool) {
+// registryWorkload builds the named registry workload at scale (nil when
+// the name is unknown).
+func registryWorkload(name string, scale int) *kir.Workload {
+	spec, err := kernels.ByName(name, scale)
+	if err != nil {
+		return nil
+	}
+	return spec.W
+}
+
+// nameJob is the one job-to-Request match, ignoring the job's telemetry
+// collector: build supplies the registry workload at scale that the
+// job's must equal byte for byte, the policy must be a preset, the
+// machine a registered configuration.
+func nameJob(job core.Job, scale int, build func(name string) *kir.Workload) (Request, bool) {
+	if job.Workload == nil {
+		return Request{}, false
+	}
+	if w := build(job.Workload.Name); w == nil || !kir.Equal(w, job.Workload) {
+		return Request{}, false
+	}
 	pol, err := rt.ByName(job.Policy.Name)
 	if err != nil || !reflect.DeepEqual(pol, job.Policy) {
 		return Request{}, false
@@ -244,12 +259,11 @@ func machineName(cfg arch.Config) (string, bool) {
 // re-simulating the fig9 matrix for fig10, and a campaign killed
 // mid-flight resumes from disk with only the missing cells simulated.
 //
-// Cached records are shared across callers, so labelled cells receive a
-// clone with the label applied — the canonical record in the cache is
-// never mutated.
+// Cached records are shared across callers; core.Sweep applies labels
+// to clones, so the canonical record in the cache is never mutated.
 type CachedRunner struct {
 	// Inner executes the jobs that actually need simulating.
-	Inner Runner
+	Inner core.Runner
 	// Cache is the (optionally store-backed) result cache.
 	Cache *Cache
 	// Scale is the input-scale divisor the sweep's workloads were built
@@ -266,155 +280,85 @@ type CachedRunner struct {
 	// in Perfetto via GET /jobs/{key}/telemetry or ladmstore.
 	Spill *DiskStore
 	// Progress, when set, is called once per finished cell with the
-	// completed count so far, the sweep's total, the cell's name and
-	// whether it was served from the cache. Calls are serialized but may
-	// come from any of the sweep's goroutines; keep the callback fast.
-	Progress func(done, total int, cell string, cached bool)
+	// cell's name and whether it was served from the cache. Under
+	// core.Sweep it is called from many goroutines at once.
+	Progress func(cell string, cached bool)
+
+	mu     sync.Mutex // guards builds
+	builds map[string]*kir.Workload
 }
 
-// Sweep executes the jobs, serving registry-named cells from the cache
-// where possible, and returns records in job order. Results match a
-// plain pool sweep byte for byte — the determinism guard extends to the
-// cached path.
-func (c *CachedRunner) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	results := make([]*stats.Run, len(jobs))
-	var (
-		passJobs []core.Job
-		passIdx  []int
-	)
-	// Registry workload builds are not free; reuse them per name within
-	// this sweep when probing whether a job is cacheable.
-	specCache := map[string]*kir.Workload{}
-	requestFor := func(job core.Job) (Request, bool) {
-		if job.Tel != nil || job.Workload == nil {
-			return Request{}, false
+// build returns the registry workload for name at c.Scale, building it
+// once per runner: a resumed all-hit campaign pays one build per
+// workload, not one per cell.
+func (c *CachedRunner) build(name string) *kir.Workload {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w, ok := c.builds[name]
+	if !ok {
+		w = registryWorkload(name, c.Scale)
+		if c.builds == nil {
+			c.builds = map[string]*kir.Workload{}
 		}
-		w, probed := specCache[job.Workload.Name]
-		if !probed {
-			if spec, err := kernels.ByName(job.Workload.Name, c.Scale); err == nil {
-				w = spec.W
-			}
-			specCache[job.Workload.Name] = w
-		}
-		if w == nil || !kir.Equal(w, job.Workload) {
-			return Request{}, false
-		}
-		req, ok := namedRequest(job, c.Scale)
-		if !ok {
-			return Request{}, false
-		}
-		req.Fidelity = c.Fidelity
-		return req.Normalize(), true
+		c.builds[name] = w
 	}
+	return w
+}
 
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		progMu   sync.Mutex
-		done     int
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	tick := func(job core.Job, cached bool) {
-		if c.Progress == nil {
-			return
-		}
-		cell := job.Label
-		if cell == "" && job.Workload != nil {
-			cell = fmt.Sprintf("%s/%s", job.Workload.Name, job.Policy.Name)
-		}
-		progMu.Lock()
-		done++
-		c.Progress(done, len(jobs), cell, cached)
-		progMu.Unlock()
-	}
-	for i, job := range jobs {
-		req, ok := requestFor(job)
-		if !ok {
-			passJobs = append(passJobs, job)
-			passIdx = append(passIdx, i)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, job core.Job, key JobKey) {
-			defer wg.Done()
-			label := job.Label
-			// The cache holds the canonical record (run.Policy = the
-			// policy's own name); labels are applied to clones below.
-			job.Label = ""
-			run, hit, err := c.Cache.Do(ctx, key, func() (*stats.Run, error) {
-				rs, err := c.Inner.Sweep(ctx, []core.Job{job})
-				if err != nil {
-					return nil, err
-				}
-				return rs[0], nil
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			tick(job, hit)
-			if label != "" {
-				run = run.Clone()
-				run.Policy = label
-			}
-			results[i] = run
-		}(i, job, req.Key())
-	}
-	if len(passJobs) > 0 {
-		rs, err := c.Inner.Sweep(ctx, passJobs)
+// Exec implements core.Runner. A registry-named job is served through
+// the cache by its JobKey; anything else runs on Inner, and a named job
+// carrying a collector spills its telemetry. Records match a plain pool
+// run byte for byte — the determinism guard extends to the cached path.
+func (c *CachedRunner) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
+	req, named := nameJob(job, c.Scale, c.build)
+	req.Fidelity = c.Fidelity
+	req = req.Normalize()
+	if !named || job.Tel != nil {
+		run, err := c.Inner.Exec(ctx, job)
 		if err != nil {
-			fail(err)
-		} else {
-			for k, i := range passIdx {
-				results[i] = rs[k]
-				tick(passJobs[k], false)
-			}
-			c.spillTelemetry(passJobs, rs)
+			return nil, err
 		}
+		if named && c.Spill != nil {
+			c.spillTelemetry(req, job, run)
+		}
+		c.tick(job, false)
+		return run, nil
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	// The key names the canonical record, so the cell runs — and shows
+	// in progress lines and the pool's timelines — as workload/policy.
+	job.Label = ""
+	run, hit, err := c.Cache.Do(ctx, req.Key(), func() (*stats.Run, error) {
+		return c.Inner.Exec(ctx, job)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	c.tick(job, hit)
+	return run, nil
 }
 
-// spillTelemetry persists the telemetry of registry-named cells that ran
-// with a collector, keyed exactly as their POST /run telemetry twin
+func (c *CachedRunner) tick(job core.Job, cached bool) {
+	if c.Progress == nil {
+		return
+	}
+	cell := job.Label
+	if cell == "" && job.Workload != nil {
+		cell = fmt.Sprintf("%s/%s", job.Workload.Name, job.Policy.Name)
+	}
+	c.Progress(cell, cached)
+}
+
+// spillTelemetry persists the telemetry of a registry-named cell that
+// ran with a collector, keyed exactly as its POST /run telemetry twin
 // would be, so GET /jobs/{key}/telemetry and ladmstore read a campaign's
 // cells back like any server-side telemetry job. Cells that cannot be
 // named (custom workloads, mutated machines) keep their collectors
-// in-memory only, as before.
-func (c *CachedRunner) spillTelemetry(jobs []core.Job, runs []*stats.Run) {
-	if c.Spill == nil {
-		return
-	}
-	for i, job := range jobs {
-		if job.Tel == nil || runs[i] == nil || job.Workload == nil {
-			continue
-		}
-		spec, err := kernels.ByName(job.Workload.Name, c.Scale)
-		if err != nil || !kir.Equal(spec.W, job.Workload) {
-			continue
-		}
-		req, ok := namedRequest(job, c.Scale)
-		if !ok {
-			continue
-		}
-		req.Telemetry = true
-		req.Fidelity = c.Fidelity
-		rec := &TelemetryRecord{
-			Summary: runs[i].Telemetry,
-			Series:  job.Tel.Series(),
-			Events:  job.Tel.AllEvents(),
-		}
-		c.Spill.PutTelemetry(req.Normalize().Key(), rec)
-	}
+// in-memory only.
+func (c *CachedRunner) spillTelemetry(req Request, job core.Job, run *stats.Run) {
+	req.Telemetry = true
+	c.Spill.PutTelemetry(req.Key(), &TelemetryRecord{
+		Summary: run.Telemetry,
+		Series:  job.Tel.Series(),
+		Events:  job.Tel.AllEvents(),
+	})
 }

@@ -248,7 +248,7 @@ func TestCachedRunnerSweep(t *testing.T) {
 		runner := &CachedRunner{Inner: pool, Cache: cache, Scale: scale}
 		mutated := mkJob("ladm", "oversub")
 		mutated.Workload.Launches[0].Times += 2
-		runs, err := runner.Sweep(context.Background(), []core.Job{
+		runs, err := core.Sweep(context.Background(), runner, []core.Job{
 			mkJob("ladm", ""),
 			mkJob("h-coda", "baseline"),
 			mutated,
@@ -280,6 +280,52 @@ func TestCachedRunnerSweep(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("cell %d diverged across restart:\n%s\n%s", i, a, b)
 		}
+	}
+}
+
+// TestCachedRunnerLabelsOnlyClones: through core.Sweep, a labelled cell
+// served by a CachedRunner carries its label while the cached canonical
+// record — shared with the unlabelled twin in the same sweep — keeps the
+// policy name.
+func TestCachedRunnerLabelsOnlyClones(t *testing.T) {
+	const scale = 64
+	spec, err := kernels.ByName("vecadd", scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := rt.ByName("h-coda")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := arch.ByName("hier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	cache := NewCache(nil)
+	runner := &CachedRunner{Cache: cache, Scale: scale,
+		Inner: core.RunFunc(func(_ context.Context, j core.Job) (*stats.Run, error) {
+			calls.Add(1)
+			return &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name}, nil
+		})}
+	job := core.Job{Workload: spec.W, Policy: pol, Arch: cfg}
+	labelled := job
+	labelled.Label = "baseline"
+
+	runs, err := core.Sweep(context.Background(), runner, []core.Job{labelled, job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("inner simulations = %d, want 1 (one key)", calls.Load())
+	}
+	if runs[0].Policy != "baseline" || runs[1].Policy != "h-coda" {
+		t.Errorf("policies = %q, %q; want baseline, h-coda", runs[0].Policy, runs[1].Policy)
+	}
+	req, _ := RequestForJob(job, scale)
+	cached, ok := cache.Get(req.Key())
+	if !ok || cached.Policy != "h-coda" {
+		t.Errorf("cached canonical record = %+v (ok=%v), want policy h-coda", cached, ok)
 	}
 }
 

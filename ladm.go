@@ -20,6 +20,8 @@
 package ladm
 
 import (
+	"context"
+
 	"ladm/internal/arch"
 	"ladm/internal/compiler"
 	"ladm/internal/core"
@@ -27,6 +29,7 @@ import (
 	"ladm/internal/kernels"
 	"ladm/internal/kir"
 	rt "ladm/internal/runtime"
+	"ladm/internal/simsvc"
 	"ladm/internal/stats"
 	sym "ladm/internal/symbolic"
 )
@@ -193,9 +196,13 @@ func SimulateJob(j Job) (*Result, error) {
 	return core.SimulateJob(j)
 }
 
-// Sweep simulates jobs across CPU cores, returning results in job order.
+// Sweep simulates jobs on a transient worker pool of the given size
+// (<=0: GOMAXPROCS), returning results in job order. Each job's
+// telemetry collector, if any, sees its run.
 func Sweep(jobs []Job, workers int) ([]*Result, error) {
-	return core.Sweep(jobs, workers)
+	pool := simsvc.NewPool(simsvc.PoolConfig{Workers: workers})
+	defer pool.Close()
+	return core.Sweep(context.Background(), pool, jobs)
 }
 
 // --- experiments ---

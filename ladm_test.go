@@ -1,10 +1,12 @@
 package ladm_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"ladm"
+	"ladm/internal/simtel"
 )
 
 func TestFacadeWorkloads(t *testing.T) {
@@ -85,13 +87,26 @@ func TestFacadeDSLAndAnalyze(t *testing.T) {
 
 func TestFacadeSweep(t *testing.T) {
 	spec, _ := ladm.Workload("vecadd", 16)
+	small, _ := ladm.Workload("vecadd", 32)
 	sys := ladm.TableIIISystem()
+	newTel := func() *simtel.Collector {
+		return simtel.New(simtel.Config{SampleEvery: simtel.DefaultSampleEvery})
+	}
 	runs, err := ladm.Sweep([]ladm.Job{
 		{Workload: spec.W, Policy: ladm.BaselineRR(), Arch: sys},
 		{Workload: spec.W, Policy: ladm.LADM(), Arch: sys},
+		{Workload: small.W, Policy: ladm.LADM(), Arch: sys, Tel: newTel()},
 	}, 2)
-	if err != nil || len(runs) != 2 {
+	if err != nil || len(runs) != 3 {
 		t.Fatalf("sweep: %v, %d runs", err, len(runs))
+	}
+	// A sweep job's collector sees its run exactly as SimulateJob's does.
+	want, err := ladm.SimulateJob(ladm.Job{Workload: small.W, Policy: ladm.LADM(), Arch: sys, Tel: newTel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs[2].Telemetry == nil || !reflect.DeepEqual(runs[2].Telemetry, want.Telemetry) {
+		t.Errorf("sweep telemetry = %+v, want %+v", runs[2].Telemetry, want.Telemetry)
 	}
 }
 
