@@ -19,10 +19,22 @@
 //	go run ./cmd/benchguard -baseline BENCH_engine.json bench.txt
 //
 // After an intentional change to the engine's allocation behavior,
-// regenerate the baseline (ceilings are re-pinned at 1.5x measured;
-// ns_per_op is re-measured, ratio overrides are preserved):
+// regenerate the baseline from several samples per benchmark (ns/op and
+// allocs/op are pinned at the median sample; ratio overrides are
+// preserved):
 //
+//	go test -run '^$' -bench . -benchmem -benchtime 1x -count 5 -cpu 2 ... > bench.txt
 //	go run ./cmd/benchguard -baseline BENCH_engine.json -update bench.txt
+//
+// A re-pin only ever lowers an allocation ceiling: the new ceiling is
+// 1.5x the measured allocs/op or the old ceiling, whichever is lower. A
+// change that needs more allocations must raise the ceiling by hand, in
+// view of its reviewers.
+//
+// The baseline records the GOMAXPROCS and CPU model it was measured at.
+// Wall time depends on both, so a run at a different GOMAXPROCS is
+// refused outright (pass go test -cpu to match); a different CPU model is
+// only noted, since CI runners vary.
 package main
 
 import (
@@ -48,7 +60,11 @@ type entry struct {
 }
 
 type baseline struct {
-	Note       string           `json:"note"`
+	Note string `json:"note"`
+	// GOMAXPROCS and CPU describe the host the baseline was measured on
+	// (0 / "": not recorded, no check).
+	GOMAXPROCS int              `json:"gomaxprocs,omitempty"`
+	CPU        string           `json:"cpu,omitempty"`
 	Benchmarks map[string]entry `json:"benchmarks"`
 	// MaxNsRatio is the default wall-time gate: a benchmark fails beyond
 	// this multiple of its pinned ns_per_op (0: defaultNsRatio).
@@ -75,17 +91,27 @@ type measurement struct {
 	nsPerOp     float64
 	allocsPerOp int64
 	hasAllocs   bool
+	procs       int    // GOMAXPROCS the benchmark ran at (0: unknown)
+	cpu         string // the "cpu:" header go test printed before it
 }
 
-// procSuffix strips the -<GOMAXPROCS> tail go test appends to benchmark
-// names (BenchmarkFig9/vecadd-8 -> BenchmarkFig9/vecadd).
-var procSuffix = regexp.MustCompile(`-\d+$`)
+// procSuffix is the -<GOMAXPROCS> tail go test appends to benchmark
+// names (BenchmarkFig9/vecadd-8); go test omits it at GOMAXPROCS=1.
+var procSuffix = regexp.MustCompile(`-(\d+)$`)
 
+// parseBench reads go test -bench output. A benchmark reported several
+// times (-count N) is summarized by its median ns/op and median
+// allocs/op.
 func parseBench(r io.Reader) (map[string]measurement, error) {
-	out := make(map[string]measurement)
+	samples := make(map[string][]measurement)
+	cpu := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if c, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -93,8 +119,12 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 		if len(fields) < 3 {
 			continue
 		}
-		name := procSuffix.ReplaceAllString(fields[0], "")
-		var m measurement
+		m := measurement{procs: 1, cpu: cpu}
+		name := fields[0]
+		if sm := procSuffix.FindStringSubmatch(name); sm != nil {
+			m.procs, _ = strconv.Atoi(sm[1])
+			name = strings.TrimSuffix(name, sm[0])
+		}
 		for i := 2; i < len(fields); i++ {
 			switch fields[i] {
 			case "ns/op":
@@ -112,9 +142,40 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 				m.hasAllocs = true
 			}
 		}
+		samples[name] = append(samples[name], m)
+	}
+	out := make(map[string]measurement, len(samples))
+	for name, ms := range samples {
+		m := ms[len(ms)-1]
+		m.nsPerOp = median(ms, func(m measurement) float64 { return m.nsPerOp })
+		m.allocsPerOp = int64(median(ms, func(m measurement) float64 { return float64(m.allocsPerOp) }))
 		out[name] = m
 	}
 	return out, sc.Err()
+}
+
+// median returns the median of f over ms (the lower middle value of an
+// even count, so the result is always one of the samples).
+func median(ms []measurement, f func(measurement) float64) float64 {
+	vs := make([]float64, len(ms))
+	for i, m := range ms {
+		vs[i] = f(m)
+	}
+	sort.Float64s(vs)
+	return vs[(len(vs)-1)/2]
+}
+
+// runProcs returns the one GOMAXPROCS every measurement ran at, or an
+// error when the run mixes several.
+func runProcs(measured map[string]measurement) (int, error) {
+	procs := 0
+	for name, m := range measured {
+		if procs != 0 && m.procs != procs {
+			return 0, fmt.Errorf("run mixes GOMAXPROCS %d and %d (%s): pass a single -cpu value", procs, m.procs, name)
+		}
+		procs = m.procs
+	}
+	return procs, nil
 }
 
 func main() {
@@ -159,24 +220,8 @@ func main() {
 	}
 
 	if *update {
-		if base.Benchmarks == nil {
-			base.Benchmarks = make(map[string]entry)
-		}
-		for name, m := range measured {
-			if !m.hasAllocs {
-				continue
-			}
-			e := entry{
-				NsPerOp:        m.nsPerOp,
-				AllocsPerOp:    m.allocsPerOp,
-				MaxAllocsPerOp: m.allocsPerOp + m.allocsPerOp/2,
-			}
-			// Ratio overrides are policy, not measurement; they survive
-			// a re-pin.
-			if old, ok := base.Benchmarks[name]; ok {
-				e.MaxNsRatio = old.MaxNsRatio
-			}
-			base.Benchmarks[name] = e
+		if err := repin(&base, measured); err != nil {
+			fatal(err)
 		}
 		buf, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
@@ -195,10 +240,65 @@ func main() {
 	}
 }
 
+// repin rewrites base from a measured run: host, ns/op and allocs/op
+// from the run, ceilings at 1.5x measured allocs/op but never above the
+// ceiling already pinned.
+func repin(base *baseline, measured map[string]measurement) error {
+	procs, err := runProcs(measured)
+	if err != nil {
+		return err
+	}
+	base.GOMAXPROCS = procs
+	if base.Benchmarks == nil {
+		base.Benchmarks = make(map[string]entry)
+	}
+	for name, m := range measured {
+		if !m.hasAllocs {
+			continue
+		}
+		base.CPU = m.cpu
+		e := entry{
+			NsPerOp:        m.nsPerOp,
+			AllocsPerOp:    m.allocsPerOp,
+			MaxAllocsPerOp: m.allocsPerOp + m.allocsPerOp/2,
+		}
+		// Ratio overrides are policy, not measurement; they survive a
+		// re-pin. Ceilings only ever come down.
+		if old, ok := base.Benchmarks[name]; ok {
+			e.MaxNsRatio = old.MaxNsRatio
+			if old.MaxAllocsPerOp > 0 {
+				e.MaxAllocsPerOp = min(e.MaxAllocsPerOp, old.MaxAllocsPerOp)
+			}
+		}
+		base.Benchmarks[name] = e
+	}
+	return nil
+}
+
 // check gates every pinned benchmark against the baseline — allocs/op
 // against its ceiling, ns/op against the loose ratio — writing one line
 // per benchmark, and returns the number of failures.
 func check(base baseline, measured map[string]measurement, w io.Writer) int {
+	if base.GOMAXPROCS > 0 {
+		procs, err := runProcs(measured)
+		if err != nil {
+			fmt.Fprintf(w, "FAIL  %v\n", err)
+			return 1
+		}
+		if procs != base.GOMAXPROCS {
+			fmt.Fprintf(w, "FAIL  run at GOMAXPROCS=%d, baseline pinned at GOMAXPROCS=%d: wall times compare only like for like (rerun with go test -cpu %d)\n",
+				procs, base.GOMAXPROCS, base.GOMAXPROCS)
+			return 1
+		}
+	}
+	if base.CPU != "" {
+		for _, m := range measured {
+			if m.cpu != "" && m.cpu != base.CPU {
+				fmt.Fprintf(w, "note  run on %q, baseline measured on %q\n", m.cpu, base.CPU)
+				break
+			}
+		}
+	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)

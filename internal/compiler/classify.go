@@ -229,7 +229,7 @@ func ClassifyAccess(k *kir.Kernel, i int) Class {
 // collapses data-dependent spread.
 func DatablockBytes(k *kir.Kernel, i int) uint64 {
 	acc := &k.Accesses[i]
-	idx := sym.Compile(k.SubstitutedIndex(i))
+	idx := k.SubstitutedIndex(i)
 	env := k.BaseEnv()
 	env.Resolve = func(string, int64) int64 { return 0 }
 
@@ -245,7 +245,7 @@ func DatablockBytes(k *kir.Kernel, i int) uint64 {
 		for _, y := range ys {
 			for _, x := range xs {
 				env.Tid = [3]int64{x, y, z}
-				v := idx(&env)
+				v := sym.Eval(idx, &env)
 				if first || v < minI {
 					minI = v
 				}

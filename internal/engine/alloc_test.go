@@ -25,7 +25,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	e := New(plan)
 	lp := &plan.Launches[0]
-	gen, err := trace.New(lp.Launch.Kernel, plan.Space, plan.Workload.Resolver(),
+	gen, err := trace.New(lp.Launch.Kernel, plan.Space, plan.Workload.Tables,
 		cfg.LineBytes, cfg.SectorBytes, cfg.WarpSize)
 	if err != nil {
 		t.Fatal(err)

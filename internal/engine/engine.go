@@ -396,9 +396,8 @@ var ErrInterrupted = errors.New("engine: simulation interrupted")
 // Run simulates every launch of the plan's workload and returns the
 // aggregated measurements.
 func (e *Engine) Run() (*stats.Run, error) {
-	resolver := e.plan.Workload.Resolver()
 	for _, lp := range e.plan.Launches {
-		gen, err := trace.New(lp.Launch.Kernel, e.plan.Space, resolver,
+		gen, err := trace.New(lp.Launch.Kernel, e.plan.Space, e.plan.Workload.Tables,
 			e.cfg.LineBytes, e.cfg.SectorBytes, e.cfg.WarpSize)
 		if err != nil {
 			return nil, err

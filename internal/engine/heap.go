@@ -39,14 +39,17 @@ type event struct {
 	r   runner
 }
 
-// eventHeap is a value-typed 4-ary min-heap ordered on (t, seq). The
-// 4-ary layout halves the tree depth of a binary heap and keeps each
-// node's children in one-two cache lines. The heap and scheduler take
-// ~25% of sampled CPU on the perfbench fig9-campaign workload (2 vCPU);
-// no measurement yet compares this layout against a binary one. The
-// ordering contract is untouched — (t, seq) is a strict total order, so
-// pops come out in exactly the same sequence as any correct heap, which
-// the golden run records pin.
+// eventHeap is a value-typed 4-ary min-heap ordered on (t, seq). Against
+// a binary heap it measured even or slightly ahead: medians of five
+// interleaved `go test -bench 'BenchmarkFig9/(pagerank|lbm)$' -benchtime
+// 1x` runs on a 2-vCPU Xeon (go1.24.0) were pagerank 4.31 s (4-ary) vs
+// 4.40 s (binary) and lbm 9.71 s vs 10.03 s, within the runs' spread, so
+// binary does not win and 4-ary stays. The heap and scheduler take 38% of
+// sampled CPU on the perfbench fig9-campaign workload (same host) once
+// warp-level trace generation has shrunk the trace layer. The ordering
+// contract is untouched — (t, seq) is a strict total order, so pops
+// come out in exactly the same sequence as any correct heap, which the
+// golden run records pin.
 type eventHeap []event
 
 // heapArity is the fan-out of the event heap. Power of two so child/parent

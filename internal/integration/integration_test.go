@@ -25,7 +25,7 @@ func localFraction(t *testing.T, w *kir.Workload, plan *rt.Plan) float64 {
 	t.Helper()
 	lp := plan.Launches[0]
 	k := lp.Launch.Kernel
-	gen, err := trace.New(k, plan.Space, w.Resolver(),
+	gen, err := trace.New(k, plan.Space, w.Tables,
 		plan.Cfg.LineBytes, plan.Cfg.SectorBytes, plan.Cfg.WarpSize)
 	if err != nil {
 		t.Fatal(err)

@@ -267,7 +267,7 @@ type Workload struct {
 	Launches []Launch
 
 	// Tables backs symbolic.Indirect nodes: table name -> element values.
-	// Out-of-range lookups clamp (see Resolver).
+	// Out-of-range lookups clamp (see Lookup).
 	Tables map[string][]int64
 }
 
@@ -276,18 +276,23 @@ type Workload struct {
 // degenerate synthetic input can never crash trace generation.
 func (w *Workload) Resolver() func(table string, idx int64) int64 {
 	return func(table string, idx int64) int64 {
-		t := w.Tables[table]
-		if len(t) == 0 {
-			return 0
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= int64(len(t)) {
-			idx = int64(len(t)) - 1
-		}
-		return t[idx]
+		return Lookup(w.Tables[table], idx)
 	}
+}
+
+// Lookup reads t[idx] with Resolver's semantics: an empty (or missing)
+// table reads zero, and idx clamps to the table bounds.
+func Lookup(t []int64, idx int64) int64 {
+	if len(t) == 0 {
+		return 0
+	}
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= int64(len(t)) {
+		idx = int64(len(t)) - 1
+	}
+	return t[idx]
 }
 
 // Alloc returns the spec with the given id, or nil.

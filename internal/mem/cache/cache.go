@@ -83,6 +83,9 @@ type Cache struct {
 	tick     uint64
 	stats    Stats
 	resident int // valid sectors currently held (occupancy gauge)
+
+	lineShift uint // log2(LineBytes)
+	setBits   int  // log2(Sets) when Sets is a power of two, else -1
 }
 
 // New creates a cache. It panics on inconsistent geometry: caches are
@@ -97,7 +100,19 @@ func New(cfg Config) *Cache {
 	if cfg.SectorsPerLine() > 8 {
 		panic("cache: SectorMask supports at most 8 sectors per line")
 	}
-	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Assoc)}
+	if bits.OnesCount(uint(cfg.LineBytes)) != 1 {
+		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineBytes))
+	}
+	c := &Cache{
+		cfg:       cfg,
+		lines:     make([]line, cfg.Sets*cfg.Assoc),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:   -1,
+	}
+	if bits.OnesCount(uint(cfg.Sets)) == 1 {
+		c.setBits = bits.TrailingZeros(uint(cfg.Sets))
+	}
+	return c
 }
 
 // Config returns the cache geometry.
@@ -140,8 +155,17 @@ func (c *Cache) MaskFor(addr uint64, bytes int) SectorMask {
 // XOR-folded into the index (as real GPU caches do) so power-of-two
 // strides — column walks, SoA planes — spread over sets instead of
 // camping on one.
+//
+// The fold is x ^= x/n; x ^= x/n²; x mod n over the line number x. With a
+// power-of-two set count n = 2^k those are shifts by k and 2k and a mask,
+// which give the same index without a division on every access.
 func (c *Cache) SetIndex(addr uint64) int {
-	x := addr / uint64(c.cfg.LineBytes)
+	x := addr >> c.lineShift
+	if k := c.setBits; k >= 0 {
+		x ^= x >> k
+		x ^= x >> (2 * k)
+		return int(x & (uint64(c.cfg.Sets) - 1))
+	}
 	n := uint64(c.cfg.Sets)
 	x ^= x / n
 	x ^= x / (n * n)

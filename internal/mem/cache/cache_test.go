@@ -127,6 +127,33 @@ func TestSetIndexSpreadsStrides(t *testing.T) {
 	}
 }
 
+// TestSetIndexMatchesDivisionFold pins the shift/mask SetIndex to the
+// division form of the XOR fold, for power-of-two and other set counts.
+func TestSetIndexMatchesDivisionFold(t *testing.T) {
+	fold := func(addr uint64, lineBytes, sets int) int {
+		x := addr / uint64(lineBytes)
+		n := uint64(sets)
+		x ^= x / n
+		x ^= x / (n * n)
+		return int(x % n)
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, sets := range []int{1, 2, 64, 96, 128, 500, 512, 1 << 20} {
+		for _, lineBytes := range []int{32, 128} {
+			c := New(Config{Sets: sets, Assoc: 1, LineBytes: lineBytes, SectorBytes: 32})
+			for i := 0; i < 5000; i++ {
+				addr := r.Uint64()
+				if i%2 == 0 {
+					addr >>= uint(r.Intn(64))
+				}
+				if got, want := c.SetIndex(addr), fold(addr, lineBytes, sets); got != want {
+					t.Fatalf("sets %d line %d: SetIndex(%#x) = %d, fold %d", sets, lineBytes, addr, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := tiny()
 	lines := collidingLines(c, 3)
@@ -207,6 +234,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Sets: 0, Assoc: 2, LineBytes: 128, SectorBytes: 32},
 		{Sets: 4, Assoc: 2, LineBytes: 100, SectorBytes: 32},
 		{Sets: 4, Assoc: 2, LineBytes: 1024, SectorBytes: 32}, // 32 sectors > 8
+		{Sets: 4, Assoc: 2, LineBytes: 96, SectorBytes: 32},   // not a power of two
 	}
 	for _, cfg := range bad {
 		func() {

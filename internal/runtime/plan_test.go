@@ -124,7 +124,7 @@ func TestPrepareStrideAware(t *testing.T) {
 	// Co-placement invariant: every page a threadblock touches lives on
 	// the node the threadblock was assigned to.
 	lp := plan.Launches[0]
-	gen, err := trace.New(lp.Launch.Kernel, plan.Space, w.Resolver(),
+	gen, err := trace.New(lp.Launch.Kernel, plan.Space, w.Tables,
 		plan.Cfg.LineBytes, plan.Cfg.SectorBytes, plan.Cfg.WarpSize)
 	if err != nil {
 		t.Fatal(err)

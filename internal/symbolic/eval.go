@@ -85,103 +85,3 @@ func Eval(e Expr, env *Env) int64 {
 		panic(fmt.Sprintf("symbolic: unknown expression type %T", e))
 	}
 }
-
-// Compiled is an expression compiled into a closure tree. Trace generation
-// evaluates the same expression millions of times, so we pay the tree walk
-// once at compile time.
-type Compiled func(env *Env) int64
-
-// Compile translates e into a Compiled evaluator with the same semantics as
-// Eval.
-func Compile(e Expr) Compiled {
-	switch t := e.(type) {
-	case Const:
-		v := int64(t)
-		return func(*Env) int64 { return v }
-	case Var:
-		v := t
-		switch v.Kind {
-		case TidX, TidY, TidZ:
-			i := v.Kind - TidX
-			return func(env *Env) int64 { return env.Tid[i] }
-		case BidX, BidY, BidZ:
-			i := v.Kind - BidX
-			return func(env *Env) int64 { return env.Bid[i] }
-		case BDimX, BDimY, BDimZ:
-			i := v.Kind - BDimX
-			return func(env *Env) int64 { return env.BDim[i] }
-		case GDimX, GDimY, GDimZ:
-			i := v.Kind - GDimX
-			return func(env *Env) int64 { return env.GDim[i] }
-		case Induction:
-			return func(env *Env) int64 { return env.M }
-		default:
-			name := v.Name
-			return func(env *Env) int64 { return env.Params[name] }
-		}
-	case Add:
-		ops := make([]Compiled, len(t))
-		for i, op := range t {
-			ops[i] = Compile(op)
-		}
-		if len(ops) == 2 {
-			a, b := ops[0], ops[1]
-			return func(env *Env) int64 { return a(env) + b(env) }
-		}
-		return func(env *Env) int64 {
-			var sum int64
-			for _, op := range ops {
-				sum += op(env)
-			}
-			return sum
-		}
-	case Mul:
-		ops := make([]Compiled, len(t))
-		for i, op := range t {
-			ops[i] = Compile(op)
-		}
-		if len(ops) == 2 {
-			a, b := ops[0], ops[1]
-			return func(env *Env) int64 { return a(env) * b(env) }
-		}
-		return func(env *Env) int64 {
-			prod := int64(1)
-			for _, op := range ops {
-				prod *= op(env)
-			}
-			return prod
-		}
-	case Neg:
-		x := Compile(t.X)
-		return func(env *Env) int64 { return -x(env) }
-	case Indirect:
-		inner := Compile(t.Inner)
-		table := t.Table
-		return func(env *Env) int64 {
-			if env.Resolve == nil {
-				return 0
-			}
-			return env.Resolve(table, inner(env))
-		}
-	case Div:
-		num, den := Compile(t.Num), Compile(t.Den)
-		return func(env *Env) int64 {
-			d := den(env)
-			if d == 0 {
-				return 0
-			}
-			return num(env) / d
-		}
-	case Mod:
-		num, den := Compile(t.Num), Compile(t.Den)
-		return func(env *Env) int64 {
-			d := den(env)
-			if d == 0 {
-				return 0
-			}
-			return num(env) % d
-		}
-	default:
-		panic(fmt.Sprintf("symbolic: unknown expression type %T", e))
-	}
-}

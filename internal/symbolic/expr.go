@@ -11,10 +11,11 @@
 // extract threadblock strides, and classify the access (Table II of the
 // paper).
 //
-// The same expressions are evaluated per thread by the trace generator, so
-// the static analysis and the dynamic memory trace are, by construction,
-// two views of the same object — mirroring how the paper's compiler pass
-// and its simulated workloads relate.
+// The trace generator evaluates the same expressions, from the same
+// normalized polynomials, for every thread of every warp, so the static
+// analysis and the dynamic memory trace are, by construction, two views
+// of the same object — mirroring how the paper's compiler pass and its
+// simulated workloads relate. Eval is the reference semantics.
 package symbolic
 
 import (

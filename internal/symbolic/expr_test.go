@@ -69,27 +69,6 @@ func TestEvalIndirect(t *testing.T) {
 	}
 }
 
-func TestCompileMatchesEval(t *testing.T) {
-	env := testEnv()
-	env.Resolve = func(table string, idx int64) int64 { return idx + 100 }
-	exprs := []Expr{
-		C(7),
-		Tx, Ty, Tz, Bx, By, BDx, BDy, GDx, GDy, M, P("WIDTH"),
-		Sum(Prod(By, BDy, P("WIDTH")), Prod(Bx, BDx), Tx),
-		Neg{X: Sum(Tx, M)},
-		Quot(Sum(Prod(Bx, BDx), Tx), C(4)),
-		Rem(Sum(Prod(Bx, BDx), Tx), C(7)),
-		Ind("t", Sum(Tx, M)),
-		Sum(Prod(M, P("TILE"), BDx, GDx), Prod(Ty, BDx, GDx), Tx),
-	}
-	for _, e := range exprs {
-		c := Compile(e)
-		if got, want := c(env), Eval(e, env); got != want {
-			t.Errorf("Compile(%v)(env) = %d, Eval = %d", e, got, want)
-		}
-	}
-}
-
 func TestSubstitute(t *testing.T) {
 	// WIDTH := gridDim.x * blockDim.x, TILE := 16.
 	binds := map[string]Expr{
@@ -299,19 +278,6 @@ func TestDivideByMInverse(t *testing.T) {
 	}
 }
 
-// Property: compiled evaluators agree with tree-walking evaluation.
-func TestCompileAgreesWithEvalRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := randExpr(r, 4)
-		env := randEnv(r)
-		return Compile(e)(env) == Eval(e, env)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNormalizeCancellation(t *testing.T) {
 	// x + (-x) must normalize to zero.
 	e := Sum(Tx, Neg{X: Tx})
@@ -467,16 +433,6 @@ func BenchmarkEvalTree(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Eval(e, env)
-	}
-}
-
-func BenchmarkEvalCompiled(b *testing.B) {
-	e := Sum(Prod(By, BDy, P("WIDTH")), Prod(Bx, BDx), Tx, Prod(M, P("TILE")))
-	c := Compile(e)
-	env := testEnv()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c(env)
 	}
 }
 

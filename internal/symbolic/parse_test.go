@@ -127,3 +127,77 @@ func TestParseClassifyFigure6(t *testing.T) {
 		t.Error("A variant should not contain gDim.x")
 	}
 }
+
+// expansion bounds the terms Normalize can produce for e (sums add,
+// products multiply, opaque atoms are one term) and reports the largest
+// such bound over e and every subexpression Normalize expands on its own
+// (the operands of Indirect, Div and Mod).
+func expansion(e Expr) (terms, worst int) {
+	const capAt = 1 << 30 // saturate instead of overflowing
+	switch t := e.(type) {
+	case Add:
+		for _, op := range t {
+			n, w := expansion(op)
+			terms, worst = min(terms+n, capAt), max(worst, w)
+		}
+	case Mul:
+		terms = 1
+		for _, op := range t {
+			n, w := expansion(op)
+			terms, worst = min(terms*n, capAt), max(worst, w)
+		}
+	case Neg:
+		return expansion(t.X)
+	case Indirect:
+		_, worst = expansion(t.Inner)
+		terms = 1
+	case Div:
+		_, wn := expansion(t.Num)
+		_, wd := expansion(t.Den)
+		terms, worst = 1, max(wn, wd)
+	case Mod:
+		_, wn := expansion(t.Num)
+		_, wd := expansion(t.Den)
+		terms, worst = 1, max(wn, wd)
+	default:
+		terms = 1
+	}
+	return terms, max(worst, terms)
+}
+
+// FuzzParse feeds arbitrary text to Parse. Parse must never panic. An
+// accepted expression must survive Normalize without panicking, expand
+// to no more terms than its shape allows, and keep its value.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"(by*16+ty)*WIDTH + m*16 + tx",
+		"cols[rowptr[v] + m]",
+		"(gid + off) % N * 19 + m",
+		"-tx / (ty - ty) % 0",
+		"(tx+1)*(ty+1)*(tz+1)*(bx+1)",
+		"9223372036854775807 * tx + -9223372036854775807 - 1",
+		"a[b[c[tx*tx]]]",
+		"((",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Parse(src)
+		if err != nil {
+			return
+		}
+		terms, worst := expansion(e)
+		if worst > 1<<12 {
+			return // valid, but exponential to expand: out of scope
+		}
+		p := Normalize(e)
+		if len(p.Terms) > terms {
+			t.Fatalf("Normalize(%q) has %d terms, shape allows %d", src, len(p.Terms), terms)
+		}
+		env := testEnv()
+		env.Resolve = func(table string, idx int64) int64 { return idx*7 - int64(len(table)) }
+		if got, want := p.Eval(env), Eval(e, env); got != want {
+			t.Fatalf("Normalize(%q) evaluates to %d, tree %d", src, got, want)
+		}
+	})
+}

@@ -2,7 +2,7 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -18,8 +18,9 @@ type Atom struct {
 	Opaque Expr
 	// key is a canonical identity string; equal atoms have equal keys.
 	key string
-	// innerKinds records variable kinds inside an opaque atom.
-	innerKinds map[VarKind]bool
+	// innerKinds is the set (bit i = VarKind i) of variable kinds inside
+	// an opaque atom.
+	innerKinds uint16
 }
 
 func varAtom(v Var) Atom {
@@ -31,7 +32,12 @@ func varAtom(v Var) Atom {
 }
 
 func opaqueAtom(e Expr) Atom {
-	kinds, _ := Vars(e)
+	var kinds uint16
+	Walk(e, func(n Expr) {
+		if v, ok := n.(Var); ok {
+			kinds |= 1 << v.Kind
+		}
+	})
 	return Atom{Opaque: e, key: "o:" + e.String(), innerKinds: kinds}
 }
 
@@ -39,7 +45,7 @@ func opaqueAtom(e Expr) Atom {
 // looking inside opaque subexpressions.
 func (a Atom) DependsOn(kind VarKind) bool {
 	if a.Opaque != nil {
-		return a.innerKinds[kind]
+		return a.innerKinds&(1<<kind) != 0
 	}
 	return a.Var.Kind == kind
 }
@@ -68,11 +74,20 @@ type Term struct {
 }
 
 func (t Term) key() string {
-	keys := make([]string, len(t.Atoms))
-	for i, a := range t.Atoms {
-		keys[i] = a.key
+	switch len(t.Atoms) {
+	case 0:
+		return ""
+	case 1:
+		return t.Atoms[0].key
 	}
-	return strings.Join(keys, "*")
+	var b strings.Builder
+	for i, a := range t.Atoms {
+		if i > 0 {
+			b.WriteByte('*')
+		}
+		b.WriteString(a.key)
+	}
+	return b.String()
 }
 
 // DependsOn reports whether any atom of the term involves kind.
@@ -220,40 +235,35 @@ func (p Poly) Expr() Expr {
 	return Add(ops)
 }
 
-// normalize canonicalizes a term list: merge equal-key terms, drop zeros,
-// sort deterministically.
+// canonical canonicalizes a term list: merge equal-key terms, drop
+// zeros, sort by key. Terms are immutable once built, so merged terms
+// share their atom slices with the input.
 func canonical(terms []Term) Poly {
-	merged := make(map[string]*Term, len(terms))
-	order := make([]string, 0, len(terms))
+	keyed := make([]keyedTerm, 0, len(terms))
 	for _, t := range terms {
-		if t.Coef == 0 {
-			continue
-		}
-		k := t.key()
-		if prev, ok := merged[k]; ok {
-			prev.Coef += t.Coef
-		} else {
-			cp := t
-			cp.Atoms = append([]Atom(nil), t.Atoms...)
-			merged[k] = &cp
-			order = append(order, k)
+		if t.Coef != 0 {
+			keyed = append(keyed, keyedTerm{t.key(), t})
 		}
 	}
-	sort.Strings(order)
-	out := make([]Term, 0, len(order))
-	for _, k := range order {
-		if merged[k].Coef != 0 {
-			out = append(out, *merged[k])
+	slices.SortStableFunc(keyed, func(a, b keyedTerm) int { return strings.Compare(a.key, b.key) })
+	out := make([]Term, 0, len(keyed))
+	for i := 0; i < len(keyed); {
+		t := keyed[i].t
+		j := i + 1
+		for ; j < len(keyed) && keyed[j].key == keyed[i].key; j++ {
+			t.Coef += keyed[j].t.Coef
 		}
+		if t.Coef != 0 {
+			out = append(out, t)
+		}
+		i = j
 	}
 	return Poly{Terms: out}
 }
 
-func polyAdd(a, b Poly) Poly {
-	terms := make([]Term, 0, len(a.Terms)+len(b.Terms))
-	terms = append(terms, a.Terms...)
-	terms = append(terms, b.Terms...)
-	return canonical(terms)
+type keyedTerm struct {
+	key string
+	t   Term
 }
 
 func polyNeg(a Poly) Poly {
@@ -271,7 +281,7 @@ func polyMul(a, b Poly) Poly {
 			atoms := make([]Atom, 0, len(ta.Atoms)+len(tb.Atoms))
 			atoms = append(atoms, ta.Atoms...)
 			atoms = append(atoms, tb.Atoms...)
-			sort.Slice(atoms, func(i, j int) bool { return atoms[i].key < atoms[j].key })
+			slices.SortFunc(atoms, func(a, b Atom) int { return strings.Compare(a.key, b.key) })
 			terms = append(terms, Term{Coef: ta.Coef * tb.Coef, Atoms: atoms})
 		}
 	}
@@ -291,11 +301,11 @@ func Normalize(e Expr) Poly {
 	case Var:
 		return Poly{Terms: []Term{{Coef: 1, Atoms: []Atom{varAtom(t)}}}}
 	case Add:
-		acc := Poly{}
+		var terms []Term
 		for _, op := range t {
-			acc = polyAdd(acc, Normalize(op))
+			terms = append(terms, Normalize(op).Terms...)
 		}
-		return acc
+		return canonical(terms)
 	case Mul:
 		acc := Poly{Terms: []Term{{Coef: 1}}}
 		for _, op := range t {

@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 
+	"ladm/internal/kernels"
 	"ladm/internal/kir"
 	"ladm/internal/mem/page"
 	sym "ladm/internal/symbolic"
@@ -14,8 +15,7 @@ func setup(t *testing.T, k *kir.Kernel, allocs []kir.AllocSpec, tables map[strin
 	for _, a := range allocs {
 		space.MallocManaged(a.ID, a.Bytes, a.ElemSize)
 	}
-	w := &kir.Workload{Tables: tables}
-	g, err := New(k, space, w.Resolver(), 128, 32, 32)
+	g, err := New(k, space, tables, 128, 32, 32)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -269,6 +269,10 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := New(k, space2, nil, 512, 32, 32); err == nil {
 		t.Error(">8 sectors should error")
 	}
+	k.Accesses[1].Phase = kir.PostLoop + 1
+	if _, err := New(k, space2, nil, 128, 32, 32); err == nil {
+		t.Error("unknown phase should error")
+	}
 }
 
 func BenchmarkWarpTransactionsCoalesced(b *testing.B) {
@@ -329,5 +333,31 @@ func TestPostLoopUsesFinalIteration(t *testing.T) {
 	}
 	if got := txs[0].Addr - txs[0].Alloc.Base; got != 4*32*4 {
 		t.Errorf("post-loop line offset = %d, want %d", got, 4*32*4)
+	}
+}
+
+// BenchmarkNew builds the generators of every launch of a regular and an
+// irregular workload: the per-launch cost of compiling each access.
+func BenchmarkNew(b *testing.B) {
+	for _, name := range []string{"sq-gemm", "pagerank"} {
+		spec, err := kernels.ByName(name, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := spec.W
+		space := page.NewSpace(4096, 4)
+		for _, a := range w.Allocs {
+			space.MallocManaged(a.ID, a.Bytes, a.ElemSize)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, l := range w.Launches {
+					if _, err := New(l.Kernel, space, w.Tables, 128, 32, 32); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
