@@ -252,3 +252,32 @@ func TestLocalityTypeStrings(t *testing.T) {
 		t.Error("IsRCL misclassifies")
 	}
 }
+
+// FuzzClassify runs Algorithm 1 on every index the parser accepts, for
+// 1D and 2D grids: classification must never panic. The seeds are
+// FuzzParse's.
+func FuzzClassify(f *testing.F) {
+	for _, s := range []string{
+		"(by*16+ty)*WIDTH + m*16 + tx",
+		"cols[rowptr[v] + m]",
+		"(gid + off) % N * 19 + m",
+		"-tx / (ty - ty) % 0",
+		"(tx+1)*(ty+1)*(tz+1)*(bx+1)",
+		"9223372036854775807 * tx + -9223372036854775807 - 1",
+		"a[b[c[tx*tx]]]",
+		"((",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 80 {
+			return // Normalize expands products of sums: keep inputs small
+		}
+		e, err := sym.Parse(src)
+		if err != nil {
+			return
+		}
+		Classify(e, false)
+		Classify(e, true)
+	})
+}

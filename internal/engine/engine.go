@@ -15,8 +15,8 @@
 // compute delays, but the memory system — the thing the paper's results
 // turn on — is modelled end to end.
 //
-// The event core is allocation-free in steady state: events live by value
-// in the scheduler's heap, and the per-transaction (txState), per-phase
+// The event core is allocation-free in steady state: events live in the
+// event queue's node arena, and the per-transaction (txState), per-phase
 // (phaseRun) and per-threadblock (tbExec) state is recycled through
 // engine-owned free lists. The engine runs on a single goroutine, so the
 // free lists are plain slices — no sync.Pool, no locks. Debug and

@@ -1,23 +1,61 @@
 package engine
 
-// The event core is allocation-free in steady state. Three things make
-// that work:
+import (
+	"math"
+	"math/bits"
+)
+
+// The event queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin &
+// Tarjan 1990) over the bit patterns of event times, and it is
+// allocation-free in steady state:
 //
-//  1. Events are values in one slice-backed 4-ary heap, not *event
-//     pointers pushed through container/heap's `any` interface — no
-//     per-event allocation, no boxing, and the sift loops inline.
+//  1. Every event is a node in one arena slice, linked into its bucket by
+//     an int32 index. Popped nodes go onto a free list and the arena
+//     persists across kernel launches, so after warm-up a push reuses a
+//     free node and a pop moves no payload.
 //  2. The payload is a `runner` interface holding a pointer-shaped value
 //     (*txState, *tbExec, or a func). Go stores pointers and funcs
 //     directly in interface words, so scheduling never allocates; only
 //     constructing a fresh closure would, and the steady-state paths
 //     schedule pooled structs instead.
-//  3. The heap's backing array persists across kernel launches, so after
-//     warm-up a push is a bounds-checked append into existing capacity.
 //
-// Ordering is the strict total order (t, seq): seq is unique, so any
-// correct heap pops events in exactly the same sequence as the seed's
-// container/heap implementation — swapping the machinery cannot change
-// simulation results, which the golden run records pin.
+// Keys. An event's key is math.Float64bits(t). schedule clamps t to at
+// least now, which is never negative, so every key has its sign bit
+// clear, and non-negative float64 bit patterns order exactly like their
+// values. Popped keys therefore never decrease: the queue is monotone,
+// which is all a radix heap needs.
+//
+// Buckets. The heap remembers last, the key it popped most recently. A
+// node with key k sits in bucket bits.Len64(k ^ last): bucket 0 holds
+// keys equal to last, and bucket b > 0 holds keys that first differ
+// from last at bit b-1. Keys stay below 1<<63, so b ≤ 63 and a uint64
+// mask marks the non-empty buckets. When bucket 0 is empty, pop takes
+// the lowest non-empty bucket, moves last to that bucket's tracked
+// minimum, and relinks the bucket's nodes into lower buckets. Buckets
+// above it keep their index, because the new last agrees with the old
+// one on every bit above the relinked bucket's. Relinking rewrites only
+// int32 links and bucket minima: no payload moves, no pointer is written.
+//
+// Order. Every bucket is a FIFO list. Equal keys always share a bucket
+// (they have the same xor with last), a relink moves a bucket's nodes
+// in list order into buckets that held none of their keys, and a push
+// appends. So equal times pop in push order, and pops come out in
+// exactly the (time, push order) sequence of the sequence-numbered
+// 4-ary heap this replaced, without storing a sequence number. The
+// golden run records, matrix256.digest and the perfbench pins did not
+// move.
+//
+// Cost. The 4-ary heap spent its time in hard-to-predict (t, seq)
+// compares. Here a push is O(1) and a node is relinked at most 63 times
+// over its life, each time into a strictly lower bucket. On perfbench
+// fig9-campaign (scale 256, 2-vCPU Xeon, go1.24.0) the queue's share of
+// sampled CPU fell from 38% to 23%, and ops_per_s rose from 31.8 to
+// 44.6 (medians of 10 alternating 30 s pairs, 10 of 10 won);
+// BenchmarkFig9/pagerank and lbm ran 1.35× and 1.41× faster (-count 5
+// -cpu 2 medians). A variant that split 16-byte (t, seq) keys from the
+// payloads and popped with Floyd's trick made pop about 20% cheaper but
+// gained nothing end to end, and per-bucket slices instead of an arena
+// allocated three objects per warm launch.
 
 // runner is a scheduled event's payload.
 type runner interface {
@@ -31,89 +69,112 @@ type funcEvent func(t float64)
 
 func (f funcEvent) run(t float64) { f(t) }
 
-// event is one scheduled callback of the discrete-event core. Ties on time
-// break on sequence number so runs are bit-for-bit deterministic.
-type event struct {
-	t   float64
-	seq uint64
-	r   runner
+// node is one queued event: its key, the arena index of the next node in
+// its bucket or on the free list (0 ends a list), and its payload.
+type node struct {
+	key  uint64
+	next int32
+	r    runner
 }
 
-// eventHeap is a value-typed 4-ary min-heap ordered on (t, seq). Against
-// a binary heap it measured even or slightly ahead: medians of five
-// interleaved `go test -bench 'BenchmarkFig9/(pagerank|lbm)$' -benchtime
-// 1x` runs on a 2-vCPU Xeon (go1.24.0) were pagerank 4.31 s (4-ary) vs
-// 4.40 s (binary) and lbm 9.71 s vs 10.03 s, within the runs' spread, so
-// binary does not win and 4-ary stays. The heap and scheduler take 38% of
-// sampled CPU on the perfbench fig9-campaign workload (same host) once
-// warp-level trace generation has shrunk the trace layer. The ordering
-// contract is untouched — (t, seq) is a strict total order, so pops
-// come out in exactly the same sequence as any correct heap, which the
-// golden run records pin.
-type eventHeap []event
+// eventHeap is a monotone radix heap of events keyed by time. Its zero
+// value is empty and ready to use. Arena index 0 is a sentinel that never
+// holds an event, so 0 can end a list.
+type eventHeap struct {
+	nodes []node
+	free  int32 // head of the free list
 
-// heapArity is the fan-out of the event heap. Power of two so child/parent
-// index math compiles to shifts.
-const heapArity = 4
+	last uint64 // key of the most recent pop; no queued key is smaller
+	mask uint64 // bit b set iff bucket b is non-empty
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+	head, tail [64]int32
+	min        [64]uint64 // smallest key in each non-empty bucket
 }
 
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !hh.less(i, parent) {
-			break
+// empty reports whether no event is queued.
+func (h *eventHeap) empty() bool { return h.mask == 0 }
+
+// link appends node i, whose key is set, to the bucket its key selects.
+func (h *eventHeap) link(i int32) {
+	n := &h.nodes[i]
+	n.next = 0
+	b := bits.Len64(n.key ^ h.last)
+	if h.mask&(1<<b) == 0 {
+		h.mask |= 1 << b
+		h.head[b] = i
+		h.min[b] = n.key
+	} else {
+		h.nodes[h.tail[b]].next = i
+		if n.key < h.min[b] {
+			h.min[b] = n.key
 		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		i = parent
 	}
+	h.tail[b] = i
 }
 
-func (h *eventHeap) pop() event {
-	hh := *h
-	n := len(hh) - 1
-	top := hh[0]
-	hh[0] = hh[n]
-	hh[n] = event{} // clear the runner word so the GC can reclaim it
-	hh = hh[:n]
-	*h = hh
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
+// push queues r at key, which must not be below the last popped key.
+func (h *eventHeap) push(key uint64, r runner) {
+	i := h.free
+	if i != 0 {
+		h.free = h.nodes[i].next
+	} else {
+		if len(h.nodes) == 0 {
+			h.nodes = append(h.nodes, node{}) // the sentinel
 		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		least := first
-		for c := first + 1; c < last; c++ {
-			if hh.less(c, least) {
-				least = c
-			}
-		}
-		if !hh.less(least, i) {
-			break
-		}
-		hh[i], hh[least] = hh[least], hh[i]
-		i = least
+		i = int32(len(h.nodes))
+		h.nodes = append(h.nodes, node{})
 	}
-	return top
+	n := &h.nodes[i]
+	n.key = key
+	n.r = r
+	h.link(i)
+}
+
+// pop removes the earliest event, first-pushed among equal times, and
+// returns its time and payload. The heap must not be empty.
+func (h *eventHeap) pop() (float64, runner) {
+	if h.mask&1 == 0 {
+		b := bits.TrailingZeros64(h.mask)
+		h.mask &^= 1 << b
+		h.last = h.min[b]
+		for i := h.head[b]; i != 0; {
+			next := h.nodes[i].next
+			h.link(i)
+			i = next
+		}
+	}
+	i := h.head[0]
+	n := &h.nodes[i]
+	h.head[0] = n.next
+	if n.next == 0 {
+		h.mask &^= 1
+	}
+	r := n.r
+	n.r = nil // drop the payload reference so the GC can reclaim it
+	n.next = h.free
+	h.free = i
+	return math.Float64frombits(h.last), r
+}
+
+// reset returns every queued node to the free list without running it.
+func (h *eventHeap) reset() {
+	for h.mask != 0 {
+		b := bits.TrailingZeros64(h.mask)
+		h.mask &^= 1 << b
+		for i := h.head[b]; i != 0; {
+			n := &h.nodes[i]
+			next := n.next
+			n.r = nil
+			n.next = h.free
+			h.free = i
+			i = next
+		}
+	}
 }
 
 // scheduler wraps the heap with monotonic dispatch.
 type scheduler struct {
 	events eventHeap
-	seq    uint64
 	now    float64
 
 	// Telemetry sampling: sampleFn fires at every multiple of
@@ -146,14 +207,15 @@ func (s *scheduler) startSampling(every float64, fn func(t float64)) {
 	s.sampleFn = fn
 }
 
-// schedule queues r to run at time t (clamped to now for past times).
-// This is the hot-path entry: with a pooled payload it allocates nothing.
+// schedule queues r to run at time t, clamped to now for past times.
+// The negated compare also clamps NaN and -0, whose bit patterns would
+// otherwise be out-of-order keys. This is the hot-path entry: with a
+// pooled payload it allocates nothing.
 func (s *scheduler) schedule(t float64, r runner) {
-	if t < s.now {
+	if !(t > s.now) {
 		t = s.now
 	}
-	s.seq++
-	s.events.push(event{t: t, seq: s.seq, r: r})
+	s.events.push(math.Float64bits(t), r)
 }
 
 // at schedules fn to run at time t. Cold-path convenience for callbacks
@@ -167,29 +229,26 @@ func (s *scheduler) at(t float64, fn func(t float64)) {
 // event. With an armed interrupt channel it may instead stop early,
 // setting s.stopped and discarding the remaining events.
 func (s *scheduler) drain() float64 {
-	for len(s.events) > 0 {
+	for !s.events.empty() {
 		if s.interrupt != nil {
 			s.dispatched++
 			if s.dispatched&(interruptCheckEvery-1) == 0 {
 				select {
 				case <-s.interrupt:
 					s.stopped = true
-					clear(s.events)
-					s.events = s.events[:0]
+					s.events.reset()
 					return s.now
 				default:
 				}
 			}
 		}
-		ev := s.events.pop()
-		for s.sampleFn != nil && s.nextSample <= ev.t {
+		t, r := s.events.pop()
+		for s.sampleFn != nil && s.nextSample <= t {
 			s.sampleFn(s.nextSample)
 			s.nextSample += s.sampleEvery
 		}
-		if ev.t > s.now {
-			s.now = ev.t
-		}
-		ev.r.run(s.now)
+		s.now = t
+		r.run(t)
 	}
 	return s.now
 }

@@ -1,89 +1,171 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// TestEventHeapOrdering drives the 4-ary heap with adversarial push/pop
-// interleavings — duplicate times, reverse-sorted bursts, random storms —
-// and checks every pop sequence against the (t, seq) total order. This is
-// the machinery-level twin of the golden run records: any correct heap
-// pops events in exactly this sequence, so swapping the layout (binary →
-// 4-ary) must be invisible here and there.
-func TestEventHeapOrdering(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		var h eventHeap
-		var seq uint64
-		var pending []event
-		var popped []event
-		steps := 200 + r.Intn(800)
-		for s := 0; s < steps; s++ {
-			if len(h) == 0 || r.Intn(3) > 0 {
-				// Times cluster on a small integer grid to force ties, the
-				// case where the seq tiebreak carries the determinism story.
-				seq++
-				ev := event{t: float64(r.Intn(16)), seq: seq}
-				h.push(ev)
-				pending = append(pending, ev)
-			} else {
-				popped = append(popped, h.pop())
+// heapTag is a test payload naming the push that queued it.
+type heapTag int
+
+func (heapTag) run(float64) {}
+
+// runHeapProgram interprets prog as a sequence of operations on an
+// eventHeap and checks every pop against a reference that orders events
+// by (time, push order). Each operation byte selects:
+//
+//   - push (most bytes): the next byte picks a delta above the last
+//     popped time — zero (a tie with the heap's floor), an integer grid
+//     step, a fraction, or a magnitude up to about 1e12;
+//   - pop, when anything is queued;
+//   - drain to empty, or an interrupt-style reset that discards the
+//     queue, after which the books must balance (see books in matrix_test.go).
+//
+// Pushes on the integer grid collide often, so FIFO order among equal
+// times is exercised throughout.
+func runHeapProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	type ref struct {
+		t  float64
+		id int
+	}
+	var (
+		h       eventHeap
+		pending []ref
+		floor   float64 // time of the last pop: no push may go below it
+		pushes  int
+	)
+	popOne := func() {
+		best := 0
+		for i, p := range pending[1:] {
+			b := pending[best]
+			if p.t < b.t || (p.t == b.t && p.id < b.id) {
+				best = i + 1
 			}
 		}
-		for len(h) > 0 {
-			popped = append(popped, h.pop())
+		want := pending[best]
+		pending = append(pending[:best], pending[best+1:]...)
+		gotT, r := h.pop()
+		got := int(r.(heapTag))
+		if gotT != want.t || got != want.id {
+			t.Fatalf("pop = (%v, push %d), want (%v, push %d)", gotT, got, want.t, want.id)
 		}
-		if len(popped) != len(pending) {
-			t.Fatalf("trial %d: pushed %d, popped %d", trial, len(pending), len(popped))
-		}
-		// Each pop must be the least (t, seq) of what was in the heap at
-		// that moment. A full simulation of that is the heap itself, so
-		// check the stronger-but-sufficient property the event core relies
-		// on: pops between pushes never go back in (t, seq) time once the
-		// element was eligible. Simplest exact check: popping everything
-		// after re-pushing yields the global sort.
-		var h2 eventHeap
-		for _, ev := range pending {
-			h2.push(ev)
-		}
-		want := append([]event(nil), pending...)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].t != want[j].t {
-				return want[i].t < want[j].t
+		floor = gotT
+	}
+	for pc := 0; pc < len(prog); pc++ {
+		op := prog[pc]
+		switch {
+		case op < 176:
+			var arg byte
+			if pc+1 < len(prog) {
+				pc++
+				arg = prog[pc]
 			}
-			return want[i].seq < want[j].seq
-		})
-		for i, w := range want {
-			got := h2.pop()
-			if got.t != w.t || got.seq != w.seq {
-				t.Fatalf("trial %d: pop %d = (%v,%d), want (%v,%d)",
-					trial, i, got.t, got.seq, w.t, w.seq)
+			var delta float64
+			switch arg >> 6 {
+			case 0:
+			case 1:
+				delta = float64(arg & 7)
+			case 2:
+				delta = float64(arg&63) / 13
+			default:
+				delta = float64(arg&63) * 1.6e10
+			}
+			at := floor + delta
+			h.push(math.Float64bits(at), heapTag(pushes))
+			pending = append(pending, ref{at, pushes})
+			pushes++
+		case op < 254:
+			if len(pending) > 0 {
+				popOne()
+			}
+		case op == 254:
+			for len(pending) > 0 {
+				popOne()
+			}
+			if err := h.books(); err != nil {
+				t.Fatalf("after drain: %v", err)
+			}
+		default:
+			h.reset()
+			pending = pending[:0]
+			if err := h.books(); err != nil {
+				t.Fatalf("after reset: %v", err)
 			}
 		}
+		if h.empty() != (len(pending) == 0) {
+			t.Fatalf("empty() = %v with %d events pending", h.empty(), len(pending))
+		}
+	}
+	for len(pending) > 0 {
+		popOne()
+	}
+	if err := h.books(); err != nil {
+		t.Fatalf("at end: %v", err)
 	}
 }
 
-// TestEventHeapInterleavedMonotonic checks the drain-order property under
-// interleaved push/pop: a popped event is never ordered after an event
-// that was already in the heap when it was popped.
-func TestEventHeapInterleavedMonotonic(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	var h eventHeap
-	var seq uint64
-	for s := 0; s < 5000; s++ {
-		if len(h) == 0 || r.Intn(2) == 0 {
-			seq++
-			h.push(event{t: float64(r.Intn(32)), seq: seq})
-			continue
+// TestEventHeapMatchesReference runs random programs through
+// runHeapProgram: every pop must be the least (time, push order) event
+// queued, which is the order the simulation's determinism rests on.
+func TestEventHeapMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		prog := make([]byte, 200+r.Intn(2000))
+		r.Read(prog)
+		runHeapProgram(t, prog)
+	}
+}
+
+// FuzzEventHeap explores runHeapProgram's operation space.
+func FuzzEventHeap(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 200, 200})                      // ties at 0
+	f.Add([]byte{0, 0x47, 0, 0x41, 0, 0x47, 200, 0, 0, 254}) // grid ties
+	f.Add([]byte{0, 0xbf, 0, 0xff, 0, 0x81, 200, 0, 0x40, 255, 0, 0xc1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		runHeapProgram(t, prog)
+	})
+}
+
+// TestScheduleClampsToNow schedules at -0, NaN, now, a past time, and a
+// burst of equal times from inside an event at t=3. Every clamped event
+// must run at now, in push order, before the later one.
+func TestScheduleClampsToNow(t *testing.T) {
+	var s scheduler
+	var order []int
+	var times []float64
+	rec := func(id int) func(float64) {
+		return func(at float64) {
+			order = append(order, id)
+			times = append(times, at)
 		}
-		got := h.pop()
-		for i := range h {
-			if h[i].t < got.t || (h[i].t == got.t && h[i].seq < got.seq) {
-				t.Fatalf("pop (%v,%d) left a smaller element (%v,%d) behind",
-					got.t, got.seq, h[i].t, h[i].seq)
-			}
+	}
+	// At now=0, -0 and NaN must become 0 and keep their push order.
+	s.at(math.Copysign(0, -1), rec(0))
+	s.at(math.NaN(), rec(1))
+	s.at(3, func(float64) {
+		s.at(3.5, rec(9))
+		s.at(math.Copysign(0, -1), rec(2))
+		s.at(math.NaN(), rec(3))
+		s.at(s.now, rec(4))
+		s.at(1, rec(5))
+		for id := 6; id < 9; id++ {
+			s.at(3, rec(id))
+		}
+	})
+	if end := s.drain(); end != 3.5 {
+		t.Fatalf("drain ended at %v, want 3.5", end)
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	wantT := []float64{0, 0, 3, 3, 3, 3, 3, 3, 3, 3.5}
+	if len(order) != len(want) {
+		t.Fatalf("dispatched %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] || times[i] != wantT[i] || math.Signbit(times[i]) {
+			t.Fatalf("dispatch %d = (event %d at %v), want (event %d at %v); order %v",
+				i, order[i], times[i], want[i], wantT[i], order)
 		}
 	}
 }

@@ -26,8 +26,8 @@ func TestDrainInterruptStopsEarly(t *testing.T) {
 		t.Errorf("dispatched %d events, want at most the polling granularity %d",
 			dispatched, interruptCheckEvery)
 	}
-	if len(s.events) != 0 {
-		t.Errorf("%d events left queued after an interrupted drain", len(s.events))
+	if err := s.events.books(); err != nil {
+		t.Errorf("after an interrupted drain: %v", err)
 	}
 }
 

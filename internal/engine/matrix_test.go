@@ -26,12 +26,13 @@ var matrixPolicies = []runtime.Policy{
 	runtime.HCODA(), runtime.LASPRTwice(), runtime.LASPROnce(), runtime.LADM(),
 }
 
-// checkBooks reports any state a finished run left behind: a pending
-// event, an in-flight transaction holding an MSHR, a resident
-// threadblock, or a pooled object that never returned to its free list.
+// checkBooks reports any state a finished run left behind: a queued
+// event or an event node off the free list, an in-flight transaction
+// holding an MSHR, a resident threadblock, or a pooled object that never
+// returned to its free list.
 func (e *Engine) checkBooks() error {
-	if n := len(e.sched.events); n != 0 {
-		return fmt.Errorf("%d events left in the heap", n)
+	if err := e.sched.events.books(); err != nil {
+		return err
 	}
 	for sm, n := range e.mshr {
 		if n != 0 {
@@ -54,6 +55,27 @@ func (e *Engine) checkBooks() error {
 		if l.free != l.carved {
 			return fmt.Errorf("%s free list holds %d of %d carved", l.name, l.free, l.carved)
 		}
+	}
+	return nil
+}
+
+// books reports a non-empty queue: a set bucket bit, or an arena node
+// (other than the sentinel) that is not on the free list.
+func (h *eventHeap) books() error {
+	if h.mask != 0 {
+		return fmt.Errorf("event queue not empty: bucket mask %#x", h.mask)
+	}
+	if len(h.nodes) == 0 {
+		return nil // nothing was ever queued
+	}
+	carved, free := len(h.nodes)-1, 0
+	for i := h.free; i != 0; i = h.nodes[i].next {
+		if free++; free > carved {
+			return fmt.Errorf("event free list cycles")
+		}
+	}
+	if free != carved {
+		return fmt.Errorf("event free list holds %d of %d nodes", free, carved)
 	}
 	return nil
 }
