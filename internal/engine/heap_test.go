@@ -2,7 +2,9 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -126,6 +128,93 @@ func FuzzEventHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runHeapProgram(t, prog)
 	})
+}
+
+// TestEventHeapOrdering drives the heap with adversarial push/pop
+// interleavings — duplicate times, bursts on a small integer grid, random
+// storms — and checks that a fresh heap given every pushed event pops them
+// in the (time, push order) total order. The first heap only has to accept
+// the interleaving; pushes stay at or above its last pop, as schedule
+// guarantees.
+func TestEventHeapOrdering(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	type ref struct {
+		t  float64
+		id int
+	}
+	for trial := 0; trial < 50; trial++ {
+		var h eventHeap
+		var floor float64
+		var pending []ref
+		popped := 0
+		steps := 200 + r.Intn(800)
+		for s := 0; s < steps; s++ {
+			if h.empty() || r.Intn(3) > 0 {
+				// Times cluster on a small integer grid to force ties, the
+				// case where push order carries the determinism story.
+				ev := ref{floor + float64(r.Intn(16)), len(pending)}
+				h.push(math.Float64bits(ev.t), heapTag(ev.id))
+				pending = append(pending, ev)
+			} else {
+				floor, _ = h.pop()
+				popped++
+			}
+		}
+		for !h.empty() {
+			h.pop()
+			popped++
+		}
+		if popped != len(pending) {
+			t.Fatalf("trial %d: pushed %d, popped %d", trial, len(pending), popped)
+		}
+		var h2 eventHeap
+		for _, ev := range pending {
+			h2.push(math.Float64bits(ev.t), heapTag(ev.id))
+		}
+		want := append([]ref(nil), pending...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].t < want[j].t })
+		for i, w := range want {
+			gotT, r := h2.pop()
+			if got := int(r.(heapTag)); gotT != w.t || got != w.id {
+				t.Fatalf("trial %d: pop %d = (%v, push %d), want (%v, push %d)",
+					trial, i, gotT, got, w.t, w.id)
+			}
+		}
+		if !h2.empty() {
+			t.Fatalf("trial %d: heap not empty after %d pops", trial, len(want))
+		}
+	}
+}
+
+// TestEventHeapInterleavedMonotonic checks the drain-order property under
+// interleaved push/pop: a popped event is never ordered after an event
+// that was still queued when it was popped.
+func TestEventHeapInterleavedMonotonic(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var h eventHeap
+	var floor float64
+	pushes := 0
+	for s := 0; s < 5000; s++ {
+		if h.empty() || r.Intn(2) == 0 {
+			at := floor + float64(r.Intn(32))
+			h.push(math.Float64bits(at), heapTag(pushes))
+			pushes++
+			continue
+		}
+		gotT, gr := h.pop()
+		got := int(gr.(heapTag))
+		floor = gotT
+		for m := h.mask; m != 0; m &= m - 1 {
+			for i := h.head[bits.TrailingZeros64(m)]; i != 0; i = h.nodes[i].next {
+				n := &h.nodes[i]
+				qt, qid := math.Float64frombits(n.key), int(n.r.(heapTag))
+				if qt < gotT || (qt == gotT && qid < got) {
+					t.Fatalf("pop (%v, push %d) left a smaller event (%v, push %d) behind",
+						gotT, got, qt, qid)
+				}
+			}
+		}
+	}
 }
 
 // TestScheduleClampsToNow schedules at -0, NaN, now, a past time, and a
