@@ -67,18 +67,15 @@ func main() {
 	serviceTrace := flag.String("service-trace", "",
 		"write a wall-clock Chrome/Perfetto trace of the campaign's pool activity (one track per worker, one span per job stage) to this file")
 	remote := flag.String("remote", "",
-		"comma-separated ladmserve endpoints to dispatch cells to (retries, hedging, "+
-			"circuit breaking; cells degrade to local execution when no remote is healthy, "+
+		"comma-separated ladmserve endpoints to dispatch cells to (retries, "+
+			"circuit breaking; cells degrade to local execution when no remote can serve them, "+
 			"so results stay byte-identical to a local run)")
 	fault := flag.String("fault", "",
 		"deterministic fault injection on the remote transport, e.g. "+
 			"\"seed=7,error=0.3,reset=0.1,partial=0.1,latency=0.2:50ms\" (requires -remote)")
-	hedgeAfter := flag.Duration("hedge-after", 0,
-		"launch a hedged attempt on a second endpoint when the first has not "+
-			"answered within this duration (0 = fleet default, negative disables; requires -remote)")
 	campaignTrace := flag.String("campaign-trace", "",
 		"write the campaign's merged distributed trace — client dispatch spans, "+
-			"per-endpoint attempt/hedge spans, and every worker's stitched stage "+
+			"per-endpoint attempt spans, and every worker's stitched stage "+
 			"spans — to this Chrome/Perfetto file (requires -remote)")
 	flag.Parse()
 
@@ -134,10 +131,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ladmbench: -campaign-trace requires -remote")
 		os.Exit(1)
 	}
-	if *hedgeAfter != 0 && *remote == "" {
-		fmt.Fprintln(os.Stderr, "ladmbench: -hedge-after requires -remote")
-		os.Exit(1)
-	}
 	if *remote != "" {
 		client := &http.Client{}
 		if *fault != "" {
@@ -158,21 +151,19 @@ func main() {
 		}
 		var err error
 		fl, err = fleet.New(fleet.Config{
-			Endpoints:  strings.Split(*remote, ","),
-			Local:      o.Runner,
-			Scale:      o.Scale,
-			Fidelity:   cacheFidelity,
-			Client:     client,
-			HedgeAfter: *hedgeAfter,
-			Log:        svcobs.NewLogger(os.Stderr, slog.LevelWarn, false),
-			Observer:   obs,
-			Trace:      root,
+			Endpoints: strings.Split(*remote, ","),
+			Local:     o.Runner,
+			Scale:     o.Scale,
+			Fidelity:  cacheFidelity,
+			Client:    client,
+			Log:       svcobs.NewLogger(os.Stderr, slog.LevelWarn, false),
+			Observer:  obs,
+			Trace:     root,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ladmbench:", err)
 			os.Exit(1)
 		}
-		defer fl.Close()
 		o.Runner = fl
 	}
 

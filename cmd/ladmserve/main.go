@@ -12,9 +12,9 @@
 //	ladmserve -remote host:9001,host:9002  # front end over worker instances
 //
 // With -remote, this instance becomes a fleet front end: event-tier
-// jobs dispatch to the listed worker instances with retries, hedging,
-// per-endpoint circuit breaking and /readyz health checks, degrading
-// transparently to the local pool when no remote is healthy. Worker
+// jobs dispatch to the listed worker instances with retries and
+// per-endpoint circuit breaking, degrading transparently to the local
+// pool when no remote can serve them. Worker
 // instances run WITHOUT -remote (a worker pointing back at its front
 // end would bounce jobs in a loop).
 //
@@ -44,7 +44,7 @@
 //	GET  /healthz  liveness: the process is up and serving HTTP
 //	GET  /readyz   readiness: 503 (with reasons) while draining, while the
 //	               durable store is degraded, or while the job queue is
-//	               saturated — fleet front ends route on this signal
+//	               saturated — orchestrators and load balancers route on it
 //	GET  /statusz  operational snapshot: uptime, pool saturation, queue age,
 //	               in-flight jobs with their lifecycle stage, cache/store hit
 //	               rates, tier mix, slowest recent jobs (?format=html for a
@@ -56,7 +56,7 @@
 //	GET  /debug/servicetrace  wall-clock service trace (Chrome/Perfetto):
 //	               one track per pool worker, one span per job stage; in
 //	               front-end mode also one track per fleet endpoint with
-//	               attempt/hedge spans and stitched worker timelines
+//	               attempt spans and stitched worker timelines
 //	GET  /debug/timeline/{request-id}  a finished job's compact timeline
 //	               summary by correlation ID (the pull side of the
 //	               X-Ladm-Timeline response header)
@@ -113,8 +113,8 @@ func main() {
 	logDebug := flag.Bool("log-debug", false, "log at debug level")
 	remote := flag.String("remote", "",
 		"comma-separated ladmserve endpoints to dispatch jobs to (front-end mode: "+
-			"event-tier jobs fan out with retries, hedging and circuit breaking, and "+
-			"degrade to the local pool when no remote is healthy; worker instances "+
+			"event-tier jobs fan out with retries and circuit breaking, and "+
+			"degrade to the local pool when no remote can serve them; worker instances "+
 			"must run WITHOUT -remote)")
 	flag.Parse()
 
@@ -167,7 +167,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ladmserve:", err)
 			os.Exit(1)
 		}
-		defer fl.Close()
 		server.SetFleet(fl)
 		logger.Info("ladmserve: fleet dispatch enabled", "endpoints", *remote)
 	}
@@ -199,8 +198,9 @@ func main() {
 	go func() {
 		<-stop
 		logger.Info("ladmserve: draining before shutdown", "timeout", (*drainTimeout).String())
-		// Flip readiness first: fleets and load balancers watching
-		// /readyz stop sending new jobs while in-flight ones finish.
+		// Flip readiness first: orchestrators and load balancers
+		// watching /readyz stop sending new jobs while in-flight ones
+		// finish.
 		server.SetDraining(true)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()

@@ -39,7 +39,7 @@ func (s breakerState) gauge() int { return int(s) }
 // half-open → closed on a successful probe (→ open again on a failed
 // one). Callers reserve admission with Allow, then report exactly one
 // of Success, Failure, or Release (for calls canceled without a
-// verdict — a hedge loser must neither trip nor heal the circuit).
+// verdict — a caller giving up must neither trip nor heal the circuit).
 type breaker struct {
 	threshold int
 	cooldown  time.Duration

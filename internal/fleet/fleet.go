@@ -1,17 +1,16 @@
 // Package fleet dispatches simulation jobs to remote ladmserve
 // instances over the existing POST /run surface, with the resilience
 // stack a multi-box campaign needs: per-attempt timeouts, capped
-// jittered exponential backoff retries, hedged requests for straggler
-// jobs, a per-endpoint circuit breaker, periodic /readyz health
-// checking, and graceful degradation — when no remote can serve a job,
-// it runs on the local inner Runner instead, so a campaign never fails
+// jittered exponential backoff retries, a per-endpoint circuit breaker,
+// and graceful degradation — when no remote can serve a job, it runs
+// on the local inner Runner instead, so a campaign never fails
 // outright, it just slows down.
 //
-// Every retry, hedge and failover is idempotent by construction:
-// simsvc jobs are pure content-hashed values, so executing one twice
-// (or on two boxes at once) produces byte-identical records. That
-// purity is what lets this layer be aggressive — the worst a duplicated
-// attempt can cost is wasted work, never a wrong answer.
+// Every retry and failover is idempotent by construction: simsvc jobs
+// are pure content-hashed values, so executing one twice (or on two
+// boxes) produces byte-identical records. That purity is what lets this
+// layer be aggressive — the worst a duplicated attempt can cost is
+// wasted work, never a wrong answer.
 package fleet
 
 import (
@@ -25,7 +24,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,21 +34,35 @@ import (
 	"ladm/internal/svcobs"
 )
 
-// Tunable defaults; every Config field of the same name falls back to
-// these when zero.
-const (
-	DefaultAttemptTimeout   = 2 * time.Minute
-	DefaultMaxAttempts      = 3
-	DefaultRetryBase        = 50 * time.Millisecond
-	DefaultRetryMax         = 2 * time.Second
-	DefaultHedgeAfter       = 10 * time.Second
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 5 * time.Second
-	DefaultHealthInterval   = 3 * time.Second
-)
+// limits are the dispatcher's resilience constants. New applies
+// defaultLimits; in-package tests pass faster ones to newRunner.
+type limits struct {
+	// attemptTimeout bounds each individual remote call.
+	attemptTimeout time.Duration
+	// maxAttempts is the total number of tries per job (first + retries).
+	maxAttempts int
+	// retryBase/retryMax shape the capped jittered exponential backoff
+	// between attempts.
+	retryBase, retryMax time.Duration
+	// breakerThreshold is the consecutive-failure count that opens an
+	// endpoint's circuit; breakerCooldown how long it stays open before
+	// a half-open probe.
+	breakerThreshold int
+	breakerCooldown  time.Duration
+	// perEndpoint bounds the remote jobs in flight through one Runner's
+	// Exec, per configured endpoint.
+	perEndpoint int
+}
 
-// healthTimeout bounds one /readyz probe.
-const healthTimeout = 2 * time.Second
+var defaultLimits = limits{
+	attemptTimeout:   2 * time.Minute,
+	maxAttempts:      3,
+	retryBase:        50 * time.Millisecond,
+	retryMax:         2 * time.Second,
+	breakerThreshold: 3,
+	breakerCooldown:  5 * time.Second,
+	perEndpoint:      4,
+}
 
 // maxResponseBytes caps how much of a remote response is read; run
 // records are a few KB, so this is sabotage protection, not a limit.
@@ -62,7 +74,7 @@ type Config struct {
 	// full URLs). Required.
 	Endpoints []string
 	// Local is the degrade target: jobs that cannot be served remotely
-	// (unnameable jobs, fleet-wide unhealth, exhausted retries) run
+	// (unnameable jobs, every breaker open, exhausted retries) run
 	// here. Required — degradation is the design, not an option.
 	Local core.Runner
 	// Scale is the input-scale divisor the sweep's jobs were built at
@@ -74,37 +86,12 @@ type Config struct {
 	// Client performs the HTTP calls (nil = a default client). Tests
 	// and chaos runs wrap its transport with faultinject.Transport.
 	Client *http.Client
-
-	// AttemptTimeout bounds each individual remote call.
-	AttemptTimeout time.Duration
-	// MaxAttempts is the total number of tries per job (first + retries).
-	MaxAttempts int
-	// RetryBase/RetryMax shape the capped jittered exponential backoff
-	// between attempts.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// HedgeAfter launches a second attempt on a different endpoint when
-	// the first has not answered within this duration; the first
-	// success wins and the loser is canceled. Negative disables hedging.
-	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens an
-	// endpoint's circuit; BreakerCooldown how long it stays open before
-	// a half-open probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// HealthInterval paces the background /readyz sweep over all
-	// endpoints. Negative disables health checking (endpoints then rely
-	// on the breaker alone).
-	HealthInterval time.Duration
-	// Concurrency bounds the remote jobs in flight through one Runner's
-	// Exec (0 = 4x endpoints).
-	Concurrency int
-	// Log receives breaker, health and degrade events (nil = discard).
+	// Log receives breaker and degrade events (nil = discard).
 	// Request-scoped lines carry the svcobs correlation ID.
 	Log *slog.Logger
 
 	// Observer, when set, turns on the distributed observability plane:
-	// every attempt, hedge, retry and breaker rejection becomes a span
+	// every attempt, retry and breaker rejection becomes a span
 	// (or instant) on a per-endpoint track of the observer's service
 	// tracer, and worker-returned timeline summaries are stitched in as
 	// child stage spans — the merged campaign trace. Nil keeps dispatch
@@ -124,15 +111,10 @@ type endpoint struct {
 	url string
 	br  *breaker
 
-	healthy atomic.Bool
-	// healthSince is when the health verdict last flipped (unix nanos;
-	// runner start until the first flip) — /statusz shows the age so a
-	// long-unhealthy endpoint is as visible as a stuck breaker.
-	healthSince atomic.Int64
-	attempts    atomic.Int64
-	failures    atomic.Int64
-	successes   atomic.Int64
-	inflight    atomic.Int64
+	attempts  atomic.Int64
+	failures  atomic.Int64
+	successes atomic.Int64
+	inflight  atomic.Int64
 
 	// breaker transition counters, by destination state.
 	toClosed   atomic.Int64
@@ -144,32 +126,30 @@ type endpoint struct {
 // campaign use and simsvc.Fleet (ExecRequest) for the server's per-job
 // path.
 type Runner struct {
-	cfg     Config
-	client  *http.Client
-	log     *slog.Logger
-	obs     *svcobs.Observer
-	eps     []*endpoint
-	m       *Metrics
-	sem     chan struct{}
-	started time.Time
+	cfg    Config
+	lim    limits
+	client *http.Client
+	log    *slog.Logger
+	obs    *svcobs.Observer
+	eps    []*endpoint
+	m      *Metrics
+	sem    chan struct{}
 
-	rr        atomic.Uint64 // round-robin cursor
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	rr atomic.Uint64 // round-robin cursor
 }
 
-// New validates the config, starts the health loop, and returns the
-// runner. Call Close when done.
-func New(cfg Config) (*Runner, error) {
+// New validates the config and returns the runner.
+func New(cfg Config) (*Runner, error) { return newRunner(cfg, defaultLimits) }
+
+func newRunner(cfg Config, lim limits) (*Runner, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, errors.New("fleet: no endpoints configured")
 	}
 	if cfg.Local == nil {
 		return nil, errors.New("fleet: Config.Local (the degrade target) is required")
 	}
-	r := &Runner{cfg: cfg, obs: cfg.Observer,
-		started: time.Now(), stop: make(chan struct{})}
+	r := &Runner{cfg: cfg, lim: lim, obs: cfg.Observer,
+		sem: make(chan struct{}, lim.perEndpoint*len(cfg.Endpoints))}
 	r.client = cfg.Client
 	if r.client == nil {
 		r.client = &http.Client{}
@@ -178,20 +158,13 @@ func New(cfg Config) (*Runner, error) {
 	if r.log == nil {
 		r.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	conc := cfg.Concurrency
-	if conc <= 0 {
-		conc = 4 * len(cfg.Endpoints)
-	}
-	r.sem = make(chan struct{}, conc)
 	for _, raw := range cfg.Endpoints {
 		u, err := normalizeEndpoint(raw)
 		if err != nil {
 			return nil, err
 		}
 		ep := &endpoint{url: u}
-		ep.healthy.Store(true)
-		ep.healthSince.Store(r.started.UnixNano())
-		ep.br = newBreaker(r.breakerThreshold(), r.breakerCooldown(), func(from, to breakerState) {
+		ep.br = newBreaker(lim.breakerThreshold, lim.breakerCooldown, func(from, to breakerState) {
 			switch to {
 			case breakerClosed:
 				ep.toClosed.Add(1)
@@ -206,10 +179,6 @@ func New(cfg Config) (*Runner, error) {
 		r.eps = append(r.eps, ep)
 	}
 	r.m = newMetrics(r.eps)
-	if hi := r.healthInterval(); hi > 0 {
-		r.wg.Add(1)
-		go r.healthLoop(hi)
-	}
 	return r, nil
 }
 
@@ -229,66 +198,15 @@ func normalizeEndpoint(raw string) (string, error) {
 	return strings.TrimSuffix(s, "/"), nil
 }
 
-// Close stops the health loop. In-flight calls are unaffected.
-func (r *Runner) Close() {
-	r.closeOnce.Do(func() { close(r.stop) })
-	r.wg.Wait()
-}
+// Close is a no-op kept for existing callers: a Runner owns no
+// goroutines or connections.
+func (r *Runner) Close() {}
 
-// Config getters with defaults.
 func (r *Runner) scale() int {
 	if r.cfg.Scale > 0 {
 		return r.cfg.Scale
 	}
 	return simsvc.DefaultScale
-}
-func (r *Runner) attemptTimeout() time.Duration {
-	if r.cfg.AttemptTimeout > 0 {
-		return r.cfg.AttemptTimeout
-	}
-	return DefaultAttemptTimeout
-}
-func (r *Runner) maxAttempts() int {
-	if r.cfg.MaxAttempts > 0 {
-		return r.cfg.MaxAttempts
-	}
-	return DefaultMaxAttempts
-}
-func (r *Runner) retryBase() time.Duration {
-	if r.cfg.RetryBase > 0 {
-		return r.cfg.RetryBase
-	}
-	return DefaultRetryBase
-}
-func (r *Runner) retryMax() time.Duration {
-	if r.cfg.RetryMax > 0 {
-		return r.cfg.RetryMax
-	}
-	return DefaultRetryMax
-}
-func (r *Runner) hedgeAfter() time.Duration {
-	if r.cfg.HedgeAfter != 0 {
-		return r.cfg.HedgeAfter // negative disables
-	}
-	return DefaultHedgeAfter
-}
-func (r *Runner) breakerThreshold() int {
-	if r.cfg.BreakerThreshold > 0 {
-		return r.cfg.BreakerThreshold
-	}
-	return DefaultBreakerThreshold
-}
-func (r *Runner) breakerCooldown() time.Duration {
-	if r.cfg.BreakerCooldown > 0 {
-		return r.cfg.BreakerCooldown
-	}
-	return DefaultBreakerCooldown
-}
-func (r *Runner) healthInterval() time.Duration {
-	if r.cfg.HealthInterval != 0 {
-		return r.cfg.HealthInterval // negative disables
-	}
-	return DefaultHealthInterval
 }
 
 // requestFor maps a sweep job onto the registry Request a remote can
@@ -324,7 +242,7 @@ func (r *Runner) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
 }
 
 // dispatch carries one job's distributed-trace identity through the
-// retry/hedge plumbing: tc is the dispatch span's own context — every
+// retry plumbing: tc is the dispatch span's own context — every
 // remote attempt mints a Child() of it — and parent is the span the
 // dispatch hangs from (the front-end request span or the campaign
 // root). A nil *dispatch means the job is untraced: no spans, no
@@ -372,8 +290,8 @@ func (r *Runner) dispatchSpan(d *dispatch, req simsvc.Request, start time.Time, 
 		start, time.Since(start), args)
 }
 
-// ExecRequest serves one job through the fleet: remote with retries and
-// hedging, falling back to the Local runner on any remote failure. The
+// ExecRequest serves one job through the fleet: remote with retries,
+// falling back to the Local runner on any remote failure. The
 // degrade decision is universal — whatever went wrong remotely
 // (endpoints down, breakers open, retries exhausted, or the job itself
 // failing), the local runner produces the authoritative outcome, so a
@@ -405,9 +323,8 @@ func (r *Runner) ExecRequest(ctx context.Context, req simsvc.Request, job core.J
 	return run, nil
 }
 
-// errNoEndpoints marks a fleet-wide outage: nothing healthy, nothing
-// admitting traffic.
-var errNoEndpoints = errors.New("no endpoint available (all unhealthy or breakers open)")
+// errNoEndpoints marks a fleet-wide outage: every breaker is open.
+var errNoEndpoints = errors.New("no endpoint available (all breakers open)")
 
 // runRemote executes one request against the fleet with retries.
 func (r *Runner) runRemote(ctx context.Context, req simsvc.Request, d *dispatch) (*stats.Run, error) {
@@ -415,32 +332,27 @@ func (r *Runner) runRemote(ctx context.Context, req simsvc.Request, d *dispatch)
 	if err != nil {
 		return nil, err
 	}
-	attempts := r.maxAttempts()
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < r.lim.maxAttempts; attempt++ {
 		if attempt > 0 {
 			r.m.retries.Add(1)
-			if !sleepCtx(ctx, simstore.Backoff(r.retryBase(), r.retryMax(), attempt-1)) {
+			if !sleepCtx(ctx, simstore.Backoff(r.lim.retryBase, r.lim.retryMax, attempt-1)) {
 				return nil, fmt.Errorf("fleet: remote run %s/%s: %w", req.Workload, req.Policy, ctx.Err())
 			}
 		}
-		ep := r.pick(nil)
+		ep := r.pick()
 		if ep == nil {
 			if lastErr == nil {
 				lastErr = errNoEndpoints
 			}
 			break
 		}
-		run, err := r.callHedged(ctx, body, ep, d, attempt)
-		if err == nil {
+		run, ce := r.call(ctx, body, ep, d, attempt)
+		if ce == nil {
 			return run, nil
 		}
-		lastErr = err
-		var ce *callError
-		if errors.As(err, &ce) && !ce.retryable() {
-			break
-		}
-		if ctx.Err() != nil {
+		lastErr = ce
+		if !ce.retryable() || ctx.Err() != nil {
 			break
 		}
 	}
@@ -461,19 +373,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// pick returns the next endpoint accepting traffic — healthy and
-// breaker-admitted — round-robin from a shared cursor, or nil when the
-// whole fleet is refusing (the degrade signal). exclude skips an
-// endpoint already serving this job (hedges must diversify).
-func (r *Runner) pick(exclude *endpoint) *endpoint {
+// pick returns the next breaker-admitted endpoint round-robin from a
+// shared cursor, or nil when every breaker refuses (the degrade
+// signal).
+func (r *Runner) pick() *endpoint {
 	n := len(r.eps)
 	start := int(r.rr.Add(1))
 	now := time.Now()
 	for i := 0; i < n; i++ {
 		ep := r.eps[(start+i)%n]
-		if ep == exclude || !ep.healthy.Load() {
-			continue
-		}
 		if !ep.br.Allow(now) {
 			if r.obs != nil {
 				r.obs.Tracer.AddInstant(ep.url, "breaker-rejected", "fleet", now,
@@ -484,69 +392,6 @@ func (r *Runner) pick(exclude *endpoint) *endpoint {
 		return ep
 	}
 	return nil
-}
-
-// callHedged performs one attempt with straggler hedging: if the
-// primary endpoint has not answered within HedgeAfter, a second call
-// races it on a different endpoint; the first success wins and the
-// loser is canceled (its breaker admission released, not failed).
-func (r *Runner) callHedged(ctx context.Context, body []byte, primary *endpoint, d *dispatch, attempt int) (*stats.Run, error) {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		run   *stats.Run
-		ce    *callError
-		hedge bool
-	}
-	results := make(chan result, 2)
-	launch := func(ep *endpoint, hedge bool) {
-		go func() {
-			run, ce := r.call(cctx, body, ep, d, attempt, hedge)
-			results <- result{run, ce, hedge}
-		}()
-	}
-	launch(primary, false)
-	inflight := 1
-	var hedgeC <-chan time.Time
-	if d := r.hedgeAfter(); d > 0 && len(r.eps) > 1 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var firstErr *callError
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.ce == nil {
-				if res.hedge {
-					r.m.hedgeWins.Add(1)
-				}
-				return res.run, nil
-			}
-			// Prefer a real verdict over a canceled loser's error.
-			if firstErr == nil || firstErr.canceled {
-				firstErr = res.ce
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if ep2 := r.pick(primary); ep2 != nil {
-				r.m.hedges.Add(1)
-				r.log.Info("fleet: hedging straggler",
-					"primary", primary.url, "hedge", ep2.url,
-					"request_id", svcobs.RequestIDFrom(ctx))
-				launch(ep2, true)
-				inflight++
-			}
-		case <-ctx.Done():
-			// Launched goroutines resolve into the buffered channel and
-			// are collected; nothing leaks.
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // errKind classifies a failed call for the retry loop.
@@ -605,7 +450,7 @@ func outcomeFor(ce *callError) string {
 // into the attempt-latency histogram, and — when an Observer is
 // attached — records the attempt span on the endpoint's track and
 // stitches the worker's returned timeline under it.
-func (r *Runner) call(ctx context.Context, body []byte, ep *endpoint, d *dispatch, attempt int, hedge bool) (*stats.Run, *callError) {
+func (r *Runner) call(ctx context.Context, body []byte, ep *endpoint, d *dispatch, attempt int) (*stats.Run, *callError) {
 	r.m.attempts.Add(1)
 	ep.attempts.Add(1)
 	ep.inflight.Add(1)
@@ -620,22 +465,18 @@ func (r *Runner) call(ctx context.Context, body []byte, ep *endpoint, d *dispatc
 	outcome := outcomeFor(ce)
 	r.m.attemptSeconds.Observe(elapsed.Seconds(), ep.url, outcome)
 	if d != nil && r.obs != nil {
-		name := "attempt"
-		if hedge {
-			name = "hedge"
-		}
 		args := map[string]any{
 			"trace_id": attemptTC.TraceID, "span_id": attemptTC.SpanID,
 			"parent_span_id": d.tc.SpanID, "outcome": outcome, "retry": attempt,
 		}
 		if ce == nil {
 			// The successful attempt is the one whose record the caller
-			// keeps — hedge losers and failed tries never are.
+			// keeps — failed tries never are.
 			args["winner"] = true
 		} else if ce.status != 0 {
 			args["status"] = ce.status
 		}
-		r.obs.Tracer.AddSpan(ep.url, name, "fleet", start, elapsed, args)
+		r.obs.Tracer.AddSpan(ep.url, "attempt", "fleet", start, elapsed, args)
 		if tlWire != "" {
 			var ts svcobs.TimelineSummary
 			if json.Unmarshal([]byte(tlWire), &ts) == nil {
@@ -651,7 +492,7 @@ func (r *Runner) call(ctx context.Context, body []byte, ep *endpoint, d *dispatc
 // call. On success it also returns the worker's X-Ladm-Timeline header
 // ("" when the worker predates it or tracing is off).
 func (r *Runner) callOnce(ctx context.Context, body []byte, ep *endpoint, attemptTC svcobs.TraceContext) (*stats.Run, string, *callError) {
-	actx, cancel := context.WithTimeout(ctx, r.attemptTimeout())
+	actx, cancel := context.WithTimeout(ctx, r.lim.attemptTimeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(actx, http.MethodPost, ep.url+"/run", bytes.NewReader(body))
 	if err != nil {
@@ -662,7 +503,7 @@ func (r *Runner) callOnce(ctx context.Context, body []byte, ep *endpoint, attemp
 	if id == "" && attemptTC.Valid() {
 		// Each traced attempt gets its own correlation ID — the attempt
 		// span ID — so GET /debug/timeline/{id} on the worker resolves
-		// this exact attempt, hedges and retries included.
+		// this exact attempt, retries included.
 		id = attemptTC.SpanID
 	}
 	if id != "" {
@@ -715,7 +556,7 @@ func (r *Runner) callOnce(ctx context.Context, body []byte, ep *endpoint, attemp
 }
 
 // fail reports a failed call to the endpoint's breaker — unless the
-// call's own context was canceled (hedge loser, caller gone), in which
+// caller's context was canceled, in which
 // case the admission is released without a verdict: a canceled call
 // says nothing about endpoint health.
 func (r *Runner) fail(ctx context.Context, ep *endpoint, ce *callError) *callError {
@@ -748,7 +589,7 @@ func errText(data []byte) string {
 	return s
 }
 
-// Endpoints snapshots per-endpoint health for /statusz.
+// Endpoints snapshots per-endpoint breaker state for /statusz.
 func (r *Runner) Endpoints() []simsvc.FleetEndpoint {
 	now := time.Now()
 	out := make([]simsvc.FleetEndpoint, len(r.eps))
@@ -756,8 +597,6 @@ func (r *Runner) Endpoints() []simsvc.FleetEndpoint {
 		state, since := ep.br.StateSince()
 		out[i] = simsvc.FleetEndpoint{
 			URL:            ep.url,
-			Healthy:        ep.healthy.Load(),
-			HealthySeconds: now.Sub(time.Unix(0, ep.healthSince.Load())).Seconds(),
 			Breaker:        state.String(),
 			BreakerSeconds: now.Sub(since).Seconds(),
 			Attempts:       ep.attempts.Load(),

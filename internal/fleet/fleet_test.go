@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,20 +68,18 @@ func testJobs(t *testing.T, pairs ...[2]string) []core.Job {
 	return jobs
 }
 
-// testConfig is the base fleet config for tests: fast retries, hedging
-// and health checking off unless a test opts in.
-func testConfig(local core.Runner, endpoints ...string) Config {
-	return Config{
-		Endpoints:        endpoints,
-		Local:            local,
-		AttemptTimeout:   10 * time.Second,
-		MaxAttempts:      3,
-		RetryBase:        time.Millisecond,
-		RetryMax:         4 * time.Millisecond,
-		HedgeAfter:       -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		HealthInterval:   -1,
+// testConfig is the base fleet config for tests, with limits that keep
+// retries and breaker cooldowns in the milliseconds; pass both to
+// newRunner.
+func testConfig(local core.Runner, endpoints ...string) (Config, limits) {
+	return Config{Endpoints: endpoints, Local: local}, limits{
+		attemptTimeout:   10 * time.Second,
+		maxAttempts:      3,
+		retryBase:        time.Millisecond,
+		retryMax:         4 * time.Millisecond,
+		breakerThreshold: 3,
+		breakerCooldown:  50 * time.Millisecond,
+		perEndpoint:      4,
 	}
 }
 
@@ -103,11 +100,10 @@ func TestSweepRemoteByteIdentical(t *testing.T) {
 	tsA, _, hitsA := newWorker(t)
 	tsB, _, hitsB := newWorker(t)
 	local := core.RunFunc(testSim)
-	fl, err := New(testConfig(local, tsA.URL, tsB.URL))
+	fl, err := newRunner(testConfig(local, tsA.URL, tsB.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t,
 		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
@@ -143,11 +139,10 @@ func TestSweepRemoteByteIdentical(t *testing.T) {
 func TestSweepUnnameableStaysLocal(t *testing.T) {
 	ts, _, hits := newWorker(t)
 	local := core.RunFunc(testSim)
-	fl, err := New(testConfig(local, ts.URL))
+	fl, err := newRunner(testConfig(local, ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	jobs[0].Workload = &kir.Workload{Name: "custom-gemm"}
@@ -184,13 +179,12 @@ func TestRetryThenSucceed(t *testing.T) {
 	defer flaky.Close()
 
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, flaky.URL)
-	cfg.BreakerThreshold = 5
-	fl, err := New(cfg)
+	cfg, lim := testConfig(local, flaky.URL)
+	lim.breakerThreshold = 5
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	got, err := core.Sweep(context.Background(), fl, jobs)
@@ -239,14 +233,13 @@ func TestBreakerOpensAndDegrades(t *testing.T) {
 	defer dead.Close()
 
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, dead.URL)
-	cfg.BreakerThreshold = 2
-	cfg.MaxAttempts = 4
-	fl, err := New(cfg)
+	cfg, lim := testConfig(local, dead.URL)
+	lim.breakerThreshold = 2
+	lim.maxAttempts = 4
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	got, err := core.Sweep(context.Background(), fl, jobs)
@@ -282,15 +275,14 @@ func TestBreakerRecovers(t *testing.T) {
 	defer flaky.Close()
 
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, flaky.URL)
-	cfg.BreakerThreshold = 2
-	cfg.MaxAttempts = 2
-	cfg.BreakerCooldown = 30 * time.Millisecond
-	fl, err := New(cfg)
+	cfg, lim := testConfig(local, flaky.URL)
+	lim.breakerThreshold = 2
+	lim.maxAttempts = 2
+	lim.breakerCooldown = 30 * time.Millisecond
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
 
@@ -321,49 +313,50 @@ func TestBreakerRecovers(t *testing.T) {
 	}
 }
 
-// TestHedgeWins: a stalled primary is raced by a hedge on another
-// endpoint; the hedge's answer wins and the stall costs only latency.
-func TestHedgeWins(t *testing.T) {
-	fast, _, _ := newWorker(t)
-	done := make(chan struct{})
-	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body so the server's background read can notice the
-		// client hanging up, then hold until the fleet cancels the loser.
-		io.Copy(io.Discard, r.Body)
-		select {
-		case <-r.Context().Done():
-		case <-done:
-		}
-	}))
-	defer stall.Close()
-	defer close(done)
+// TestDeadEndpointShedByBreaker pins the breaker's measured win: with
+// one endpoint dead and one live, the dead one costs exactly the
+// breaker threshold of failed attempts before its circuit opens, every
+// job is still served remotely, and none degrades.
+func TestDeadEndpointShedByBreaker(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	deadURL := gone.URL
+	gone.Close() // connection refused from here on
+	live, _, hits := newWorker(t)
 
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, fast.URL, stall.URL)
-	cfg.HedgeAfter = 20 * time.Millisecond
-	fl, err := New(cfg)
+	cfg, lim := testConfig(local, deadURL, live.URL)
+	lim.breakerCooldown = time.Hour // no half-open probe inside the test
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
-	// Round-robin spreads the two jobs' primaries across both endpoints,
-	// so exactly the stall-primary job exercises the hedge path.
-	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
-	got, err := core.Sweep(context.Background(), fl, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := core.Sweep(context.Background(), local, jobs)
-	if mustJSON(t, got) != mustJSON(t, want) {
-		t.Fatalf("hedged sweep diverged from local")
+	jobs := testJobs(t,
+		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
+		[2]string{"vecadd", "coda"}, [2]string{"vecadd", "baseline-rr"},
+		[2]string{"scalarprod", "ladm"}, [2]string{"scalarprod", "h-coda"},
+		[2]string{"srad", "ladm"}, [2]string{"blk", "ladm"})
+	// One job at a time, so no attempt is admitted to the dead endpoint
+	// while another is about to trip its breaker.
+	for _, job := range jobs {
+		got, err := fl.Exec(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := local.Exec(context.Background(), job)
+		if mustJSON(t, got) != mustJSON(t, want) {
+			t.Fatalf("%s/%s diverged from local", job.Workload.Name, job.Policy.Name)
+		}
 	}
 	m := fl.m
-	if m.hedges.Load() < 1 || m.hedgeWins.Load() < 1 {
-		t.Fatalf("hedges/wins = %d/%d, want at least one hedge win", m.hedges.Load(), m.hedgeWins.Load())
+	if m.remoteJobs.Load() != int64(len(jobs)) || m.degraded.Load() != 0 || hits.Load() != int64(len(jobs)) {
+		t.Fatalf("remote/degraded/live hits = %d/%d/%d, want all %d jobs served by the live worker",
+			m.remoteJobs.Load(), m.degraded.Load(), hits.Load(), len(jobs))
 	}
-	if m.remoteJobs.Load() != 2 || m.degraded.Load() != 0 {
-		t.Fatalf("remote/degraded = %d/%d, want both jobs served remotely", m.remoteJobs.Load(), m.degraded.Load())
+	dead := fl.Endpoints()[0]
+	if dead.Failures != int64(lim.breakerThreshold) || dead.Attempts != dead.Failures || dead.Breaker != "open" {
+		t.Fatalf("dead endpoint = %+v, want exactly %d failed attempts and an open breaker",
+			dead, lim.breakerThreshold)
 	}
 }
 
@@ -376,14 +369,13 @@ func TestDegradeToLocalWhenFleetDown(t *testing.T) {
 	gone.Close() // connection refused from here on
 
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, url)
-	cfg.BreakerThreshold = 2
-	cfg.MaxAttempts = 2
-	fl, err := New(cfg)
+	cfg, lim := testConfig(local, url)
+	lim.breakerThreshold = 2
+	lim.maxAttempts = 2
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t,
 		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
@@ -407,8 +399,8 @@ func TestDegradeToLocalWhenFleetDown(t *testing.T) {
 	if !strings.Contains(out, fmt.Sprintf("fleet_degraded_jobs_total %d", len(jobs))) {
 		t.Fatalf("metrics missing degraded count:\n%s", out)
 	}
-	if !strings.Contains(out, "fleet_breaker_state") || !strings.Contains(out, "fleet_endpoint_healthy") {
-		t.Fatalf("metrics missing breaker/health families:\n%s", out)
+	if !strings.Contains(out, "fleet_breaker_state") {
+		t.Fatalf("metrics missing the breaker family:\n%s", out)
 	}
 }
 
@@ -425,11 +417,10 @@ func TestJobFailedDegradesWithLocalError(t *testing.T) {
 	defer ts.Close()
 
 	local := core.RunFunc(failSim)
-	fl, err := New(testConfig(local, ts.URL))
+	fl, err := newRunner(testConfig(local, ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	_, err = core.Sweep(context.Background(), fl, jobs)
@@ -462,15 +453,14 @@ func TestFaultInjectedByteIdentical(t *testing.T) {
 	client := &http.Client{Transport: &faultinject.Transport{Injector: inj}}
 
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, tsA.URL, tsB.URL)
+	cfg, lim := testConfig(local, tsA.URL, tsB.URL)
 	cfg.Client = client
-	cfg.MaxAttempts = 5
-	cfg.BreakerThreshold = 100 // keep the circuit out of this test's way
-	fl, err := New(cfg)
+	lim.maxAttempts = 5
+	lim.breakerThreshold = 100 // keep the circuit out of this test's way
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t,
 		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
@@ -498,50 +488,6 @@ func TestFaultInjectedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHealthRoutesAroundDrainingEndpoint: a 503 on /readyz (draining)
-// pulls the endpoint out of rotation before any job is risked on it.
-func TestHealthRoutesAroundDrainingEndpoint(t *testing.T) {
-	tsA, srvA, hitsA := newWorker(t)
-	tsB, _, hitsB := newWorker(t)
-	srvA.SetDraining(true)
-
-	local := core.RunFunc(testSim)
-	cfg := testConfig(local, tsA.URL, tsB.URL)
-	cfg.HealthInterval = 10 * time.Millisecond
-	fl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		eps := fl.Endpoints()
-		if !eps[0].Healthy && eps[1].Healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health checker never marked the draining endpoint: %+v", eps)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
-		[2]string{"scalarprod", "ladm"})
-	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if hitsA.Load() != 0 {
-		t.Fatalf("draining endpoint served %d jobs, want 0", hitsA.Load())
-	}
-	if hitsB.Load() != int64(len(jobs)) {
-		t.Fatalf("healthy endpoint served %d jobs, want %d", hitsB.Load(), len(jobs))
-	}
-	if fl.m.healthTransitions.Load() < 1 {
-		t.Fatalf("health transition not counted")
-	}
-}
-
 // TestServerFrontEnd wires a fleet into a simsvc server the way
 // `ladmserve -remote` does and checks a POST /run is served by the
 // remote worker.
@@ -551,11 +497,10 @@ func TestServerFrontEnd(t *testing.T) {
 	pool := simsvc.NewPool(simsvc.PoolConfig{Workers: 1, Simulate: testSim})
 	t.Cleanup(pool.Close)
 	front := simsvc.NewServer(pool)
-	fl, err := New(testConfig(pool, worker.URL))
+	fl, err := newRunner(testConfig(pool, worker.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	front.SetFleet(fl)
 	ts := httptest.NewServer(front.Handler())
 	defer ts.Close()

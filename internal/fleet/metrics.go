@@ -10,8 +10,8 @@ import (
 // Attempt outcomes labeling fleet_attempt_seconds{endpoint,outcome}.
 // The set is fixed (bounded cardinality): success, error (transport or
 // 5xx — retryable), rejected (a deterministic 4xx), job_failed (the
-// server worked, the job itself failed), canceled (hedge loser or
-// caller gone — no verdict).
+// server worked, the job itself failed), canceled (caller gone — no
+// verdict).
 const (
 	OutcomeSuccess   = "success"
 	OutcomeError     = "error"
@@ -22,16 +22,12 @@ const (
 
 // Metrics is the fleet's counter set.
 type Metrics struct {
-	attempts  atomic.Int64 // remote calls sent (including hedges)
-	retries   atomic.Int64 // backoff retries taken
-	hedges    atomic.Int64 // hedge calls launched
-	hedgeWins atomic.Int64 // hedge calls that beat the primary
+	attempts atomic.Int64 // remote calls sent
+	retries  atomic.Int64 // backoff retries taken
 
 	remoteJobs atomic.Int64 // jobs served by a remote endpoint
 	localJobs  atomic.Int64 // jobs that were never remote-eligible
 	degraded   atomic.Int64 // jobs that fell back to local after remote failure
-
-	healthTransitions atomic.Int64 // endpoint healthy<->unhealthy flips
 
 	// attemptSeconds is fleet_attempt_seconds{endpoint,outcome}: the
 	// wall-clock latency of every remote attempt, per endpoint and
@@ -51,14 +47,11 @@ func newMetrics(eps []*endpoint) *Metrics {
 			[]string{"endpoint", "outcome"}, nil),
 	}
 	r := &m.reg
-	r.Int("fleet_attempts_total", "Remote call attempts (including hedges).", svcobs.Counter, m.attempts.Load)
+	r.Int("fleet_attempts_total", "Remote call attempts.", svcobs.Counter, m.attempts.Load)
 	r.Int("fleet_retries_total", "Backoff retries taken.", svcobs.Counter, m.retries.Load)
-	r.Int("fleet_hedges_total", "Hedge calls launched for stragglers.", svcobs.Counter, m.hedges.Load)
-	r.Int("fleet_hedge_wins_total", "Hedge calls that beat the primary.", svcobs.Counter, m.hedgeWins.Load)
 	r.Int("fleet_remote_jobs_total", "Jobs served by a remote endpoint.", svcobs.Counter, m.remoteJobs.Load)
 	r.Int("fleet_local_jobs_total", "Jobs that were never remote-eligible.", svcobs.Counter, m.localJobs.Load)
 	r.Int("fleet_degraded_jobs_total", "Jobs that fell back to the local runner after remote failure.", svcobs.Counter, m.degraded.Load)
-	r.Int("fleet_health_transitions_total", "Endpoint healthy/unhealthy flips observed by the health checker.", svcobs.Counter, m.healthTransitions.Load)
 	perEndpoint := func(name, help, typ string, get func(*endpoint) int64) {
 		r.Family(name, help, typ, []string{"endpoint"}, func(emit svcobs.Emit) {
 			for _, ep := range eps {
@@ -70,13 +63,6 @@ func newMetrics(eps []*endpoint) *Metrics {
 		func(ep *endpoint) int64 { return ep.attempts.Load() })
 	perEndpoint("fleet_endpoint_failures_total", "Failed calls per endpoint (canceled calls excluded).", svcobs.Counter,
 		func(ep *endpoint) int64 { return ep.failures.Load() })
-	perEndpoint("fleet_endpoint_healthy", "Endpoint readiness as seen by the health checker (1 ready).", svcobs.Gauge,
-		func(ep *endpoint) int64 {
-			if ep.healthy.Load() {
-				return 1
-			}
-			return 0
-		})
 	perEndpoint("fleet_breaker_state", "Circuit breaker position per endpoint (0 closed, 1 open, 2 half-open).", svcobs.Gauge,
 		func(ep *endpoint) int64 { return int64(ep.br.State().gauge()) })
 	r.Family("fleet_breaker_transitions_total", "Breaker transitions per endpoint by destination state.", svcobs.Counter,

@@ -3,13 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"ladm/internal/core"
 	"ladm/internal/faultinject"
@@ -41,8 +40,10 @@ func (h *headerTrap) snapshot() (traces, ids []string) {
 
 // trappedWorker is a newWorker variant that captures the trace headers
 // of every /run request, with the svcobs middleware installed so the
-// worker-side timeline adopts the propagated context.
-func trappedWorker(t *testing.T) (*httptest.Server, *simsvc.Server, *headerTrap) {
+// worker-side timeline adopts the propagated context. A non-nil
+// failFirst, shared between workers, makes the first /run any of them
+// receives answer 500.
+func trappedWorker(t *testing.T, failFirst *atomic.Bool) (*httptest.Server, *simsvc.Server, *headerTrap) {
 	t.Helper()
 	pool := simsvc.NewPool(simsvc.PoolConfig{Workers: 2, Simulate: testSim})
 	t.Cleanup(pool.Close)
@@ -52,6 +53,10 @@ func trappedWorker(t *testing.T) (*httptest.Server, *simsvc.Server, *headerTrap)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/run" {
 			trap.record(r)
+			if failFirst != nil && failFirst.CompareAndSwap(false, true) {
+				http.Error(w, `{"error":"induced failure"}`, http.StatusInternalServerError)
+				return
+			}
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -70,57 +75,43 @@ func trackNames(evs []simtel.Event) map[int]string {
 	return names
 }
 
-// TestTracePropagationHedged: under a campaign root, a hedged job's two
-// attempts reach different endpoints carrying sibling spans of one
-// dispatch — same trace ID, distinct attempt span IDs — and the tracer
-// records attempt and hedge spans on both endpoint tracks with the
-// winner marked.
-func TestTracePropagationHedged(t *testing.T) {
-	fast, _, fastTrap := trappedWorker(t)
-	stallTrap := &headerTrap{}
-	done := make(chan struct{})
-	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/run" {
-			stallTrap.record(r)
-		}
-		io.Copy(io.Discard, r.Body)
-		select {
-		case <-r.Context().Done():
-		case <-done:
-		}
-	}))
-	defer stall.Close()
-	defer close(done)
+// TestTracePropagationFailover: under a campaign root, a job whose
+// first attempt answers 500 is retried on the other endpoint. The two
+// attempts reach different endpoints as sibling spans of one dispatch —
+// same trace ID, distinct attempt span IDs — and the tracer records one
+// attempt span on each endpoint track, exactly one of them the winner.
+func TestTracePropagationFailover(t *testing.T) {
+	var failFirst atomic.Bool
+	tsA, _, trapA := trappedWorker(t, &failFirst)
+	tsB, _, trapB := trappedWorker(t, &failFirst)
 
 	obs := svcobs.NewObserver(nil)
 	root := svcobs.NewTraceContext()
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, fast.URL, stall.URL)
-	cfg.HedgeAfter = 20 * time.Millisecond
+	cfg, lim := testConfig(local, tsA.URL, tsB.URL)
 	cfg.Observer = obs
 	cfg.Trace = root
-	fl, err := New(cfg)
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
-	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
+	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if fl.m.hedgeWins.Load() < 1 {
-		t.Fatalf("hedge wins = %d, want a hedge win", fl.m.hedgeWins.Load())
+	if r, a := fl.m.retries.Load(), fl.m.attempts.Load(); r != 1 || a != 2 || fl.m.remoteJobs.Load() != 1 {
+		t.Fatalf("retries/attempts/remote = %d/%d/%d, want one failover to a remote success",
+			r, a, fl.m.remoteJobs.Load())
 	}
 
-	fastTraces, fastIDs := fastTrap.snapshot()
-	stallTraces, _ := stallTrap.snapshot()
-	if len(fastTraces) == 0 || len(stallTraces) == 0 {
-		t.Fatalf("both endpoints should have seen attempts: fast=%d stall=%d",
-			len(fastTraces), len(stallTraces))
+	tracesA, idsA := trapA.snapshot()
+	tracesB, idsB := trapB.snapshot()
+	if len(tracesA) != 1 || len(tracesB) != 1 {
+		t.Fatalf("each endpoint should have seen one attempt: A=%d B=%d", len(tracesA), len(tracesB))
 	}
-	seenSpans := map[string]bool{}
-	for _, tp := range append(append([]string(nil), fastTraces...), stallTraces...) {
+	attemptSpans := map[string]bool{}
+	for _, tp := range append(tracesA, tracesB...) {
 		tc, ok := svcobs.ParseTraceparent(tp)
 		if !ok {
 			t.Fatalf("worker received malformed traceparent %q", tp)
@@ -128,57 +119,44 @@ func TestTracePropagationHedged(t *testing.T) {
 		if tc.TraceID != root.TraceID {
 			t.Fatalf("attempt left the campaign trace: %s != %s", tc.TraceID, root.TraceID)
 		}
-		if seenSpans[tc.SpanID] {
-			t.Fatalf("attempt span id %s reused across attempts", tc.SpanID)
-		}
-		seenSpans[tc.SpanID] = true
+		attemptSpans[tc.SpanID] = true
 	}
-	for _, id := range fastIDs {
+	if len(attemptSpans) != 2 {
+		t.Fatalf("attempt span ids reused: %v", attemptSpans)
+	}
+	for _, id := range append(idsA, idsB...) {
 		if id == "" {
 			t.Fatal("traced attempt arrived without a correlation ID")
 		}
 	}
 
-	// The hedge loser's span is recorded when its canceled call returns,
-	// which can land just after the sweep itself — wait it out.
-	var byTrack map[string][]simtel.Event
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		evs := obs.Tracer.Events()
-		names := trackNames(evs)
-		byTrack = map[string][]simtel.Event{}
-		for _, ev := range evs {
-			if ev.Ph == "X" || ev.Ph == "i" {
-				byTrack[names[ev.TID]] = append(byTrack[names[ev.TID]], ev)
-			}
-		}
-		if len(byTrack[fast.URL]) > 0 && len(byTrack[stall.URL]) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("missing endpoint-track spans; tracks seen: %v", names)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if len(byTrack["client"]) == 0 {
-		t.Fatal("no dispatch spans on the client track")
-	}
-	var hedges, winners int
-	for _, track := range []string{fast.URL, stall.URL} {
-		for _, ev := range byTrack[track] {
-			if ev.Name == "hedge" {
-				hedges++
-			}
-			if w, _ := ev.Args["winner"].(bool); w {
-				winners++
-			}
+	evs := obs.Tracer.Events()
+	names := trackNames(evs)
+	byTrack := map[string][]simtel.Event{}
+	for _, ev := range evs {
+		if ev.Ph == "X" && (ev.Cat == "dispatch" || ev.Cat == "fleet") {
+			byTrack[names[ev.TID]] = append(byTrack[names[ev.TID]], ev)
 		}
 	}
-	if hedges == 0 {
-		t.Fatal("hedge attempt left no span")
+	if len(byTrack["client"]) != 1 {
+		t.Fatalf("dispatch spans on the client track = %d, want 1", len(byTrack["client"]))
 	}
-	if winners == 0 {
-		t.Fatal("no attempt span marked as the winner")
+	dispatchID := byTrack["client"][0].Args["span_id"]
+	var winners int
+	for _, track := range []string{tsA.URL, tsB.URL} {
+		if len(byTrack[track]) != 1 {
+			t.Fatalf("track %s has %d attempt spans, want 1; tracks seen: %v", track, len(byTrack[track]), names)
+		}
+		ev := byTrack[track][0]
+		if ev.Name != "attempt" || ev.Args["parent_span_id"] != dispatchID || !attemptSpans[ev.Args["span_id"].(string)] {
+			t.Fatalf("track %s span %s %v is not an attempt under dispatch %v", track, ev.Name, ev.Args, dispatchID)
+		}
+		if w, _ := ev.Args["winner"].(bool); w {
+			winners++
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("winners = %d, want exactly 1", winners)
 	}
 }
 
@@ -187,7 +165,7 @@ func TestTracePropagationHedged(t *testing.T) {
 // the same campaign trace, and the attempt histogram classifies both
 // the failures and the eventual successes.
 func TestTracePropagationUnderFaults(t *testing.T) {
-	ts, _, trap := trappedWorker(t)
+	ts, _, trap := trappedWorker(t, nil)
 
 	spec, err := faultinject.ParseSpec("seed=11,error=0.4")
 	if err != nil {
@@ -198,17 +176,16 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 	obs := svcobs.NewObserver(nil)
 	root := svcobs.NewTraceContext()
 	local := core.RunFunc(testSim)
-	cfg := testConfig(local, ts.URL)
+	cfg, lim := testConfig(local, ts.URL)
 	cfg.Client = &http.Client{Transport: &faultinject.Transport{Injector: inj}}
-	cfg.MaxAttempts = 6
-	cfg.BreakerThreshold = 100
+	lim.maxAttempts = 6
+	lim.breakerThreshold = 100
 	cfg.Observer = obs
 	cfg.Trace = root
-	fl, err := New(cfg)
+	fl, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t,
 		[2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"},
@@ -254,13 +231,12 @@ func TestTracePropagationUnderFaults(t *testing.T) {
 // distributed plane is pay-for-use — while the attempt histogram (a
 // plain metric, not a trace) still fills.
 func TestUntracedStaysBare(t *testing.T) {
-	ts, _, trap := trappedWorker(t)
+	ts, _, trap := trappedWorker(t, nil)
 	local := core.RunFunc(testSim)
-	fl, err := New(testConfig(local, ts.URL))
+	fl, err := newRunner(testConfig(local, ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
@@ -283,14 +259,13 @@ func TestUntracedStaysBare(t *testing.T) {
 // endpoint view (with attempt digests) to every worker's self-reported
 // /statusz and /metrics.
 func TestClusterScrape(t *testing.T) {
-	tsA, _, _ := trappedWorker(t)
-	tsB, _, _ := trappedWorker(t)
+	tsA, _, _ := trappedWorker(t, nil)
+	tsB, _, _ := trappedWorker(t, nil)
 	local := core.RunFunc(testSim)
-	fl, err := New(testConfig(local, tsA.URL, tsB.URL))
+	fl, err := newRunner(testConfig(local, tsA.URL, tsB.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"}, [2]string{"vecadd", "h-coda"})
 	if _, err := core.Sweep(context.Background(), fl, jobs); err != nil {
@@ -322,12 +297,11 @@ func TestClusterScrape(t *testing.T) {
 	gone := httptest.NewServer(http.NotFoundHandler())
 	url := gone.URL
 	gone.Close()
-	cfg := testConfig(local, url)
-	fl2, err := New(cfg)
+	cfg, lim := testConfig(local, url)
+	fl2, err := newRunner(cfg, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl2.Close()
 	ws := fl2.Cluster(context.Background())
 	if len(ws) != 1 || ws[0].Error == "" || ws[0].Statusz != nil {
 		t.Fatalf("dead worker should scrape-fail but stay listed: %+v", ws)

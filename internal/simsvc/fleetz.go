@@ -18,7 +18,7 @@ type FleetAttemptDigest struct {
 }
 
 // FleetWorker is one worker's merged view on GET /fleetz: the
-// dispatcher's local endpoint state (health, breaker, attempt digests)
+// dispatcher's local endpoint state (breaker, attempt digests)
 // joined with what the worker reports about itself on /statusz (its
 // unlabeled /metrics samples included, under statusz.metrics).
 type FleetWorker struct {
@@ -38,7 +38,6 @@ type FleetWorker struct {
 // reachable worker.
 type FleetzSummary struct {
 	Workers      int `json:"workers"`
-	Healthy      int `json:"healthy"`
 	Reachable    int `json:"reachable"`
 	BreakersOpen int `json:"breakers_open"`
 	// Merged across reachable workers:
@@ -70,9 +69,6 @@ func buildFleetz(workers []FleetWorker) Fleetz {
 	s := &fz.Summary
 	s.Workers = len(workers)
 	for _, w := range workers {
-		if w.Healthy {
-			s.Healthy++
-		}
 		if w.Breaker != "closed" {
 			s.BreakersOpen++
 		}
@@ -114,7 +110,7 @@ h1{font-size:1.3em} h2{font-size:1.05em;margin-top:1.4em}
 table{border-collapse:collapse} td,th{border:1px solid #ccc;padding:2px 8px;text-align:left}
 .warn{color:#a40}
 </style></head><body>
-<h1>{{.Service}} — fleet of {{.Summary.Workers}} ({{.Summary.Healthy}} healthy, {{.Summary.Reachable}} reachable)</h1>
+<h1>{{.Service}} — fleet of {{.Summary.Workers}} ({{.Summary.Reachable}} reachable)</h1>
 <h2>Cluster</h2>
 <table>
 <tr><th>queue depth</th><th>running</th><th>submitted</th><th>completed</th><th>cache hit rate</th><th>store hit rate</th><th>analytic</th><th>escalated</th><th>breakers not closed</th></tr>
@@ -127,10 +123,8 @@ table{border-collapse:collapse} td,th{border:1px solid #ccc;padding:2px 8px;text
 </table>
 <h2>Workers</h2>
 <table>
-<tr><th>endpoint</th><th>health</th><th>for</th><th>breaker</th><th>for</th><th>queue</th><th>running</th><th>cache hits</th><th>analytic/escalated</th><th>attempts (dispatcher)</th></tr>
+<tr><th>endpoint</th><th>breaker</th><th>for</th><th>queue</th><th>running</th><th>cache hits</th><th>analytic/escalated</th><th>attempts (dispatcher)</th></tr>
 {{range .Workers}}<tr><td>{{.URL}}</td>
-<td{{if not .Healthy}} class="warn"{{end}}>{{if .Healthy}}healthy{{else}}unhealthy{{end}}</td>
-<td>{{secs .HealthySeconds}}</td>
 <td{{if ne .Breaker "closed"}} class="warn"{{end}}>{{.Breaker}}</td>
 <td>{{secs .BreakerSeconds}}</td>
 {{if .Statusz}}<td>{{.Statusz.Pool.QueueDepth}}/{{.Statusz.Pool.QueueCap}}</td>

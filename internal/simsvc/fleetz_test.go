@@ -50,9 +50,8 @@ func TestFleetzHandler(t *testing.T) {
 		t.Fatalf("fleetz without fleet: status = %d, want 404", r.StatusCode)
 	}
 
-	healthy := FleetWorker{
-		FleetEndpoint: FleetEndpoint{URL: "http://a:1", Healthy: true, Breaker: "closed",
-			HealthySeconds: 12, BreakerSeconds: 12},
+	live := FleetWorker{
+		FleetEndpoint: FleetEndpoint{URL: "http://a:1", Breaker: "closed", BreakerSeconds: 12},
 		Statusz: &Statusz{
 			Pool:    StatuszPool{QueueDepth: 3, Running: 2, QueueCap: 16},
 			Jobs:    StatuszJobs{Submitted: 10, Completed: 8},
@@ -64,11 +63,10 @@ func TestFleetzHandler(t *testing.T) {
 		Attempts: []FleetAttemptDigest{{Outcome: "success", Count: 8, MeanSeconds: 0.02}},
 	}
 	dead := FleetWorker{
-		FleetEndpoint: FleetEndpoint{URL: "http://b:2", Healthy: false, Breaker: "open",
-			HealthySeconds: 7, BreakerSeconds: 7},
-		Error: "connection refused",
+		FleetEndpoint: FleetEndpoint{URL: "http://b:2", Breaker: "open", BreakerSeconds: 7},
+		Error:         "connection refused",
 	}
-	srv.SetFleet(&stubFleet{workers: []FleetWorker{healthy, dead}})
+	srv.SetFleet(&stubFleet{workers: []FleetWorker{live, dead}})
 
 	r, err = http.Get(ts.URL + "/fleetz")
 	if err != nil {
@@ -84,7 +82,7 @@ func TestFleetzHandler(t *testing.T) {
 		t.Fatalf("fleetz is not JSON: %v", err)
 	}
 	s := fz.Summary
-	if s.Workers != 2 || s.Healthy != 1 || s.Reachable != 1 || s.BreakersOpen != 1 {
+	if s.Workers != 2 || s.Reachable != 1 || s.BreakersOpen != 1 {
 		t.Fatalf("cluster shape = %+v", s)
 	}
 	if s.QueueDepth != 3 || s.Submitted != 10 || s.Completed != 8 {

@@ -28,25 +28,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden exposition files")
 
 const metricsGolden = "testdata/metrics.golden.prom"
 
-// fixedRunner is the fleet's degrade target: every job answers with the
+// fixedRunner is the fleet's local runner: every job answers with the
 // same record, instantly.
 type fixedRunner struct{}
 
 func (fixedRunner) Exec(context.Context, core.Job) (*stats.Run, error) {
 	return &stats.Run{Workload: "golden", Policy: "ladm", Cycles: 100}, nil
-}
-
-// notReadyTransport answers every request with 503 without dialing, so
-// the fleet's endpoints turn unhealthy on the first health sweep.
-type notReadyTransport struct{}
-
-func (notReadyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	return &http.Response{
-		StatusCode: http.StatusServiceUnavailable,
-		Body:       io.NopCloser(strings.NewReader("draining")),
-		Header:     http.Header{},
-		Request:    req,
-	}, nil
 }
 
 // goldenServer builds a server with a durable store and a two-endpoint
@@ -110,39 +97,17 @@ func goldenServer(t *testing.T) *simsvc.Server {
 	store.Store.Put(key('f'), []byte(`{}`), prov)
 	srv.SetStore(store)
 
-	// Fleet: two fixed endpoints answered by an in-memory transport. The
-	// first health sweep turns both unhealthy; with nothing admitting
-	// traffic, two jobs degrade to the local runner and one unnameable
-	// job runs locally from the start.
+	// Fleet: two endpoints that are never dialed. One unnameable job
+	// runs on the local runner without touching the network.
 	fl, err := fleet.New(fleet.Config{
-		Endpoints:      []string{"http://fleet-a.invalid:9001", "http://fleet-b.invalid:9002"},
-		Local:          fixedRunner{},
-		Client:         &http.Client{Transport: notReadyTransport{}},
-		HealthInterval: time.Millisecond,
-		Log:            slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Endpoints: []string{"http://fleet-a.invalid:9001", "http://fleet-b.invalid:9002"},
+		Local:     fixedRunner{},
+		Log:       slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		eps := fl.Endpoints()
-		if !eps[0].Healthy && !eps[1].Healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fleet endpoints never turned unhealthy")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fl.Close()
 	ctx := context.Background()
-	req := simsvc.Request{Workload: "vecadd", Policy: "ladm"}.Normalize()
-	for i := 0; i < 2; i++ {
-		if _, err := fl.ExecRequest(ctx, req, core.Job{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if _, err := core.Sweep(ctx, fl, []core.Job{{}}); err != nil {
 		t.Fatal(err)
 	}

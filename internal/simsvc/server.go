@@ -161,7 +161,7 @@ type Server struct {
 	// fleet, when non-nil, serves event-tier non-telemetry jobs through
 	// a remote dispatcher before the local pool (internal/fleet,
 	// attached via -remote). Its metrics join /metrics and its
-	// per-endpoint health joins /statusz.
+	// per-endpoint breaker state joins /statusz.
 	fleet Fleet
 
 	// draining flips when shutdown begins: /readyz answers 503 so
@@ -179,7 +179,7 @@ type Fleet interface {
 	// ExecRequest serves one job remotely, degrading to its local
 	// runner on failure.
 	ExecRequest(ctx context.Context, req Request, job core.Job) (*stats.Run, error)
-	// Endpoints snapshots per-endpoint health for /statusz.
+	// Endpoints snapshots per-endpoint breaker state for /statusz.
 	Endpoints() []FleetEndpoint
 	// Cluster scrapes every endpoint's /statusz and merges it with the
 	// dispatcher's own view, for GET /fleetz.
@@ -188,14 +188,10 @@ type Fleet interface {
 	Registry() *svcobs.Registry
 }
 
-// FleetEndpoint is one remote endpoint's health as shown on /statusz.
+// FleetEndpoint is one remote endpoint's state as shown on /statusz.
 type FleetEndpoint struct {
 	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// HealthySeconds is how long the health verdict has held — the age
-	// of the last healthy/unhealthy flip (dispatcher start if none yet).
-	HealthySeconds float64 `json:"healthy_seconds"`
-	Breaker        string  `json:"breaker"`
+	Breaker string `json:"breaker"`
 	// BreakerSeconds is how long the breaker has sat in its current
 	// state; a large value on an open breaker is the stuck-endpoint tell.
 	BreakerSeconds float64 `json:"breaker_seconds"`
@@ -358,9 +354,9 @@ type Readyz struct {
 }
 
 // Readyz evaluates readiness: not draining, durable store (when
-// attached) healthy, and queue not saturated. Fleets route on this —
-// a server that would only 503 or silently drop results stops
-// receiving jobs before clients notice.
+// attached) healthy, and queue not saturated. Orchestrators and load
+// balancers route on this — a server that would only 503 or silently
+// drop results stops receiving jobs before clients notice.
 func (s *Server) Readyz() Readyz {
 	var reasons []string
 	if s.draining.Load() {

@@ -200,10 +200,8 @@ table{border-collapse:collapse} td,th{border:1px solid #ccc;padding:2px 8px;text
 </table>
 {{if .Fleet}}<h2>Fleet endpoints</h2>
 <table>
-<tr><th>endpoint</th><th>health</th><th>for</th><th>breaker</th><th>for</th><th>attempts</th><th>failures</th><th>successes</th><th>in flight</th></tr>
+<tr><th>endpoint</th><th>breaker</th><th>for</th><th>attempts</th><th>failures</th><th>successes</th><th>in flight</th></tr>
 {{range .Fleet}}<tr><td>{{.URL}}</td>
-<td{{if not .Healthy}} class="warn"{{end}}>{{if .Healthy}}healthy{{else}}unhealthy{{end}}</td>
-<td>{{secs .HealthySeconds}}</td>
 <td{{if ne .Breaker "closed"}} class="warn"{{end}}>{{.Breaker}}</td>
 <td>{{secs .BreakerSeconds}}</td>
 <td>{{.Attempts}}</td><td>{{.Failures}}</td><td>{{.Successes}}</td><td>{{.InFlight}}</td></tr>

@@ -154,7 +154,7 @@ func (t *Tracer) trimLocked() {
 }
 
 // AddSpan records one complete wall-clock span on a named track — the
-// fleet dispatcher's attempt/hedge spans on per-endpoint tracks, cell
+// fleet dispatcher's attempt spans on per-endpoint tracks, cell
 // spans on the campaign's client track, and stitched worker stages all
 // land here. Zero or negative durations are dropped, matching the
 // timeline path. Nil-safe: an unobserved component records nothing.
@@ -176,7 +176,7 @@ func (t *Tracer) AddSpan(track, name, cat string, start time.Time, dur time.Dura
 }
 
 // AddInstant records one instant event on a named track (breaker
-// rejections, health flips). Nil-safe.
+// rejections). Nil-safe.
 func (t *Tracer) AddInstant(track, name, cat string, ts time.Time, args map[string]any) {
 	if t == nil {
 		return

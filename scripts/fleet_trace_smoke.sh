@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # fleet_trace_smoke.sh — distributed-tracing and cluster-view check.
-# Starts two ladmserve workers, runs a hedged ladmbench campaign over
-# them under injected transport faults with -campaign-trace, and
-# asserts the merged Chrome trace is valid JSON carrying dispatch spans
-# on the client track plus attempt spans AND stitched worker stage
-# spans on BOTH endpoint tracks. Then starts a front-end over the same
+# Starts two ladmserve workers, runs a ladmbench campaign over them
+# under injected transport faults with -campaign-trace, and asserts the
+# merged Chrome trace is valid JSON carrying dispatch spans on the
+# client track plus attempt spans AND stitched worker stage spans on
+# BOTH endpoint tracks (round-robin dispatch and retries spread the
+# attempts). Then starts a front-end over the same
 # workers and asserts GET /fleetz aggregates both (reachable, with
 # self-reported /statusz numbers).
 set -euo pipefail
@@ -22,11 +23,10 @@ build_bins ladmserve ladmbench
 wait_ready "$ADDR_A" "$OUT"/*.log
 wait_ready "$ADDR_B" "$OUT"/*.log
 
-echo "fleet_trace_smoke: hedged campaign under faults with -campaign-trace"
+echo "fleet_trace_smoke: campaign under faults with -campaign-trace"
 "$BIN/ladmbench" -experiment fig9 -scale 16 -workloads vecadd,sq-gemm \
   -remote "$ADDR_A,$ADDR_B" \
   -fault "seed=7,latency=0.5:80ms,error=0.2" \
-  -hedge-after 20ms \
   -campaign-trace "$OUT/campaign.json" > "$OUT/bench.txt" 2> "$OUT/bench.log"
 
 python3 - "$OUT/campaign.json" "$ADDR_A" "$ADDR_B" <<'PY'
