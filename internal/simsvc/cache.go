@@ -8,35 +8,15 @@ import (
 	"ladm/internal/svcobs"
 )
 
-// RunStore is the second-level result cache behind the in-memory map: a
-// durable keyed store of completed records (see internal/simstore and
-// the DiskStore adapter). Both methods are best-effort — a store that
-// cannot serve returns a miss, and a store that cannot persist drops the
-// write; neither ever fails the caller.
-type RunStore interface {
-	// GetRun returns the record persisted under key, if any.
-	GetRun(key JobKey) (*stats.Run, bool)
-	// PutRun persists a completed record (possibly asynchronously).
-	PutRun(key JobKey, run *stats.Run)
-}
-
-// Rescanner is the optional RunStore upgrade for stores whose backing
-// directory other processes write to concurrently: Rescan picks up
-// records that appeared since the store last looked, returning how many
-// it found. The cache calls it once per store miss before recomputing.
-type Rescanner interface {
-	Rescan() int
-}
-
 // Cache is a result cache keyed by JobKey with single-flight
 // deduplication: concurrent Do calls for the same key run the underlying
 // job once and share the record. Errors are not cached, so a failed job
-// can be retried. With a RunStore attached it becomes two-level —
+// can be retried. With a DiskStore attached it becomes two-level —
 // memory hit → store hit → compute → write-back — so results survive
 // process restarts.
 type Cache struct {
 	metrics *Metrics
-	store   RunStore
+	store   *DiskStore
 
 	mu      sync.Mutex
 	entries map[JobKey]*cacheEntry
@@ -59,7 +39,7 @@ func NewCache(m *Metrics) *Cache {
 
 // SetStore attaches the second-level result store. Call before the
 // cache starts serving; nil detaches it.
-func (c *Cache) SetStore(store RunStore) {
+func (c *Cache) SetStore(store *DiskStore) {
 	c.mu.Lock()
 	c.store = store
 	c.mu.Unlock()
@@ -78,21 +58,6 @@ func (c *Cache) Get(key JobKey) (*stats.Run, bool) {
 		return e.run, e.err == nil
 	default:
 		return nil, false // still in flight
-	}
-}
-
-// Put stores a completed record under key (used by asynchronous
-// submission paths that bypass Do), writing through to the attached
-// store so the record survives a restart.
-func (c *Cache) Put(key JobKey, run *stats.Run) {
-	e := &cacheEntry{done: make(chan struct{}), run: run}
-	close(e.done)
-	c.mu.Lock()
-	c.entries[key] = e
-	store := c.store
-	c.mu.Unlock()
-	if store != nil {
-		store.PutRun(key, run)
 	}
 }
 
@@ -146,7 +111,7 @@ func (c *Cache) Do(ctx context.Context, key JobKey, fn func() (*stats.Run, error
 			// Another process sharing the store directory may have
 			// finished this cell since we last scanned it; one rescan is
 			// far cheaper than a recompute.
-			if rs, can := store.(Rescanner); can && rs.Rescan() > 0 {
+			if store.Rescan() > 0 {
 				run, ok = store.GetRun(key)
 			}
 		}

@@ -226,7 +226,7 @@ func TestCacheGetPut(t *testing.T) {
 		t.Error("empty cache reported a hit")
 	}
 	want := &stats.Run{Workload: "vecadd"}
-	c.Put(key, want)
+	c.Do(context.Background(), key, func() (*stats.Run, error) { return want, nil })
 	got, ok := c.Get(key)
 	if !ok || got != want {
 		t.Errorf("Get = %v, %v", got, ok)

@@ -113,9 +113,6 @@ func ParseJobKey(s string) (JobKey, bool) {
 // and treated as corrupt — under any other.
 const KeySchema = "simsvc/v2"
 
-// keySchema is the internal alias used by the hash itself.
-const keySchema = KeySchema
-
 // FidelityKeySchema is the hash layout of fidelity-carrying requests
 // (v3: Fidelity joined the hash). Event-tier requests keep hashing
 // under KeySchema so every pre-tier key, cache entry and stored record
@@ -128,7 +125,7 @@ func (r Request) Key() JobKey {
 	h := sha256.New()
 	if r.Fidelity == "" {
 		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%d\x00%t",
-			keySchema, r.Workload, r.Policy, r.Machine, r.Scale, r.Telemetry)
+			KeySchema, r.Workload, r.Policy, r.Machine, r.Scale, r.Telemetry)
 	} else {
 		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%d\x00%t\x00%s",
 			FidelityKeySchema, r.Workload, r.Policy, r.Machine, r.Scale, r.Telemetry, r.Fidelity)

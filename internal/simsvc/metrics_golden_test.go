@@ -65,8 +65,8 @@ func goldenServer(t *testing.T) *simsvc.Server {
 	}
 
 	for i := 0; i < 3; i++ {
-		srv.Cache().Put(simsvc.Request{Workload: "vecadd", Policy: "ladm", Scale: i + 1}.Normalize().Key(),
-			&stats.Run{Workload: "vecadd", Policy: "ladm"})
+		srv.Cache().Do(context.Background(), simsvc.Request{Workload: "vecadd", Policy: "ladm", Scale: i + 1}.Normalize().Key(),
+			func() (*stats.Run, error) { return &stats.Run{Workload: "vecadd", Policy: "ladm"}, nil })
 	}
 	srv.TrackJobsForTest(7)
 

@@ -14,8 +14,9 @@ import (
 )
 
 var (
-	// ErrQueueFull is returned by Submit when the bounded queue has no
-	// free slot — the backpressure signal (HTTP callers map it to 503).
+	// ErrQueueFull is the server's answer to an asynchronous submission
+	// that finds the bounded queue full — the backpressure signal, served
+	// as 503 with Retry-After.
 	ErrQueueFull = errors.New("simsvc: job queue full")
 	// ErrPoolClosed is returned for submissions after Close.
 	ErrPoolClosed = errors.New("simsvc: pool closed")
@@ -30,13 +31,11 @@ type PoolConfig struct {
 	// Workers is the number of concurrent simulations (<=0: GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the number of queued-but-not-running jobs
-	// (<=0: 4x Workers). A full queue makes Submit fail with
-	// ErrQueueFull and Exec block.
+	// (<=0: 4x Workers). A full queue makes Exec block and the server
+	// turn asynchronous submissions away with ErrQueueFull.
 	QueueDepth int
 	// Simulate overrides the job executor (nil: the LADM pipeline).
 	Simulate SimulateFunc
-	// Metrics receives the pool's counters (nil: a fresh set).
-	Metrics *Metrics
 	// Observer, when set, gives every job submitted without a timeline
 	// in its context a standalone wall-clock timeline (queue wait +
 	// compute), so CLI campaigns get stage histograms and a service
@@ -52,15 +51,20 @@ type Pool struct {
 	simulate SimulateFunc
 	metrics  *Metrics
 	obs      *svcobs.Observer
-	queue    chan *Task
+	queue    chan *task
 	done     chan struct{}
-	wg       sync.WaitGroup
-	closing  sync.Once
-	workers  int
+	// sending orders queue sends before Close's drain: Exec holds it for
+	// reading from its closed-pool check through its send, and Close
+	// takes it for writing once done is closed, so no send can land in
+	// the queue after the drain.
+	sending sync.RWMutex
+	wg      sync.WaitGroup
+	closing sync.Once
+	workers int
 }
 
-// Task is one submitted job. Wait on Done(), then read Result.
-type Task struct {
+// task is one submitted job and the channel its Exec waits on.
+type task struct {
 	Job core.Job
 
 	ctx  context.Context
@@ -71,20 +75,6 @@ type Task struct {
 	// marks a pool-created timeline the task must finish itself.
 	tl    *svcobs.Timeline
 	ownTL bool
-}
-
-// Done is closed when the task has finished (successfully or not).
-func (t *Task) Done() <-chan struct{} { return t.done }
-
-// Result returns the record and error once Done is closed. Calling it
-// earlier returns an error.
-func (t *Task) Result() (*stats.Run, error) {
-	select {
-	case <-t.done:
-		return t.run, t.err
-	default:
-		return nil, errors.New("simsvc: task still running")
-	}
 }
 
 // NewPool starts the workers and returns the pool. Call Close when done.
@@ -101,15 +91,12 @@ func NewPool(cfg PoolConfig) *Pool {
 	if sim == nil {
 		sim = core.SimulateJobContext
 	}
-	m := cfg.Metrics
-	if m == nil {
-		m = NewMetrics()
-	}
+	m := NewMetrics()
 	p := &Pool{
 		simulate: sim,
 		metrics:  m,
 		obs:      cfg.Observer,
-		queue:    make(chan *Task, depth),
+		queue:    make(chan *task, depth),
 		done:     make(chan struct{}),
 		workers:  workers,
 	}
@@ -130,14 +117,24 @@ func (p *Pool) Workers() int { return p.workers }
 // QueueCap returns the bounded queue's capacity (for saturation views).
 func (p *Pool) QueueCap() int { return cap(p.queue) }
 
+// queueFull reports whether every queue slot is taken — the admission
+// check behind asynchronous 503s and /readyz. It is advisory: a slot
+// may free or fill right after it answers.
+func (p *Pool) queueFull() bool {
+	return int(p.metrics.depth.Load()) >= cap(p.queue)
+}
+
 // Close stops the workers. Jobs still queued fail with ErrPoolClosed;
 // jobs already executing run to completion. Close blocks until every
 // worker has exited and is safe to call more than once.
 func (p *Pool) Close() {
 	p.closing.Do(func() { close(p.done) })
+	// Wait out every sender that passed its closed-pool check: after
+	// this, nothing new reaches the queue.
+	p.sending.Lock()
+	p.sending.Unlock()
 	p.wg.Wait()
-	// Catch tasks that won the submission race against Close so their
-	// waiters still unblock.
+	// Fail whatever is still queued so its waiters unblock.
 	for {
 		select {
 		case t := <-p.queue:
@@ -154,16 +151,7 @@ func (p *Pool) worker(id int) {
 	for {
 		select {
 		case <-p.done:
-			// Drain: fail whatever is still queued so waiters unblock.
-			for {
-				select {
-				case t := <-p.queue:
-					p.metrics.depth.Add(-1)
-					t.finish(nil, ErrPoolClosed)
-				default:
-					return
-				}
-			}
+			return
 		case t := <-p.queue:
 			p.metrics.depth.Add(-1)
 			p.exec(t, id)
@@ -171,7 +159,7 @@ func (p *Pool) worker(id int) {
 	}
 }
 
-func (t *Task) finish(run *stats.Run, err error) {
+func (t *task) finish(run *stats.Run, err error) {
 	// A pool-created timeline ends with the task; a context timeline
 	// (the server's) keeps running through spill and respond.
 	if t.ownTL {
@@ -187,7 +175,7 @@ func (t *Task) finish(run *stats.Run, err error) {
 // noteQueued attaches the job's wall-clock timeline — the context's, or
 // a pool-owned one when an Observer is configured — and opens its
 // queue-wait stage. Call just before enqueueing.
-func (p *Pool) noteQueued(ctx context.Context, t *Task) {
+func (p *Pool) noteQueued(ctx context.Context, t *task) {
 	t.tl = svcobs.TimelineFrom(ctx)
 	if t.tl == nil && p.obs != nil {
 		name := "job"
@@ -204,7 +192,7 @@ func (p *Pool) noteQueued(ctx context.Context, t *Task) {
 }
 
 // exec runs one task with panic isolation on worker `id`.
-func (p *Pool) exec(t *Task, id int) {
+func (p *Pool) exec(t *task, id int) {
 	if err := t.ctx.Err(); err != nil {
 		// Canceled while queued: never start the simulation.
 		p.metrics.canceled.Add(1)
@@ -245,7 +233,7 @@ func (p *Pool) exec(t *Task, id int) {
 	t.finish(run, err)
 }
 
-func (p *Pool) runIsolated(t *Task) (run *stats.Run, err error) {
+func (p *Pool) runIsolated(t *task) (run *stats.Run, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			name := "?"
@@ -259,64 +247,52 @@ func (p *Pool) runIsolated(t *Task) (run *stats.Run, err error) {
 	return p.simulate(t.ctx, t.Job)
 }
 
-// Submit enqueues a job without blocking. It returns ErrQueueFull when
-// the queue has no free slot and ErrPoolClosed after Close. The task's
-// context cancels it while queued (and is passed to the simulator).
-func (p *Pool) Submit(ctx context.Context, job core.Job) (*Task, error) {
-	t := &Task{Job: job, ctx: ctx, done: make(chan struct{})}
-	select {
-	case <-p.done:
-		return nil, ErrPoolClosed
-	default:
-	}
-	p.noteQueued(ctx, t)
-	select {
-	case p.queue <- t:
-		p.metrics.submitted.Add(1)
-		p.metrics.depth.Add(1)
-		return t, nil
-	default:
-		if t.ownTL {
-			t.tl.Finish()
-		}
-		return nil, ErrQueueFull
-	}
-}
-
 // Exec enqueues a job — blocking for queue space if necessary — and
 // waits for its result. Canceling ctx abandons the job: if it has not
 // started it will never run; if it is running, the simulator sees the
 // canceled context.
 func (p *Pool) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
-	t := &Task{Job: job, ctx: ctx, done: make(chan struct{})}
-	// Check done first: once the pool is closed the queue send below may
-	// still succeed (free slots, no workers), which would wait forever.
-	select {
-	case <-p.done:
-		return nil, ErrPoolClosed
-	default:
-	}
-	p.noteQueued(ctx, t)
-	select {
-	case p.queue <- t:
-		p.metrics.submitted.Add(1)
-		p.metrics.depth.Add(1)
-	case <-p.done:
-		if t.ownTL {
-			t.tl.Finish()
-		}
-		return nil, ErrPoolClosed
-	case <-ctx.Done():
-		if t.ownTL {
-			t.tl.Finish()
-		}
-		return nil, ctx.Err()
+	t := &task{Job: job, ctx: ctx, done: make(chan struct{})}
+	if err := p.enqueue(ctx, t); err != nil {
+		return nil, err
 	}
 	select {
 	case <-t.done:
 		return t.run, t.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// enqueue sends t to the workers, blocking for queue space. It holds
+// the sending lock from the closed-pool check through the send, so
+// Close cannot drain the queue between the two: once the pool is closed
+// the send could still succeed (free slots, no workers) and its waiter
+// would wait forever.
+func (p *Pool) enqueue(ctx context.Context, t *task) error {
+	p.sending.RLock()
+	defer p.sending.RUnlock()
+	select {
+	case <-p.done:
+		return ErrPoolClosed
+	default:
+	}
+	p.noteQueued(ctx, t)
+	select {
+	case p.queue <- t:
+		p.metrics.submitted.Add(1)
+		p.metrics.depth.Add(1)
+		return nil
+	case <-p.done:
+		if t.ownTL {
+			t.tl.Finish()
+		}
+		return ErrPoolClosed
+	case <-ctx.Done():
+		if t.ownTL {
+			t.tl.Finish()
+		}
+		return ctx.Err()
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ladm/internal/svcobs"
 )
 
 // These tests pin the pool's shutdown contract under contention: a job
@@ -42,13 +44,18 @@ func checkOutcome(t *testing.T, ctx context.Context, err error) {
 	t.Errorf("racing submission returned unexpected error: %v", err)
 }
 
+// TestPoolExecRacesClose: Exec submitters racing Close either finish or
+// fail cleanly. The observer makes every submission open a timeline
+// between its closed-pool check and its queue send, widening the window
+// in which a send could land after Close drained the queue.
 func TestPoolExecRacesClose(t *testing.T) {
-	for round := 0; round < 20; round++ {
+	for round := 0; round < 3000; round++ {
 		var calls atomic.Int64
-		p := NewPool(PoolConfig{Workers: 2, QueueDepth: 4, Simulate: fakeSim(&calls)})
+		p := NewPool(PoolConfig{Workers: 2, QueueDepth: 64, Simulate: fakeSim(&calls),
+			Observer: svcobs.NewObserver(nil)})
 		ctx := context.Background()
 
-		const submitters = 8
+		const submitters = 32
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for i := 0; i < submitters; i++ {
@@ -66,50 +73,7 @@ func TestPoolExecRacesClose(t *testing.T) {
 		close(start)
 		// Close concurrently with the submissions: some jobs complete,
 		// some fail cleanly, none hang.
-		watchdog(t, 30*time.Second, func() {
-			p.Close()
-			wg.Wait()
-		})
-	}
-}
-
-func TestPoolSubmitRacesClose(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		var calls atomic.Int64
-		p := NewPool(PoolConfig{Workers: 2, QueueDepth: 8, Simulate: fakeSim(&calls)})
-		ctx := context.Background()
-
-		const submitters = 8
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for i := 0; i < submitters; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				<-start
-				task, err := p.Submit(ctx, labeled(fmt.Sprintf("race-%d", i)))
-				if err != nil {
-					// ErrQueueFull is also a clean answer for non-blocking
-					// submission under load.
-					if !errors.Is(err, ErrPoolClosed) && !errors.Is(err, ErrQueueFull) {
-						t.Errorf("Submit returned unexpected error: %v", err)
-					}
-					return
-				}
-				// An accepted task's waiters must always unblock — with a
-				// record or with ErrPoolClosed.
-				<-task.Done()
-				run, rerr := task.Result()
-				if rerr == nil && run == nil {
-					t.Error("accepted task resolved with nil run and nil error")
-				}
-				if rerr != nil && !errors.Is(rerr, ErrPoolClosed) {
-					t.Errorf("accepted task failed with unexpected error: %v", rerr)
-				}
-			}(i)
-		}
-		close(start)
-		watchdog(t, 30*time.Second, func() {
+		watchdog(t, 5*time.Second, func() {
 			p.Close()
 			wg.Wait()
 		})
@@ -125,9 +89,6 @@ func TestPoolExecAfterClose(t *testing.T) {
 	watchdog(t, 10*time.Second, func() {
 		if _, err := p.Exec(context.Background(), labeled("late")); !errors.Is(err, ErrPoolClosed) {
 			t.Errorf("Exec after Close = %v, want ErrPoolClosed", err)
-		}
-		if _, err := p.Submit(context.Background(), labeled("late")); !errors.Is(err, ErrPoolClosed) {
-			t.Errorf("Submit after Close = %v, want ErrPoolClosed", err)
 		}
 	})
 }

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ladm/internal/core"
 	"ladm/internal/stats"
@@ -90,42 +90,39 @@ func TestCancellationMidQueue(t *testing.T) {
 	defer p.Close()
 
 	// Occupy the single worker.
-	blocker, err := p.Submit(context.Background(), labeled("blocker"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := p.Exec(context.Background(), labeled("blocker"))
+		blocker <- err
+	}()
 	<-started
 
 	// Queue three jobs behind it, then cancel them while queued.
 	ctx, cancel := context.WithCancel(context.Background())
-	var queued []*Task
+	queued := make(chan error, 3)
 	for i := 0; i < 3; i++ {
-		task, err := p.Submit(ctx, labeled(fmt.Sprintf("q%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		queued = append(queued, task)
+		go func(i int) {
+			_, err := p.Exec(ctx, labeled(fmt.Sprintf("q%d", i)))
+			queued <- err
+		}(i)
 	}
+	waitFor(t, func() bool { return p.Metrics().depth.Load() == 3 })
 	cancel()
+	for i := 0; i < 3; i++ {
+		if err := <-queued; !errors.Is(err, context.Canceled) {
+			t.Errorf("queued job err = %v, want context.Canceled", err)
+		}
+	}
 	close(release)
 
-	<-blocker.Done()
-	if _, err := blocker.Result(); err != nil {
+	if err := <-blocker; err != nil {
 		t.Errorf("blocker: %v", err)
 	}
-	for i, task := range queued {
-		<-task.Done()
-		if _, err := task.Result(); !errors.Is(err, context.Canceled) {
-			t.Errorf("queued[%d] err = %v, want context.Canceled", i, err)
-		}
-	}
-	// The canceled jobs never reached the simulator.
-	if calls.Load() != 1 {
-		t.Errorf("simulate calls = %d, want 1", calls.Load())
-	}
+	// The worker skips the canceled jobs without simulating them.
 	m := p.Metrics()
-	if m.canceled.Load() != 3 || m.started.Load() != 1 {
-		t.Errorf("canceled/started = %d/%d, want 3/1", m.canceled.Load(), m.started.Load())
+	waitFor(t, func() bool { return m.canceled.Load() == 3 })
+	if calls.Load() != 1 || m.started.Load() != 1 {
+		t.Errorf("simulate calls/started = %d/%d, want 1/1", calls.Load(), m.started.Load())
 	}
 }
 
@@ -153,6 +150,9 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestBackpressureWhenQueueFull: with the worker busy and every slot
+// taken, the pool reports itself full (the server's 503 and /readyz
+// signal), and Exec on an expired context does not wedge on the queue.
 func TestBackpressureWhenQueueFull(t *testing.T) {
 	var calls atomic.Int64
 	started := make(chan string, 8)
@@ -161,42 +161,33 @@ func TestBackpressureWhenQueueFull(t *testing.T) {
 		Simulate: blockingSim(&calls, started, release)})
 	defer p.Close()
 
-	if _, err := p.Submit(context.Background(), labeled("blocker")); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	exec := func(label string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Exec(context.Background(), labeled(label))
+		}()
 	}
+	exec("blocker")
 	<-started // worker busy; queue empty
-	for i := 0; i < 2; i++ {
-		if _, err := p.Submit(context.Background(), labeled("fill")); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
+	if p.queueFull() {
+		t.Error("empty queue reported full")
 	}
-	if _, err := p.Submit(context.Background(), labeled("over")); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("overflow err = %v, want ErrQueueFull", err)
-	}
+	exec("fill")
+	exec("fill")
+	waitFor(t, p.queueFull)
 	if d := p.Metrics().depth.Load(); d != 2 {
 		t.Errorf("queue depth = %d, want 2", d)
 	}
 
-	// Exec with an already-expired context must not wedge on the full
-	// queue.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.Exec(ctx, labeled("late")); !errors.Is(err, context.Canceled) {
 		t.Errorf("Exec on full queue = %v, want context.Canceled", err)
 	}
 	close(release)
-}
-
-func TestSubmitAfterClose(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1, Simulate: fakeSim(new(atomic.Int64))})
-	p.Close()
-	if _, err := p.Submit(context.Background(), labeled("x")); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Submit after close = %v", err)
-	}
-	if _, err := p.Exec(context.Background(), labeled("x")); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("Exec after close = %v", err)
-	}
-	p.Close() // idempotent
+	wg.Wait()
 }
 
 func TestSweepFirstError(t *testing.T) {
@@ -270,27 +261,5 @@ func TestMetricsRendering(t *testing.T) {
 	NewMetrics().WriteProm(&b)
 	if s := b.String(); !finite(s) {
 		t.Errorf("empty metrics non-finite:\n%s", s)
-	}
-}
-
-func TestTaskResultBeforeDone(t *testing.T) {
-	started := make(chan string, 1)
-	release := make(chan struct{})
-	p := NewPool(PoolConfig{Workers: 1,
-		Simulate: blockingSim(new(atomic.Int64), started, release)})
-	defer p.Close()
-	task, err := p.Submit(context.Background(), labeled("slow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if _, err := task.Result(); err == nil {
-		t.Error("Result before Done should error")
-	}
-	close(release)
-	select {
-	case <-task.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("task never finished")
 	}
 }

@@ -472,14 +472,16 @@ func TestRetentionTiesGoInCompletionOrder(t *testing.T) {
 // oldest finished sweep; unfinished sweeps stay however old they are.
 func TestSweepRetention(t *testing.T) {
 	_, srv := gatedService(t, 1, nil)
+	// Each sweep has one cell, so it runs until finish completes it.
+	register := func() *sweepRecord { return srv.registerSweep(make([]*jobRecord, 1)) }
 	finish := func(sw *sweepRecord) {
 		sw.mu.Lock()
-		sw.finished = time.Now()
+		sw.completed = len(sw.recs)
 		sw.mu.Unlock()
 	}
 	var all []*sweepRecord
 	for i := 0; i < retainSweeps; i++ {
-		all = append(all, srv.registerSweep(nil))
+		all = append(all, register())
 	}
 	// Sweeps 1 and 3 are still running; every other one has finished.
 	for i, sw := range all {
@@ -511,11 +513,11 @@ func TestSweepRetention(t *testing.T) {
 				len(srv.sweeps), len(srv.sweepList), retainSweeps)
 		}
 	}
-	srv.registerSweep(nil)
+	register()
 	check([]string{"sweep-000002"}, []string{"sweep-000001", "sweep-000003", "sweep-000004"})
-	srv.registerSweep(nil)
+	register()
 	check([]string{"sweep-000004"}, []string{"sweep-000001", "sweep-000003", "sweep-000005"})
 	finish(all[0])
-	srv.registerSweep(nil)
+	register()
 	check([]string{"sweep-000001"}, []string{"sweep-000003", "sweep-000005"})
 }

@@ -67,15 +67,13 @@ type jobRecord struct {
 
 // sweepRecord tracks one submitted sweep's progress across its cells.
 type sweepRecord struct {
-	id      string
-	recs    []*jobRecord
-	hub     *eventHub
-	created time.Time
+	id   string
+	recs []*jobRecord
+	hub  *eventHub
 
 	mu        sync.Mutex
-	completed int
+	completed int // the sweep is done when every cell has completed
 	cacheHits int
-	finished  time.Time // zero until every cell is done
 }
 
 // tick records one finished cell, publishes a progress event, and closes
@@ -88,9 +86,6 @@ func (sw *sweepRecord) tick(rec *jobRecord, status string, cached bool) {
 	}
 	completed, hits := sw.completed, sw.cacheHits
 	done := completed == len(sw.recs)
-	if done {
-		sw.finished = time.Now()
-	}
 	sw.mu.Unlock()
 	sw.hub.publish(JobEvent{
 		Type: "progress", Job: rec.id, Status: status, Cached: cached,
@@ -263,10 +258,6 @@ func (s *Server) Observer() *svcobs.Observer { return s.obs }
 // cache. Call before serving; nil detaches it.
 func (s *Server) SetStore(store *DiskStore) {
 	s.store = store
-	if store == nil {
-		s.cache.SetStore(nil)
-		return
-	}
 	s.cache.SetStore(store)
 }
 
@@ -365,7 +356,7 @@ func (s *Server) Readyz() Readyz {
 	if s.store != nil && !s.store.Store.Stats().Healthy {
 		reasons = append(reasons, "store degraded")
 	}
-	if cap(s.pool.queue) > 0 && int(s.pool.Metrics().depth.Load()) >= cap(s.pool.queue) {
+	if s.pool.queueFull() {
 		reasons = append(reasons, "queue full")
 	}
 	return Readyz{Ready: len(reasons) == 0, Reasons: reasons}
@@ -500,10 +491,9 @@ func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
 	defer s.mu.Unlock()
 	s.nextSweep++
 	sw := &sweepRecord{
-		id:      fmt.Sprintf("sweep-%06d", s.nextSweep),
-		recs:    recs,
-		hub:     newEventHub(s.pool.Metrics()),
-		created: time.Now(),
+		id:   fmt.Sprintf("sweep-%06d", s.nextSweep),
+		recs: recs,
+		hub:  newEventHub(s.pool.Metrics()),
 	}
 	s.sweeps[sw.id] = sw
 	s.sweepList = append(s.sweepList, sw)
@@ -513,7 +503,7 @@ func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
 	for ; excess > 0 && i < len(s.sweepList); i++ {
 		old := s.sweepList[i]
 		old.mu.Lock()
-		finished := !old.finished.IsZero()
+		finished := old.completed == len(old.recs)
 		old.mu.Unlock()
 		if finished {
 			delete(s.sweeps, old.id)
@@ -691,12 +681,7 @@ func (s *Server) execute(ctx context.Context, rec *jobRecord) {
 		// Spill the full observability output so telemetry survives job
 		// eviction and server restarts; write-behind, off the hot path.
 		rec.tl.Mark(svcobs.StageSpill)
-		trec := &TelemetryRecord{
-			Summary: run.Telemetry,
-			Series:  tel.Series(),
-			Events:  tel.AllEvents(),
-		}
-		if s.store.PutTelemetry(rec.key, trec) {
+		if s.store.PutTelemetry(rec.key, newTelemetryRecord(run, tel)) {
 			s.pool.Metrics().telemetrySpilled.Add(1)
 		}
 	}
@@ -766,16 +751,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Async {
 		rec := s.register(r.Context(), norm)
-		// Reserve pool capacity up front so a saturated service answers
-		// 503 instead of hoarding goroutines. The cached/in-flight fast
-		// path needs no slot.
-		if _, hit := s.cache.Get(rec.key); !hit {
-			if err := s.reserve(); err != nil {
-				s.finishJob(r.Context(), rec, nil, false, err)
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, err)
-				return
-			}
+		// Check pool capacity up front so a saturated service answers 503
+		// instead of hoarding goroutines. The cached/in-flight fast path
+		// needs no slot.
+		if _, hit := s.cache.Get(rec.key); !hit && s.pool.queueFull() {
+			s.finishJob(r.Context(), rec, nil, false, ErrQueueFull)
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable, ErrQueueFull)
+			return
 		}
 		// WithoutCancel: the job outlives the HTTP request, but keeps
 		// its correlation ID and logger for every later log line.
@@ -786,17 +769,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rec := s.register(r.Context(), norm)
 	s.execute(r.Context(), rec)
 	s.respondFinished(w, rec)
-}
-
-// reserve fails fast when the queue is full, without consuming a slot:
-// it is an admission check for asynchronous submissions (the later Exec
-// re-queues for real, so the answer is advisory under races).
-func (s *Server) reserve() error {
-	m := s.pool.Metrics()
-	if int(m.depth.Load()) >= cap(s.pool.queue) {
-		return ErrQueueFull
-	}
-	return nil
 }
 
 func (s *Server) respondFinished(w http.ResponseWriter, rec *jobRecord) {
@@ -816,11 +788,7 @@ func (s *Server) respondFinished(w http.ResponseWriter, rec *jobRecord) {
 	case StatusCanceled:
 		writeJSON(w, 499, v) // client closed request
 	default:
-		code := http.StatusInternalServerError
-		if errors.Is(rec.err, ErrQueueFull) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, v)
+		writeJSON(w, http.StatusInternalServerError, v)
 	}
 }
 
@@ -923,14 +891,14 @@ type SweepView struct {
 
 func (s *Server) sweepView(sw *sweepRecord) SweepView {
 	sw.mu.Lock()
-	completed, hits, done := sw.completed, sw.cacheHits, !sw.finished.IsZero()
+	completed, hits := sw.completed, sw.cacheHits
 	sw.mu.Unlock()
 	return SweepView{
 		ID:        sw.id,
 		Total:     len(sw.recs),
 		Completed: completed,
 		CacheHits: hits,
-		Done:      done,
+		Done:      completed == len(sw.recs),
 		Jobs:      s.views(sw.recs),
 	}
 }
@@ -1049,36 +1017,18 @@ func (s *Server) handleJobTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s; telemetry is available once it finishes", id, status))
 		return
 	}
-	if tel == nil {
+	if tel == nil && s.store != nil {
 		// Cache hit or pre-restart job: the collector never existed here,
 		// but the executing job may have spilled its telemetry.
-		if s.store != nil {
-			if trec, ok, _ := s.store.GetTelemetry(rec.key); ok {
-				s.renderTelemetry(w, r, TelemetryView{ID: id, Status: status, Cached: cached, Source: "store"}, trec)
-				return
-			}
+		if trec, ok, _ := s.store.GetTelemetry(rec.key); ok {
+			s.renderTelemetry(w, r, TelemetryView{ID: id, Status: status, Cached: cached, Source: "store"}, trec)
+			return
 		}
-		// Summary-only fallback: the record shares the executing job's
-		// summary but no series or trace was retained or spilled.
-		switch view := r.URL.Query().Get("view"); view {
-		case "", "json":
-			v := TelemetryView{ID: id, Status: status, Cached: cached, Source: "live"}
-			if run != nil {
-				v.Summary = run.Telemetry
-			}
-			writeJSON(w, http.StatusOK, v)
-		case "csv", "trace":
-			writeError(w, http.StatusNotFound, fmt.Errorf("job %s has no retained series (cached result)", id))
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown view %q (valid: json, csv, trace)", view))
-		}
-		return
 	}
-	trec := &TelemetryRecord{Series: tel.Series(), Events: tel.AllEvents()}
-	if run != nil {
-		trec.Summary = run.Telemetry
-	}
-	s.renderTelemetry(w, r, TelemetryView{ID: id, Status: status, Cached: cached, Source: "live"}, trec)
+	// Without a spill the record keeps only the summary it shares with
+	// the executing job: no series or trace was retained.
+	s.renderTelemetry(w, r, TelemetryView{ID: id, Status: status, Cached: cached, Source: "live"},
+		newTelemetryRecord(run, tel))
 }
 
 // serveStoredTelemetry answers a telemetry request from the durable
@@ -1106,27 +1056,28 @@ func (s *Server) serveStoredTelemetry(w http.ResponseWriter, r *http.Request,
 }
 
 // renderTelemetry writes one telemetry record in the requested view.
-// Both the live and the stored path land here, so a record read back
-// from disk serves byte-identically to the collector that produced it.
+// Every source lands here — the live collector, the durable spill, and a
+// cached job's summary alone — so a record read back from disk serves
+// byte-identically to the collector that produced it. A record without
+// a series (a summary-only cached job) has no csv or trace view.
 func (s *Server) renderTelemetry(w http.ResponseWriter, r *http.Request, v TelemetryView, trec *TelemetryRecord) {
-	switch r.URL.Query().Get("view") {
-	case "", "json":
+	view := r.URL.Query().Get("view")
+	switch {
+	case view == "" || view == "json":
 		v.Summary = trec.Summary
 		v.Series = trec.Series
 		v.TraceEvents = len(trec.Events)
 		writeJSON(w, http.StatusOK, v)
-	case "csv":
-		if trec.Series == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("job %s has no retained series", v.ID))
-			return
-		}
+	case view != "csv" && view != "trace":
+		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown view %q (valid: json, csv, trace)", view))
+	case trec.Series == nil:
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %s has no retained series (cached result)", v.ID))
+	case view == "csv":
 		w.Header().Set("Content-Type", "text/csv")
 		trec.Series.WriteCSV(w)
-	case "trace":
+	default:
 		w.Header().Set("Content-Type", "application/json")
 		simtel.WriteTraceEvents(w, trec.Events)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown view %q (valid: json, csv, trace)", r.URL.Query().Get("view")))
 	}
 }
 

@@ -36,9 +36,23 @@ type TelemetryRecord struct {
 	Events  []simtel.Event   `json:"events"`
 }
 
+// newTelemetryRecord assembles a job's telemetry record from its run and
+// the collector that sampled it; either may be nil. Without a collector
+// the record holds only the summary.
+func newTelemetryRecord(run *stats.Run, tel *simtel.Collector) *TelemetryRecord {
+	trec := &TelemetryRecord{}
+	if run != nil {
+		trec.Summary = run.Telemetry
+	}
+	if tel != nil {
+		trec.Series, trec.Events = tel.Series(), tel.AllEvents()
+	}
+	return trec
+}
+
 // DiskStore adapts the generic byte-envelope store of internal/simstore
-// to the Cache's RunStore interface: records are stats.Run JSON payloads
-// keyed by JobKey hex. Payloads that pass the envelope's CRC but fail to
+// to the Cache's second level: records are stats.Run JSON payloads keyed
+// by JobKey hex. Payloads that pass the envelope's CRC but fail to
 // decode as a Run (a schema drift the envelope cannot see) are
 // quarantined exactly like checksum failures — the caller only ever
 // observes a miss.
@@ -356,9 +370,5 @@ func (c *CachedRunner) tick(job core.Job, cached bool) {
 // in-memory only.
 func (c *CachedRunner) spillTelemetry(req Request, job core.Job, run *stats.Run) {
 	req.Telemetry = true
-	c.Spill.PutTelemetry(req.Key(), &TelemetryRecord{
-		Summary: run.Telemetry,
-		Series:  job.Tel.Series(),
-		Events:  job.Tel.AllEvents(),
-	})
+	c.Spill.PutTelemetry(req.Key(), newTelemetryRecord(run, job.Tel))
 }

@@ -100,7 +100,7 @@ func TestDiskStoreCorruptRecompute(t *testing.T) {
 	ds := testDiskStore(t, dir)
 	cache := NewCache(nil)
 	cache.SetStore(ds)
-	cache.Put(key, fresh)
+	cache.Do(context.Background(), key, func() (*stats.Run, error) { return fresh, nil })
 	ds.Close()
 
 	rec := findRecord(t, dir)
