@@ -100,7 +100,7 @@ func (s Spec) String() string {
 	if s.Partial > 0 {
 		parts = append(parts, fmt.Sprintf("partial=%g", s.Partial))
 	}
-	if s.LatencyRate > 0 {
+	if s.LatencyRate > 0 || s.Latency > 0 {
 		parts = append(parts, fmt.Sprintf("latency=%g:%s", s.LatencyRate, s.Latency))
 	}
 	return strings.Join(parts, ",")
@@ -124,7 +124,7 @@ func ParseSpec(text string) (Spec, error) {
 		}
 		rate := func(v string) (float64, error) {
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return 0, fmt.Errorf("faultinject: %s wants a rate in [0,1], got %q", key, v)
 			}
 			return f, nil

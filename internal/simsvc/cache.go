@@ -2,6 +2,7 @@ package simsvc
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 
 	"ladm/internal/stats"
@@ -22,10 +23,39 @@ type Cache struct {
 	entries map[JobKey]*cacheEntry
 }
 
+// cacheEntry is one key's flight and, once it lands, the record every
+// hit, store hit and single-flight joiner of the key shares.
 type cacheEntry struct {
 	done chan struct{} // closed when the flight lands
 	run  *stats.Run
 	err  error
+
+	// payload is run's RunPayload as it sits inside an indented JobView
+	// (json.MarshalIndent with prefix and indent "  "), built by the
+	// first response that serves the record from the cache and spliced
+	// into every later one. A record never served from the cache never
+	// builds it. nil with payloadOnce done means the record does not
+	// encode.
+	payloadOnce sync.Once
+	payload     []byte
+}
+
+// record returns the entry's record; nil-safe, since a job that failed
+// before reaching the cache has no entry.
+func (e *cacheEntry) record() *stats.Run {
+	if e == nil {
+		return nil
+	}
+	return e.run
+}
+
+// payloadJSON returns the entry's encoded run payload, building it on
+// first use; sync.Once keeps every later call to one atomic load.
+func (e *cacheEntry) payloadJSON() []byte {
+	e.payloadOnce.Do(func() {
+		e.payload, _ = json.MarshalIndent(NewRunPayload(e.run), "  ", "  ")
+	})
+	return e.payload
 }
 
 // NewCache returns an empty cache reporting hits to metrics (nil: a
@@ -79,6 +109,17 @@ func (c *Cache) Len() int {
 // happens inside the single flight, so one restart-warm key costs one
 // disk read no matter how many callers race on it.
 func (c *Cache) Do(ctx context.Context, key JobKey, fn func() (*stats.Run, error)) (run *stats.Run, cached bool, err error) {
+	e, cached, err := c.do(ctx, key, fn)
+	if e == nil {
+		return nil, cached, err
+	}
+	return e.run, cached, err
+}
+
+// do is Do returning the key's shared entry rather than its record, so
+// the server can reach the encoded payload. The entry is nil when a
+// joined flight failed or the caller stopped waiting for it.
+func (c *Cache) do(ctx context.Context, key JobKey, fn func() (*stats.Run, error)) (e *cacheEntry, cached bool, err error) {
 	tl := svcobs.TimelineFrom(ctx)
 	tl.Mark(svcobs.StageCache)
 	c.mu.Lock()
@@ -94,12 +135,12 @@ func (c *Cache) Do(ctx context.Context, key JobKey, fn func() (*stats.Run, error
 			c.metrics.cached.Add(1)
 			svcobs.Log(ctx).InfoContext(ctx, "simsvc: cache hit",
 				"key", key.String(), "source", "memory")
-			return e.run, true, nil
+			return e, true, nil
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e = &cacheEntry{done: make(chan struct{})}
 	c.entries[key] = e
 	store := c.store
 	c.mu.Unlock()
@@ -121,7 +162,7 @@ func (c *Cache) Do(ctx context.Context, key JobKey, fn func() (*stats.Run, error
 			c.metrics.cached.Add(1)
 			svcobs.Log(ctx).InfoContext(ctx, "simsvc: cache hit",
 				"key", key.String(), "source", "store")
-			return run, true, nil
+			return e, true, nil
 		}
 		svcobs.Log(ctx).InfoContext(ctx, "simsvc: store probe miss",
 			"key", key.String())
@@ -136,5 +177,5 @@ func (c *Cache) Do(ctx context.Context, key JobKey, fn func() (*stats.Run, error
 		store.PutRun(key, e.run)
 	}
 	close(e.done)
-	return e.run, false, e.err
+	return e, false, e.err
 }

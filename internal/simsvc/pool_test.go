@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ladm/internal/core"
 	"ladm/internal/stats"
@@ -123,6 +124,71 @@ func TestCancellationMidQueue(t *testing.T) {
 	waitFor(t, func() bool { return m.canceled.Load() == 3 })
 	if calls.Load() != 1 || m.started.Load() != 1 {
 		t.Errorf("simulate calls/started = %d/%d, want 1/1", calls.Load(), m.started.Load())
+	}
+}
+
+// TestCanceledCallersFreeQueueSlots: callers that cancel while queued
+// give their slots back at once, so with the worker still busy the pool
+// neither reports itself full nor counts them in its depth, and each is
+// counted canceled exactly once, including after the worker drains.
+func TestCanceledCallersFreeQueueSlots(t *testing.T) {
+	var calls atomic.Int64
+	started := make(chan string, 8)
+	release := make(chan struct{})
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 3,
+		Simulate: blockingSim(&calls, started, release)})
+	defer p.Close()
+
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := p.Exec(context.Background(), labeled("blocker"))
+		blocker <- err
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		go func(i int) {
+			_, err := p.Exec(ctx, labeled(fmt.Sprintf("q%d", i)))
+			queued <- err
+		}(i)
+	}
+	m := p.Metrics()
+	waitFor(t, p.queueFull)
+	cancel()
+	for i := 0; i < 3; i++ {
+		if err := <-queued; !errors.Is(err, context.Canceled) {
+			t.Errorf("queued job err = %v, want context.Canceled", err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for p.queueFull() || m.depth.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Errorf("worker still busy: queueFull = %v, depth = %d, want false, 0",
+				p.queueFull(), m.depth.Load())
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if c := m.canceled.Load(); c != 3 {
+		t.Errorf("canceled = %d while the worker is busy, want 3", c)
+	}
+
+	close(release)
+	if err := <-blocker; err != nil {
+		t.Errorf("blocker: %v", err)
+	}
+	// The worker pops the abandoned tasks without running or recounting
+	// them.
+	if _, err := p.Exec(context.Background(), labeled("after")); err != nil {
+		t.Fatal(err)
+	}
+	if c, d := m.canceled.Load(), m.depth.Load(); c != 3 || d != 0 {
+		t.Errorf("after drain: canceled = %d, depth = %d, want 3, 0", c, d)
+	}
+	if calls.Load() != 2 {
+		t.Errorf("simulate calls = %d, want 2", calls.Load())
 	}
 }
 

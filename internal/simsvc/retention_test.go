@@ -456,8 +456,8 @@ func TestRetentionTiesGoInCompletionOrder(t *testing.T) {
 	ctx := context.Background()
 	first := srv.register(ctx, Request{Workload: "vecadd"}.Normalize())   // job-000001
 	second := srv.register(ctx, Request{Workload: "sq-gemm"}.Normalize()) // job-000002
-	srv.finishJob(ctx, second, &stats.Run{}, false, nil)
-	srv.finishJob(ctx, first, &stats.Run{}, false, nil)
+	srv.finishJob(ctx, second, &cacheEntry{run: &stats.Run{}}, false, nil)
+	srv.finishJob(ctx, first, &cacheEntry{run: &stats.Run{}}, false, nil)
 	srv.mu.Lock()
 	second.finished = first.finished // an exact-nanosecond tie
 	srv.mu.Unlock()
