@@ -350,6 +350,82 @@ func TestServerAsyncBackpressure(t *testing.T) {
 	})
 }
 
+// TestAsyncAdmissionAfterAbandonedCallers: sync callers that give up
+// while queued leave depth, but their tasks keep the channel full until
+// the busy worker skips them. Async submissions that then wait for a
+// channel slot must still count, so after QueueDepth of them the next
+// one is turned away with 503 rather than parked in a goroutine.
+func TestAsyncAdmissionAfterAbandonedCallers(t *testing.T) {
+	const queueDepth = 3
+	started := make(chan string, 16)
+	release := make(chan struct{})
+	var calls atomic.Int64
+	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: queueDepth,
+		Simulate: blockingSim(&calls, started, release)})
+	defer pool.Close()
+	defer close(release)
+	ts := httptest.NewServer(NewServer(pool).Handler())
+	defer ts.Close()
+	m := pool.Metrics()
+
+	// Scales differ throughout, so no request joins another's flight.
+	resp, body := postJSON(t, ts.URL+"/run", map[string]any{
+		"workload": "vecadd", "scale": 8, "async": true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker: %d %s", resp.StatusCode, body)
+	}
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, queueDepth)
+	for i := 0; i < queueDepth; i++ {
+		buf, _ := json.Marshal(map[string]any{"workload": "vecadd", "scale": 9 + i})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run",
+			bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			abandoned <- err
+		}()
+	}
+	waitFor(t, func() bool { return len(pool.queue) == queueDepth })
+	cancel()
+	for i := 0; i < queueDepth; i++ {
+		if err := <-abandoned; err == nil {
+			t.Error("abandoned sync /run returned a response")
+		}
+	}
+	waitFor(t, func() bool { return m.canceled.Load() == queueDepth && m.depth.Load() == 0 })
+	if len(pool.queue) != queueDepth {
+		t.Fatalf("channel holds %d tasks, want the %d abandoned ones", len(pool.queue), queueDepth)
+	}
+
+	for i := 0; i < queueDepth; i++ {
+		resp, body := postJSON(t, ts.URL+"/run", map[string]any{
+			"workload": "vecadd", "scale": 20 + i, "async": true})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async %d: %d %s", i, resp.StatusCode, body)
+		}
+		waitFor(t, func() bool { return m.depth.Load() == int64(i+1) })
+	}
+	resp, body = postJSON(t, ts.URL+"/run", map[string]any{
+		"workload": "vecadd", "scale": 20 + queueDepth, "async": true})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("async past capacity: %d %s, want 503", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+	if calls.Load() != 1 {
+		t.Errorf("simulate calls = %d while the worker is blocked, want 1", calls.Load())
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
