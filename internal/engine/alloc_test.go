@@ -1,9 +1,11 @@
 package engine
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"ladm/internal/arch"
+	"ladm/internal/kernels"
 	"ladm/internal/runtime"
 	"ladm/internal/trace"
 )
@@ -71,4 +73,47 @@ func TestSchedulerZeroAllocs(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("events never fired")
 	}
+}
+
+// smallCellBytesEager is what one sq-gemm scale-64 LADM cell on the
+// Table III machine allocated (runtime.MemStats.TotalAlloc, go1.24,
+// amd64) while engine.New still built every cache's lines up front:
+// 6.5 MB, almost all of it the line arrays of 256 L1s and 16 L2 slices.
+// The cell's 4 threadblocks touch a handful of them.
+const smallCellBytesEager = 6522848
+
+// TestSmallCellAllocBudget is the allocation budget for the per-cell
+// machine, the cost a design-space sweep of cheap cells pays per cell:
+// after a warm-up, preparing and running one cheap cell must allocate
+// at most half of what it did with eager cache lines. Caches allocate
+// their lines on first access, so the untouched ones cost nothing.
+func TestSmallCellAllocBudget(t *testing.T) {
+	spec, err := kernels.ByName("sq-gemm", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := arch.ByName("hier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func() {
+		plan, err := runtime.Prepare(spec.W, &cfg, runtime.LADM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(plan).Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cell() // warm-up: package-level caches and lazily built tables
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	cell()
+	goruntime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if budget := uint64(smallCellBytesEager / 2); got > budget {
+		t.Errorf("sq-gemm/ladm/hier at scale 64 allocated %d bytes, budget %d (half of eager lines' %d)",
+			got, budget, smallCellBytesEager)
+	}
+	t.Logf("allocated %d bytes (eager lines: %d)", got, smallCellBytesEager)
 }

@@ -98,6 +98,14 @@ type Engine struct {
 	curTotal   int
 	curRetired int
 
+	// Request-path books, kept beside stats.Run rather than in it: the
+	// sectors stores send past the L1 (write-through, no allocate), and
+	// the part of them homed on another node, which goes straight to the
+	// home L2 and skips the requester-side slice. The tests balance them
+	// against the L1 and L2 categories after each run.
+	storeSectors       uint64
+	remoteStoreSectors uint64
+
 	// tel observes the run (nil: telemetry disabled; every hook is
 	// nil-safe and the engine's timing is identical either way).
 	tel *simtel.Collector

@@ -11,8 +11,12 @@ import (
 	"testing"
 
 	"ladm/internal/arch"
+	"ladm/internal/interconnect"
 	"ladm/internal/kernels"
+	"ladm/internal/mem/cache"
+	"ladm/internal/queueing"
 	"ladm/internal/runtime"
+	"ladm/internal/stats"
 )
 
 // matrixScale is the scale divisor of the whole-matrix golden: small
@@ -29,7 +33,9 @@ var matrixPolicies = []runtime.Policy{
 // checkBooks reports any state a finished run left behind: a queued
 // event or an event node off the free list, an in-flight transaction
 // holding an MSHR, a resident threadblock, or a pooled object that never
-// returned to its free list.
+// returned to its free list. It also reports a cache whose live lines
+// are not a prefix of their sets, L1 and L2 sector counts that do not
+// balance, and a bandwidth resource busy for longer than the run.
 func (e *Engine) checkBooks() error {
 	if err := e.sched.events.books(); err != nil {
 		return err
@@ -54,6 +60,92 @@ func (e *Engine) checkBooks() error {
 	} {
 		if l.free != l.carved {
 			return fmt.Errorf("%s free list holds %d of %d carved", l.name, l.free, l.carved)
+		}
+	}
+	for sm, c := range e.l1 {
+		if err := c.CheckPrefix(); err != nil {
+			return fmt.Errorf("sm %d L1: %w", sm, err)
+		}
+	}
+	for node, c := range e.l2 {
+		if err := c.CheckPrefix(); err != nil {
+			return fmt.Errorf("node %d L2: %w", node, err)
+		}
+	}
+	if err := e.sectorBooks(); err != nil {
+		return err
+	}
+	return e.busyBooks()
+}
+
+// sectorBooks balances the sector counts of the request path. The
+// caches' own counters must sum to the run's L1 and L2 categories.
+// Every L1 load miss and every store reaches the L2: at the requester's
+// slice (LOCAL-LOCAL or LOCAL-REMOTE), except remote-homed stores, which
+// go straight to the home slice. The home slice (REMOTE-LOCAL) sees the
+// requester-side remote misses plus those stores.
+func (e *Engine) sectorBooks() error {
+	r := e.run
+	var l1, l2 cache.Stats
+	for _, c := range e.l1 {
+		st := c.Stats()
+		l1.SectorHits += st.SectorHits
+		l1.SectorMisses += st.SectorMisses
+	}
+	for _, c := range e.l2 {
+		st := c.Stats()
+		l2.SectorHits += st.SectorHits
+		l2.SectorMisses += st.SectorMisses
+	}
+	if l1.SectorHits != r.L1Hits || l1.SectorHits+l1.SectorMisses != r.L1Sectors {
+		return fmt.Errorf("L1 caches count %d hits of %d sectors, run %d of %d",
+			l1.SectorHits, l1.SectorHits+l1.SectorMisses, r.L1Hits, r.L1Sectors)
+	}
+	var cats stats.CatCounter
+	for _, c := range r.L2 {
+		cats.Sectors += c.Sectors
+		cats.Hits += c.Hits
+	}
+	if l2.SectorHits != cats.Hits || l2.SectorHits+l2.SectorMisses != cats.Sectors {
+		return fmt.Errorf("L2 caches count %d hits of %d sectors, run categories %d of %d",
+			l2.SectorHits, l2.SectorHits+l2.SectorMisses, cats.Hits, cats.Sectors)
+	}
+	ll, lr, rl := r.L2[stats.LocalLocal], r.L2[stats.LocalRemote], r.L2[stats.RemoteLocal]
+	if got, want := ll.Sectors+lr.Sectors+e.remoteStoreSectors, r.L1Sectors-r.L1Hits+e.storeSectors; got != want {
+		return fmt.Errorf("requester L2 %d + remote stores %d sectors != L1 load misses %d + stores %d",
+			ll.Sectors+lr.Sectors, e.remoteStoreSectors, r.L1Sectors-r.L1Hits, e.storeSectors)
+	}
+	if got, want := rl.Sectors, lr.Sectors-lr.Hits+e.remoteStoreSectors; got != want {
+		return fmt.Errorf("home L2 %d sectors != requester remote misses %d + remote stores %d",
+			rl.Sectors, lr.Sectors-lr.Hits, e.remoteStoreSectors)
+	}
+	return nil
+}
+
+// busyBooks reports a bandwidth resource that served for more cycles
+// than the run lasted.
+func (e *Engine) busyBooks() error {
+	over := func(name string, busy float64) error {
+		if busy > e.run.Cycles {
+			return fmt.Errorf("%s busy %g cycles of a %g-cycle run", name, busy, e.run.Cycles)
+		}
+		return nil
+	}
+	for _, pool := range [][]*queueing.Resource{e.smIssue, e.l2srv, e.hostLink} {
+		for _, r := range pool {
+			if err := over(r.Name(), r.BusyCycles()); err != nil {
+				return err
+			}
+		}
+	}
+	for node, h := range e.hbm {
+		if err := over(fmt.Sprintf("hbm.n%d channel", node), h.MaxChannelBusy()); err != nil {
+			return err
+		}
+	}
+	for _, k := range []interconnect.Kind{interconnect.Local, interconnect.InterChiplet, interconnect.InterGPU} {
+		if err := over(k.String()+" fabric", e.net.MaxBusy(k)); err != nil {
+			return err
 		}
 	}
 	return nil

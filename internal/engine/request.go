@@ -152,8 +152,11 @@ func (e *Engine) txAtL1(t float64, st *txState) {
 			return
 		}
 		missMask = res.MissMask
+	} else {
+		// Stores are write-through/no-allocate at L1: they always go
+		// to L2.
+		e.storeSectors += uint64(pop(mask))
 	}
-	// Stores are write-through/no-allocate at L1: they always go to L2.
 	bytes := pop(missMask) * cfg.SectorBytes
 
 	// Page home resolution (first-touch faults happen here).
@@ -244,6 +247,9 @@ func (e *Engine) txAtLocalL2(t float64, st *txState) {
 	}
 	remBytes := pop(remMask) * cfg.SectorBytes
 	e.run.L2SectorMisses += uint64(pop(remMask))
+	if isStore {
+		e.remoteStoreSectors += uint64(pop(remMask))
+	}
 
 	// Request packet to the home node (stores carry their payload).
 	reqBytes := reqHeaderBytes

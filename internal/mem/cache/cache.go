@@ -77,9 +77,13 @@ type Result struct {
 }
 
 // Cache is a sectored set-associative cache with LRU replacement.
+//
+// The line array is allocated by the first Access, not by New: a machine
+// of 256 SMs and 16 L2 slices holds about 6 MB of lines, and a cheap cell
+// touches only a few of its caches. Until then the cache is empty.
 type Cache struct {
 	cfg      Config
-	lines    []line // sets*assoc, set-major
+	lines    []line // sets*assoc, set-major; nil until the first Access
 	tick     uint64
 	stats    Stats
 	resident int // valid sectors currently held (occupancy gauge)
@@ -105,7 +109,6 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:       cfg,
-		lines:     make([]line, cfg.Sets*cfg.Assoc),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setBits:   -1,
 	}
@@ -188,6 +191,9 @@ func (c *Cache) Access(addr uint64, mask SectorMask, allocate, dirty bool) Resul
 	if mask == 0 {
 		panic("cache: empty sector mask")
 	}
+	if c.lines == nil {
+		c.lines = make([]line, c.cfg.Sets*c.cfg.Assoc)
+	}
 	c.tick++
 	c.stats.Accesses++
 	lineAddr := c.LineAddr(addr)
@@ -222,7 +228,11 @@ func (c *Cache) Access(addr uint64, mask SectorMask, allocate, dirty bool) Resul
 		return Result{MissMask: mask, Bypassed: true}
 	}
 
-	// Choose victim: an invalid way if any, else LRU.
+	// Choose victim: the first dead way if any, else LRU. Only
+	// InvalidateAll kills lines, and it kills every line of the set, so
+	// taking the first dead way keeps each set's live lines a prefix of
+	// its ways. InvalidateAll relies on that prefix to stop at the first
+	// dead way of each set (CheckPrefix verifies it).
 	victim := &set[0]
 	for i := range set {
 		ln := &set[i]
@@ -259,6 +269,9 @@ func (c *Cache) Access(addr uint64, mask SectorMask, allocate, dirty bool) Resul
 // Probe reports which of the requested sectors are present without
 // modifying any state (no LRU update, no fill).
 func (c *Cache) Probe(addr uint64, mask SectorMask) (hit SectorMask) {
+	if c.lines == nil {
+		return 0
+	}
 	lineAddr := c.LineAddr(addr)
 	set := c.set(lineAddr)
 	for i := range set {
@@ -273,12 +286,20 @@ func (c *Cache) Probe(addr uint64, mask SectorMask) (hit SectorMask) {
 // InvalidateAll drops every line, returning the number of dirty sectors
 // that a write-back cache would flush. It models the L2 coherence
 // invalidation at kernel boundaries described in the paper (Section V-A).
+//
+// It clears only each set's live prefix (see the victim choice in
+// Access): dead ways past it are already zero, so a set whose first way
+// is dead costs one load.
 func (c *Cache) InvalidateAll() (writebackSectors int) {
-	for i := range c.lines {
-		if c.lines[i].live {
-			writebackSectors += popcount(c.lines[i].dirty)
+	for s := 0; s < len(c.lines); s += c.cfg.Assoc {
+		set := c.lines[s : s+c.cfg.Assoc]
+		for i := range set {
+			if !set[i].live {
+				break
+			}
+			writebackSectors += popcount(set[i].dirty)
+			set[i] = line{}
 		}
-		c.lines[i] = line{}
 	}
 	c.resident = 0
 	c.stats.WritebackSecs += uint64(writebackSectors)
@@ -299,6 +320,28 @@ func (c *Cache) LiveLines() int {
 		}
 	}
 	return n
+}
+
+// CheckPrefix reports a set whose live lines are not a prefix of its
+// ways, or a dead way that is not zero — the invariant InvalidateAll's
+// early stop relies on (testing/inspection).
+func (c *Cache) CheckPrefix() error {
+	for s := 0; s < len(c.lines); s += c.cfg.Assoc {
+		set := c.lines[s : s+c.cfg.Assoc]
+		dead := false
+		for i := range set {
+			switch {
+			case !set[i].live:
+				if set[i] != (line{}) {
+					return fmt.Errorf("cache: set %d way %d is dead but not cleared", s/c.cfg.Assoc, i)
+				}
+				dead = true
+			case dead:
+				return fmt.Errorf("cache: set %d way %d is live after a dead way", s/c.cfg.Assoc, i)
+			}
+		}
+	}
+	return nil
 }
 
 func popcount(m SectorMask) int {

@@ -321,3 +321,122 @@ func BenchmarkAccessStream(b *testing.B) {
 		c.Access(uint64(i)*128, 0b1111, true, false)
 	}
 }
+
+// fullScanInvalidate is the oracle for InvalidateAll: the brute-force
+// form that visits every way of every set, live or not.
+func fullScanInvalidate(c *Cache) (writebackSectors int) {
+	for i := range c.lines {
+		if c.lines[i].live {
+			writebackSectors += popcount(c.lines[i].dirty)
+		}
+		c.lines[i] = line{}
+	}
+	c.resident = 0
+	c.stats.WritebackSecs += uint64(writebackSectors)
+	return writebackSectors
+}
+
+// TestInvalidateMatchesFullScan runs one random mix of Access, Probe
+// and InvalidateAll against two caches, invalidating one with
+// InvalidateAll's live-prefix walk and the other with the full-scan
+// oracle, and requires every result, writeback count and book to agree.
+func TestInvalidateMatchesFullScan(t *testing.T) {
+	var flushed, bypasses uint64 // coverage: dirty flushes and allocate=false misses
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		cfg := Config{Sets: 1 + r.Intn(8), Assoc: 1 + r.Intn(6), LineBytes: 128, SectorBytes: 32}
+		got, want := New(cfg), New(cfg)
+		lines := 4 * cfg.Sets * cfg.Assoc // enough to evict, few enough to hit
+		for i := 0; i < 400; i++ {
+			addr := uint64(r.Intn(lines))*128 + uint64(r.Intn(128))
+			mask := SectorMask(1 + r.Intn(15))
+			switch op := r.Intn(20); {
+			case op == 0:
+				g, w := got.InvalidateAll(), fullScanInvalidate(want)
+				if g != w {
+					t.Logf("seed %d op %d: InvalidateAll wrote back %d, full scan %d", seed, i, g, w)
+					return false
+				}
+				flushed += uint64(g)
+			case op < 5:
+				if g, w := got.Probe(addr, mask), want.Probe(addr, mask); g != w {
+					t.Logf("seed %d op %d: Probe = %04b, full scan %04b", seed, i, g, w)
+					return false
+				}
+			default:
+				alloc, dirty := r.Intn(4) > 0, r.Intn(3) == 0
+				if g, w := got.Access(addr, mask, alloc, dirty), want.Access(addr, mask, alloc, dirty); g != w {
+					t.Logf("seed %d op %d: Access = %+v, full scan %+v", seed, i, g, w)
+					return false
+				}
+			}
+			if got.Stats() != want.Stats() || got.ResidentSectors() != want.ResidentSectors() ||
+				got.LiveLines() != want.LiveLines() {
+				t.Logf("seed %d op %d: books %+v/%d/%d, full scan %+v/%d/%d", seed, i,
+					got.Stats(), got.ResidentSectors(), got.LiveLines(),
+					want.Stats(), want.ResidentSectors(), want.LiveLines())
+				return false
+			}
+			if err := got.CheckPrefix(); err != nil {
+				t.Logf("seed %d op %d: %v", seed, i, err)
+				return false
+			}
+		}
+		bypasses += got.Stats().Bypasses
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if flushed == 0 || bypasses == 0 {
+		t.Errorf("sequences never flushed a dirty sector (%d) or bypassed (%d)", flushed, bypasses)
+	}
+}
+
+// TestUntouchedCache pins the empty cache a machine's unused L1s and L2
+// slices stay in: no line array until the first Access, and every
+// query answers as for an empty cache.
+func TestUntouchedCache(t *testing.T) {
+	c := New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
+	if c.lines != nil {
+		t.Errorf("New allocated %d lines before any access", len(c.lines))
+	}
+	if hit := c.Probe(0x1000, 0b1111); hit != 0 {
+		t.Errorf("Probe on an untouched cache hit %04b", hit)
+	}
+	if wb := c.InvalidateAll(); wb != 0 {
+		t.Errorf("InvalidateAll on an untouched cache wrote back %d sectors", wb)
+	}
+	if n, r := c.LiveLines(), c.ResidentSectors(); n != 0 || r != 0 {
+		t.Errorf("untouched cache: %d live lines, %d resident sectors", n, r)
+	}
+	if err := c.CheckPrefix(); err != nil {
+		t.Error(err)
+	}
+	if c.lines != nil {
+		t.Error("a query other than Access allocated the line array")
+	}
+	c.Access(0x1000, 0b0001, true, false)
+	if len(c.lines) != 512*16 {
+		t.Errorf("first Access allocated %d lines, want %d", len(c.lines), 512*16)
+	}
+}
+
+// TestCheckPrefix pins the checker itself on hand-broken sets.
+func TestCheckPrefix(t *testing.T) {
+	c := tiny()
+	c.Access(0, 0b0001, true, true)
+	if err := c.CheckPrefix(); err != nil {
+		t.Fatal(err)
+	}
+	set := c.SetIndex(0) * c.cfg.Assoc
+	c.lines[set], c.lines[set+1] = c.lines[set+1], c.lines[set]
+	if c.CheckPrefix() == nil {
+		t.Error("a live way after a dead way passed")
+	}
+	c.lines[set], c.lines[set+1] = c.lines[set+1], c.lines[set]
+	c.lines[set+1].tag = 7
+	if c.CheckPrefix() == nil {
+		t.Error("a dead way with a stale tag passed")
+	}
+}

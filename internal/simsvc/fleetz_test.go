@@ -198,6 +198,66 @@ func TestTimelineExport(t *testing.T) {
 	}
 }
 
+// TestTimelineHeaderOnlyForTracedCallers: on an observed server, a
+// /run without a traceparent gets no X-Ladm-Timeline header, though its
+// timeline keeps the minted trace ID for logs and /debug/timeline; a
+// traced /run gets a header the dispatcher's tracer stitches.
+func TestTimelineHeaderOnlyForTracedCallers(t *testing.T) {
+	pool := NewPool(PoolConfig{Workers: 1, Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+		return &stats.Run{Workload: j.Workload.Name, Cycles: 1}, nil
+	}})
+	t.Cleanup(pool.Close)
+	srv := NewServer(pool)
+	obs := svcobs.NewObserver(nil)
+	srv.SetObserver(obs)
+	ts := httptest.NewServer(svcobs.Middleware(obs, RouteLabel, srv.Handler()))
+	t.Cleanup(ts.Close)
+
+	run := func(rid, traceparent string) string {
+		t.Helper()
+		req, _ := http.NewRequest("POST", ts.URL+"/run", strings.NewReader(`{"workload":"vecadd"}`))
+		req.Header.Set("X-Request-ID", rid)
+		if traceparent != "" {
+			req.Header.Set(svcobs.TraceparentHeader, traceparent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		return resp.Header.Get(svcobs.TimelineHeader)
+	}
+
+	if h := run("rid-untraced", ""); h != "" {
+		t.Fatalf("untraced /run got a timeline header: %q", h)
+	}
+	dr, err := http.Get(ts.URL + "/debug/timeline/rid-untraced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pulled svcobs.TimelineSummary
+	err = json.NewDecoder(dr.Body).Decode(&pulled)
+	dr.Body.Close()
+	if err != nil || pulled.TraceID == "" {
+		t.Fatalf("untraced job's timeline lost its minted trace: %+v (%v)", pulled, err)
+	}
+
+	wire := run("rid-traced", svcobs.NewTraceContext().Traceparent())
+	var sum svcobs.TimelineSummary
+	if err := json.Unmarshal([]byte(wire), &sum); err != nil {
+		t.Fatalf("traced /run timeline header %q: %v", wire, err)
+	}
+	tr := svcobs.NewObserver(nil).Tracer
+	tr.AddTimeline(ts.URL, &sum)
+	if tr.Len() == 0 {
+		t.Fatalf("tracer stitched nothing from %q", wire)
+	}
+}
+
 // TestTimelineExportOffByDefault: without an observer-backed timeline
 // there is no header and no debug endpoint hit — the export is strictly
 // pay-for-use.

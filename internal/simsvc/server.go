@@ -855,15 +855,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.register(r.Context(), norm)
 	s.execute(r.Context(), rec)
-	s.respondFinished(w, rec)
+	s.respondFinished(w, r, rec)
 }
 
-func (s *Server) respondFinished(w http.ResponseWriter, rec *jobRecord) {
+func (s *Server) respondFinished(w http.ResponseWriter, r *http.Request, rec *jobRecord) {
 	// Hand the finished wall-clock timeline back on the response so the
 	// fleet dispatcher can stitch this worker's stage spans into its
-	// campaign trace without a second round trip. Only traced requests
-	// pay for the header — an untraced caller gets a bare response.
-	if ts := rec.tl.Summary(); ts != nil && ts.TraceID != "" {
+	// campaign trace without a second round trip. Only a caller that
+	// sent its own traceparent pays for the header: an untraced caller,
+	// whose trace the middleware minted, gets a bare response.
+	traced := !svcobs.TraceContextFrom(r.Context()).Minted
+	if ts := rec.tl.Summary(); traced && ts != nil && ts.TraceID != "" {
 		if b, err := json.Marshal(ts); err == nil {
 			w.Header().Set(svcobs.TimelineHeader, string(b))
 		}

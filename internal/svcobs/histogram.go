@@ -98,15 +98,20 @@ type HistogramVec struct {
 	bounds []float64
 
 	mu       sync.Mutex
-	children map[string]*vecChild
-	keys     []string // sorted for deterministic exposition
+	children map[string]*vecChild // by label values joined with labelSep
+	sorted   []*vecChild          // by exposition labels, for deterministic output
 }
 
-// vecChild is one labeled histogram and the label values it was
-// created with.
+// labelSep joins label values into a child's map key. It is not valid
+// UTF-8, so it cannot appear inside a well-formed label value.
+const labelSep = 0xff
+
+// vecChild is one labeled histogram, the label values it was created
+// with, and their rendered exposition pairs (its sort key).
 type vecChild struct {
 	h      *Histogram
 	values []string
+	pairs  string
 }
 
 // NewHistogramVec returns an empty labeled histogram family.
@@ -121,21 +126,31 @@ func NewHistogramVec(name, help string, labels []string, bounds []float64) *Hist
 }
 
 // With returns the child histogram for the given label values (in label
-// order), creating it on first use.
+// order), creating it on first use. Finding an existing child allocates
+// nothing: the lookup key is built in a stack buffer, and the exposition
+// labels are rendered only when a child is created.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	key := labelPairs(v.labels, values)
+	var buf [128]byte
+	key := buf[:0]
+	for i := range v.labels {
+		if i > 0 {
+			key = append(key, labelSep)
+		}
+		if i < len(values) {
+			key = append(key, values[i]...)
+		}
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	c := v.children[key]
-	if c == nil {
-		c = &vecChild{h: NewHistogram(v.bounds), values: make([]string, len(v.labels))}
-		copy(c.values, values)
-		v.children[key] = c
-		i := sort.SearchStrings(v.keys, key)
-		v.keys = append(v.keys, "")
-		copy(v.keys[i+1:], v.keys[i:])
-		v.keys[i] = key
+	if c := v.children[string(key)]; c != nil {
+		return c.h
 	}
+	c := &vecChild{h: NewHistogram(v.bounds), values: make([]string, len(v.labels))}
+	copy(c.values, values)
+	c.pairs = labelPairs(v.labels, c.values)
+	v.children[string(key)] = c
+	i := sort.Search(len(v.sorted), func(i int) bool { return v.sorted[i].pairs >= c.pairs })
+	v.sorted = slices.Insert(v.sorted, i, c)
 	return c.h
 }
 
@@ -159,9 +174,8 @@ type HistogramChild struct {
 func (v *HistogramVec) Children() []HistogramChild {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	out := make([]HistogramChild, 0, len(v.keys))
-	for _, key := range v.keys {
-		c := v.children[key]
+	out := make([]HistogramChild, 0, len(v.sorted))
+	for _, c := range v.sorted {
 		out = append(out, HistogramChild{Labels: slices.Clone(c.values), Count: c.h.Count(), Sum: c.h.Sum()})
 	}
 	return out

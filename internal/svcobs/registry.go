@@ -3,6 +3,7 @@ package svcobs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -74,10 +75,7 @@ func (r *Registry) Histogram(name, help string, h *Histogram) {
 func (r *Registry) HistogramVec(v *HistogramVec) {
 	r.Family(v.name, v.help, "histogram", v.labels, func(emit Emit) {
 		v.mu.Lock()
-		children := make([]*vecChild, len(v.keys))
-		for i, k := range v.keys {
-			children[i] = v.children[k]
-		}
+		children := slices.Clone(v.sorted)
 		v.mu.Unlock()
 		for _, c := range children {
 			emit(Value{h: c.h}, c.values...)

@@ -192,6 +192,23 @@ func TestHistogramVecChildren(t *testing.T) {
 	}
 }
 
+// TestHistogramVecObserveNoAllocs pins the observation path: once a
+// child exists, finding it again and observing allocates nothing, and a
+// missing trailing value names the same child as an explicit empty one.
+func TestHistogramVecObserveNoAllocs(t *testing.T) {
+	v := NewHistogramVec("o_seconds", "help", []string{"route", "code"}, nil)
+	v.Observe(0.1, "/run", "200")
+	if allocs := testing.AllocsPerRun(100, func() { v.Observe(0.1, "/run", "200") }); allocs != 0 {
+		t.Errorf("observing an existing child allocates %.1f objects, want 0", allocs)
+	}
+	if v.With("/run") != v.With("/run", "") {
+		t.Error("With(\"/run\") and With(\"/run\", \"\") name different children")
+	}
+	if n := len(v.Children()); n != 2 {
+		t.Errorf("%d children, want 2", n)
+	}
+}
+
 func TestTimelineStagesAndStatusz(t *testing.T) {
 	obs := NewObserver(nil)
 	tl := obs.StartTimeline("job-1", "rid-9")

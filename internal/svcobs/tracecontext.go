@@ -28,6 +28,11 @@ type TraceContext struct {
 	// SpanID is the 16-hex identity of the current operation — the span
 	// that new child operations name as their parent.
 	SpanID string
+	// Minted marks a context the middleware made up for a request that
+	// carried no valid traceparent. Its IDs still correlate logs and
+	// timelines in this process, but no trace data is sent back to a
+	// caller that never asked for it. Child contexts are not minted.
+	Minted bool
 }
 
 // TraceparentHeader is the propagation header name (W3C trace context).
