@@ -47,19 +47,15 @@
 //	               saturated — orchestrators and load balancers route on it
 //	GET  /statusz  operational snapshot: uptime, pool saturation, queue age,
 //	               in-flight jobs with their lifecycle stage, cache/store hit
-//	               rates, tier mix, slowest recent jobs (?format=html for a
-//	               human-readable page)
+//	               rates, tier mix, slowest recent jobs (JSON)
 //	GET  /fleetz   cluster snapshot (front-end mode): one /statusz per
 //	               worker, scraped and merged — queue depths,
 //	               cache/store hit rates, tier mix, breaker states and
-//	               dispatcher-side attempt latencies (?format=html)
+//	               dispatcher-side attempt latencies (JSON)
 //	GET  /debug/servicetrace  wall-clock service trace (Chrome/Perfetto):
 //	               one track per pool worker, one span per job stage; in
 //	               front-end mode also one track per fleet endpoint with
 //	               attempt spans and stitched worker timelines
-//	GET  /debug/timeline/{request-id}  a finished job's compact timeline
-//	               summary by correlation ID (the pull side of the
-//	               X-Ladm-Timeline response header)
 //	GET  /debug/pprof/  host-side CPU/heap profiles (with -pprof)
 //
 // Every request carries a correlation ID: the server honors an incoming
@@ -68,7 +64,10 @@
 // edge, in the pool, in the tier oracle and in the store probes. It
 // likewise honors (or mints) a W3C traceparent header; in front-end
 // mode each remote attempt re-parents the trace, so a worker's stage
-// timeline knows exactly which dispatch attempt it served.
+// timeline knows exactly which dispatch attempt it served. A caller that
+// sent a traceparent gets that timeline back on the synchronous /run
+// response as the X-Ladm-Timeline header; a minted trace never goes
+// back to the caller.
 package main
 
 import (

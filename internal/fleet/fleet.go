@@ -502,8 +502,8 @@ func (r *Runner) callOnce(ctx context.Context, body []byte, ep *endpoint, attemp
 	id := svcobs.RequestIDFrom(ctx)
 	if id == "" && attemptTC.Valid() {
 		// Each traced attempt gets its own correlation ID — the attempt
-		// span ID — so GET /debug/timeline/{id} on the worker resolves
-		// this exact attempt, retries included.
+		// span ID — so the worker's log lines for this exact attempt,
+		// retries included, correlate with the dispatcher's.
 		id = attemptTC.SpanID
 	}
 	if id != "" {

@@ -5,17 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 )
 
 // Live job and sweep event streaming over Server-Sent Events. Each
 // tracked job (and each sweep) owns an eventHub: publishers are the
 // job's own lifecycle transitions, subscribers are GET .../events
-// connections. The hub keeps a bounded replay history so a subscriber
-// that connects after the fact still sees how the job got where it is,
-// and publishes without ever blocking — a slow consumer loses events
-// (counted in simsvc_events_dropped_total), it never stalls a worker.
+// connections. The hub keeps a bounded replay history that every
+// subscriber receives in full before the live events, so one that
+// connects (or reconnects) after the fact still sees how the job got
+// where it is; there is no resume cursor. The hub publishes without
+// ever blocking — a slow consumer loses events (counted in
+// simsvc_events_dropped_total), it never stalls a worker.
 
 // JobEvent is one entry of a job's or sweep's event stream.
 type JobEvent struct {
@@ -98,19 +99,14 @@ func (h *eventHub) close() {
 	h.subs = nil
 }
 
-// subscribe returns a channel pre-loaded with the replay history after
-// the given cursor (0: the full history) — a reconnecting client passes
-// the last event id it saw and resumes where it left off. On a closed
-// hub the channel arrives already closed (after the replay), so the
-// consume loop needs no special case.
-func (h *eventHub) subscribe(after int64) chan JobEvent {
+// subscribe returns a channel pre-loaded with the full replay history.
+// On a closed hub the channel arrives already closed (after the
+// replay), so the consume loop needs no special case.
+func (h *eventHub) subscribe() chan JobEvent {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ch := make(chan JobEvent, len(h.history)+subBuffer)
 	for _, ev := range h.history {
-		if ev.Seq <= after {
-			continue
-		}
 		ch <- ev
 	}
 	if h.closed {
@@ -138,11 +134,8 @@ func (h *eventHub) unsubscribe(ch chan JobEvent) {
 //	event: <type>
 //	data: <JobEvent JSON>
 //
-// A reconnecting client sends the standard Last-Event-ID header (every
-// SSE client library does this automatically with the last `id:` it
-// received); replay resumes after that cursor instead of repeating the
-// whole history. An unparsable cursor falls back to a full replay —
-// duplicates are safe, gaps are not.
+// Every connection, a reconnecting one included, replays the hub's full
+// bounded history first: duplicates are safe, gaps are not.
 func streamEvents(w http.ResponseWriter, r *http.Request, hub *eventHub) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -150,18 +143,12 @@ func streamEvents(w http.ResponseWriter, r *http.Request, hub *eventHub) {
 			errors.New("event streaming needs a flushable connection"))
 		return
 	}
-	var after int64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
-			after = n
-		}
-	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	ch := hub.subscribe(after)
+	ch := hub.subscribe()
 	defer hub.unsubscribe(ch)
 	for {
 		select {

@@ -163,7 +163,7 @@ func TestEventHubSubscriberAccounting(t *testing.T) {
 	m := NewMetrics()
 	hub := newEventHub(m)
 
-	ch := hub.subscribe(0)
+	ch := hub.subscribe()
 	if got := m.eventsSubs.Load(); got != 1 {
 		t.Fatalf("subscribers = %d, want 1", got)
 	}
@@ -192,7 +192,7 @@ func TestEventHubSubscriberAccounting(t *testing.T) {
 	}
 
 	hub.close()
-	late := hub.subscribe(0)
+	late := hub.subscribe()
 	n := 0
 	for range late {
 		n++

@@ -1,7 +1,6 @@
 package simsvc
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -247,100 +246,6 @@ func TestServerSweepFidelity(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fidelity") {
 		t.Errorf("bogus sweep fidelity: %d %s", resp.StatusCode, body)
-	}
-}
-
-// readSSEResume reads one SSE stream sending a Last-Event-ID cursor and
-// returns the decoded events.
-func readSSEResume(t *testing.T, url, lastID string) []JobEvent {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastID != "" {
-		req.Header.Set("Last-Event-ID", lastID)
-	}
-	r, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("events: status = %d", r.StatusCode)
-	}
-	var events []JobEvent
-	sc := bufio.NewScanner(r.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev JobEvent
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("bad event payload %q: %v", line, err)
-		}
-		events = append(events, ev)
-	}
-	return events
-}
-
-// TestSSEResumeCursor: a reconnecting client that presents the standard
-// Last-Event-ID header resumes after its cursor instead of replaying the
-// whole history; a garbage cursor degrades to the full replay.
-func TestSSEResumeCursor(t *testing.T) {
-	var calls atomic.Int64
-	ts, _ := newTestService(t, &calls)
-	_, body := postJSON(t, ts.URL+"/run", Request{Workload: "vecadd", Scale: 8})
-	var v JobView
-	if err := json.Unmarshal(body, &v); err != nil {
-		t.Fatal(err)
-	}
-	url := ts.URL + "/jobs/" + v.ID + "/events"
-
-	// First connection sees the whole lifecycle.
-	full := readSSEResume(t, url, "")
-	if len(full) != 3 {
-		t.Fatalf("full replay = %d events, want 3 (queued, running, done)", len(full))
-	}
-
-	// Reconnect presenting the second event's id: only the tail replays.
-	tail := readSSEResume(t, url, fmt.Sprintf("%d", full[1].Seq))
-	if len(tail) != 1 || tail[0].Seq != full[2].Seq || tail[0].Status != StatusDone {
-		t.Fatalf("resumed replay = %+v, want just the final event", tail)
-	}
-
-	// A cursor at the end replays nothing and the stream still ends.
-	if empty := readSSEResume(t, url, fmt.Sprintf("%d", full[2].Seq)); len(empty) != 0 {
-		t.Errorf("cursor-at-end replayed %d events, want 0", len(empty))
-	}
-
-	// Garbage cursors fall back to the full replay (duplicates are safe).
-	if again := readSSEResume(t, url, "not-a-number"); len(again) != 3 {
-		t.Errorf("garbage cursor replayed %d events, want full 3", len(again))
-	}
-
-	// Sweep streams honor the same header.
-	resp, body := postJSON(t, ts.URL+"/sweep", map[string]any{
-		"workloads": []string{"vecadd", "vecadd"},
-		"policies":  []string{"ladm", "h-coda"},
-		"scale":     8,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
-	}
-	var sv SweepView
-	if err := json.Unmarshal(body, &sv); err != nil {
-		t.Fatal(err)
-	}
-	swURL := ts.URL + "/sweeps/" + sv.ID + "/events"
-	all := readSSEResume(t, swURL, "")
-	if len(all) < 2 {
-		t.Fatalf("sweep replay = %d events", len(all))
-	}
-	tail = readSSEResume(t, swURL, fmt.Sprintf("%d", all[len(all)-2].Seq))
-	if len(tail) != 1 || tail[0].Seq != all[len(all)-1].Seq {
-		t.Errorf("sweep resume = %+v, want just the final event", tail)
 	}
 }
 

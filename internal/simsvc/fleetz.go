@@ -2,7 +2,6 @@ package simsvc
 
 import (
 	"fmt"
-	"html/template"
 	"net/http"
 	"time"
 )
@@ -98,44 +97,6 @@ func buildFleetz(workers []FleetWorker) Fleetz {
 	return fz
 }
 
-var fleetzTmpl = template.Must(template.New("fleetz").Funcs(template.FuncMap{
-	"secs":   func(v float64) string { return fmt.Sprintf("%.1fs", v) },
-	"ms":     func(v float64) string { return fmt.Sprintf("%.1fms", v*1000) },
-	"mulpct": func(v float64) float64 { return v * 100 },
-}).Parse(`<!DOCTYPE html>
-<html><head><title>{{.Service}} fleetz</title>
-<style>
-body{font-family:monospace;margin:2em;background:#fafafa;color:#222}
-h1{font-size:1.3em} h2{font-size:1.05em;margin-top:1.4em}
-table{border-collapse:collapse} td,th{border:1px solid #ccc;padding:2px 8px;text-align:left}
-.warn{color:#a40}
-</style></head><body>
-<h1>{{.Service}} — fleet of {{.Summary.Workers}} ({{.Summary.Reachable}} reachable)</h1>
-<h2>Cluster</h2>
-<table>
-<tr><th>queue depth</th><th>running</th><th>submitted</th><th>completed</th><th>cache hit rate</th><th>store hit rate</th><th>analytic</th><th>escalated</th><th>breakers not closed</th></tr>
-<tr><td>{{.Summary.QueueDepth}}</td><td>{{.Summary.Running}}</td>
-<td>{{.Summary.Submitted}}</td><td>{{.Summary.Completed}}</td>
-<td>{{printf "%.1f%%" (mulpct .Summary.CacheHitRate)}}</td>
-<td>{{printf "%.1f%%" (mulpct .Summary.StoreHitRate)}}</td>
-<td>{{.Summary.TierAnalytic}}</td><td>{{.Summary.TierEscalated}}</td>
-<td{{if gt .Summary.BreakersOpen 0}} class="warn"{{end}}>{{.Summary.BreakersOpen}}</td></tr>
-</table>
-<h2>Workers</h2>
-<table>
-<tr><th>endpoint</th><th>breaker</th><th>for</th><th>queue</th><th>running</th><th>cache hits</th><th>analytic/escalated</th><th>attempts (dispatcher)</th></tr>
-{{range .Workers}}<tr><td>{{.URL}}</td>
-<td{{if ne .Breaker "closed"}} class="warn"{{end}}>{{.Breaker}}</td>
-<td>{{secs .BreakerSeconds}}</td>
-{{if .Statusz}}<td>{{.Statusz.Pool.QueueDepth}}/{{.Statusz.Pool.QueueCap}}</td>
-<td>{{.Statusz.Pool.Running}}</td><td>{{.Statusz.Cache.Hits}}</td>
-<td>{{.Statusz.Tier.Analytic}}/{{.Statusz.Tier.Escalated}}</td>
-{{else}}<td colspan="4" class="warn">scrape failed: {{.Error}}</td>{{end}}
-<td>{{range .Attempts}}{{.Outcome}}={{.Count}} ({{ms .MeanSeconds}}) {{end}}</td></tr>
-{{end}}</table>
-</body></html>
-`))
-
 // handleFleetz serves the cluster view. 404 without an attached fleet —
 // a plain worker has no cluster to aggregate.
 func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
@@ -144,5 +105,5 @@ func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no fleet attached (start with -remote to serve /fleetz)"))
 		return
 	}
-	writeView(w, r, fleetzTmpl, buildFleetz(s.fleet.Cluster(r.Context())))
+	writeJSON(w, http.StatusOK, buildFleetz(s.fleet.Cluster(r.Context())))
 }

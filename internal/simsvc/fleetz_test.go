@@ -94,38 +94,11 @@ func TestFleetzHandler(t *testing.T) {
 	if len(fz.Workers) != 2 || fz.Workers[1].Error == "" {
 		t.Fatalf("workers = %+v", fz.Workers)
 	}
-
-	hr, err := http.Get(ts.URL + "/fleetz?format=html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hbody, _ := io.ReadAll(hr.Body)
-	hr.Body.Close()
-	html := string(hbody)
-	if hr.StatusCode != http.StatusOK ||
-		!strings.HasPrefix(hr.Header.Get("Content-Type"), "text/html") {
-		t.Fatalf("html view: status %d, ct %q", hr.StatusCode, hr.Header.Get("Content-Type"))
-	}
-	for _, want := range []string{"http://a:1", "http://b:2", "scrape failed", "success=8"} {
-		if !strings.Contains(html, want) {
-			t.Errorf("fleetz html missing %q", want)
-		}
-	}
-
-	br, err := http.Get(ts.URL + "/fleetz?format=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	br.Body.Close()
-	if br.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus format status = %d, want 400", br.StatusCode)
-	}
 }
 
 // TestTimelineExport pins the worker side of trace stitching: a finished
 // /run response carries its timeline summary in the X-Ladm-Timeline
-// header, parented under the caller's traceparent, and the same summary
-// is retrievable at /debug/timeline/{request-id}.
+// header, parented under the caller's traceparent.
 func TestTimelineExport(t *testing.T) {
 	var calls atomic.Int64
 	pool := NewPool(PoolConfig{Workers: 2, Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
@@ -171,37 +144,21 @@ func TestTimelineExport(t *testing.T) {
 		t.Fatalf("timeline summary incomplete: %+v", sum)
 	}
 
+	// The header is the only export: there is no pull-side endpoint.
 	dr, err := http.Get(ts.URL + "/debug/timeline/rid-stitch-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbody, _ := io.ReadAll(dr.Body)
 	dr.Body.Close()
-	if dr.StatusCode != http.StatusOK {
-		t.Fatalf("debug/timeline status = %d: %s", dr.StatusCode, dbody)
-	}
-	var pulled svcobs.TimelineSummary
-	if err := json.Unmarshal(dbody, &pulled); err != nil {
-		t.Fatal(err)
-	}
-	if pulled.SpanID != sum.SpanID || pulled.RequestID != sum.RequestID {
-		t.Fatalf("pulled timeline %+v != pushed %+v", pulled, sum)
-	}
-
-	nr, err := http.Get(ts.URL + "/debug/timeline/no-such-request")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr.Body.Close()
-	if nr.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown request id status = %d, want 404", nr.StatusCode)
+	if dr.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/timeline/{id} status = %d, want 404", dr.StatusCode)
 	}
 }
 
 // TestTimelineHeaderOnlyForTracedCallers: on an observed server, a
 // /run without a traceparent gets no X-Ladm-Timeline header, though its
-// timeline keeps the minted trace ID for logs and /debug/timeline; a
-// traced /run gets a header the dispatcher's tracer stitches.
+// request ID still names it on /statusz; a traced /run gets a header
+// the dispatcher's tracer stitches.
 func TestTimelineHeaderOnlyForTracedCallers(t *testing.T) {
 	pool := NewPool(PoolConfig{Workers: 1, Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
 		return &stats.Run{Workload: j.Workload.Name, Cycles: 1}, nil
@@ -235,15 +192,16 @@ func TestTimelineHeaderOnlyForTracedCallers(t *testing.T) {
 	if h := run("rid-untraced", ""); h != "" {
 		t.Fatalf("untraced /run got a timeline header: %q", h)
 	}
-	dr, err := http.Get(ts.URL + "/debug/timeline/rid-untraced")
+	// The untraced job still correlates by request ID on /statusz.
+	sr, err := http.Get(ts.URL + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pulled svcobs.TimelineSummary
-	err = json.NewDecoder(dr.Body).Decode(&pulled)
-	dr.Body.Close()
-	if err != nil || pulled.TraceID == "" {
-		t.Fatalf("untraced job's timeline lost its minted trace: %+v (%v)", pulled, err)
+	var st Statusz
+	err = json.NewDecoder(sr.Body).Decode(&st)
+	sr.Body.Close()
+	if err != nil || len(st.Slowest) == 0 || st.Slowest[0].RequestID != "rid-untraced" {
+		t.Fatalf("statusz slowest = %+v (%v), want rid-untraced first", st.Slowest, err)
 	}
 
 	wire := run("rid-traced", svcobs.NewTraceContext().Traceparent())
@@ -259,8 +217,7 @@ func TestTimelineHeaderOnlyForTracedCallers(t *testing.T) {
 }
 
 // TestTimelineExportOffByDefault: without an observer-backed timeline
-// there is no header and no debug endpoint hit — the export is strictly
-// pay-for-use.
+// there is no header — the export is strictly pay-for-use.
 func TestTimelineExportOffByDefault(t *testing.T) {
 	var calls atomic.Int64
 	ts, _ := newTestService(t, &calls)

@@ -315,24 +315,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/servicetrace", s.handleServiceTrace)
-	mux.HandleFunc("GET /debug/timeline/{id}", s.handleDebugTimeline)
 	mux.HandleFunc("GET /fleetz", s.handleFleetz)
 	return mux
-}
-
-// handleDebugTimeline serves a recently finished job's compact timeline
-// summary by its correlation ID — the pull-side sibling of the
-// X-Ladm-Timeline response header, for stitchers (and humans) arriving
-// after the response is gone.
-func (s *Server) handleDebugTimeline(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ts := s.obs.TimelineByRequestID(id)
-	if ts == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("no finished timeline for request id %q (unknown or evicted)", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, ts)
 }
 
 // handleHealthz is pure liveness: the process is up and serving HTTP.
@@ -388,9 +372,6 @@ func RouteLabel(r *http.Request) string {
 	case "/run", "/sweep", "/jobs", "/metrics", "/statusz", "/healthz", "/readyz",
 		"/fleetz", "/debug/servicetrace":
 		return path
-	}
-	if rest, ok := strings.CutPrefix(path, "/debug/timeline/"); ok && !strings.Contains(rest, "/") {
-		return "/debug/timeline/{id}"
 	}
 	if rest, ok := strings.CutPrefix(path, "/jobs/"); ok {
 		switch {
@@ -507,8 +488,12 @@ func (s *Server) register(ctx context.Context, req Request) *jobRecord {
 	}
 	rec.tl = s.obs.StartTimeline(rec.id, svcobs.RequestIDFrom(ctx))
 	// Adopt the caller's trace: the job's timeline becomes a child span
-	// of the dispatch attempt (or front-end request) that caused it.
-	rec.tl.SetTrace(svcobs.TraceContextFrom(ctx))
+	// of the dispatch attempt (or front-end request) that caused it. A
+	// trace the middleware minted is not adopted, so the job's timeline
+	// stays untraced and its response carries no timeline header.
+	if tc := svcobs.TraceContextFrom(ctx); !tc.Minted {
+		rec.tl.SetTrace(tc)
+	}
 	s.jobs[rec.id] = rec
 	s.evictLocked(time.Now())
 	s.mu.Unlock()
@@ -855,17 +840,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.register(r.Context(), norm)
 	s.execute(r.Context(), rec)
-	s.respondFinished(w, r, rec)
+	s.respondFinished(w, rec)
 }
 
-func (s *Server) respondFinished(w http.ResponseWriter, r *http.Request, rec *jobRecord) {
+func (s *Server) respondFinished(w http.ResponseWriter, rec *jobRecord) {
 	// Hand the finished wall-clock timeline back on the response so the
 	// fleet dispatcher can stitch this worker's stage spans into its
 	// campaign trace without a second round trip. Only a caller that
-	// sent its own traceparent pays for the header: an untraced caller,
-	// whose trace the middleware minted, gets a bare response.
-	traced := !svcobs.TraceContextFrom(r.Context()).Minted
-	if ts := rec.tl.Summary(); traced && ts != nil && ts.TraceID != "" {
+	// sent its own traceparent has a traced timeline: an untraced caller
+	// gets a bare response.
+	if ts := rec.tl.Summary(); ts != nil {
 		if b, err := json.Marshal(ts); err == nil {
 			w.Header().Set(svcobs.TimelineHeader, string(b))
 		}
@@ -1009,10 +993,10 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobEvents streams a job's lifecycle transitions as SSE. The
-// replay history means subscribing after the fact still shows the full
-// queued -> running -> terminal sequence; the stream ends at the
-// terminal status.
+// handleJobEvents streams a job's lifecycle transitions as SSE. Every
+// connection replays the job's history first, so subscribing after the
+// fact still shows the full queued -> running -> terminal sequence; the
+// stream ends at the terminal status.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if rec := lookup(s, w, r, s.jobs, "job"); rec != nil {
 		streamEvents(w, r, rec.hub)

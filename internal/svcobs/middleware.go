@@ -44,10 +44,10 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 //
 //   - accept the client's X-Request-ID (sanitized) or mint one,
 //   - echo it on the response header,
-//   - accept the client's traceparent (sanitized) or mint a fresh trace
-//     marked Minted, so worker-side timelines become child spans of the
-//     caller's dispatch attempt — a malformed header falls back to
-//     minting, never to an error,
+//   - accept the client's traceparent (sanitized), so worker-side
+//     timelines become child spans of the caller's dispatch attempt, or
+//     mint a fresh trace marked Minted, which no job timeline adopts —
+//     a malformed header falls back to minting, never to an error,
 //   - seed the request context with the ID, trace context and the
 //     observer's logger so every layer below logs correlated lines for
 //     free,

@@ -13,12 +13,6 @@ import (
 // traffic, small enough to scan on every /statusz.
 const recentJobs = 256
 
-// recentSummaries bounds the request-ID-indexed timeline-summary ring
-// behind GET /debug/timeline/{request-id}: big enough that a fleet
-// front-end can fetch an attempt's timeline well after the fact, finite
-// under sustained traffic.
-const recentSummaries = 1024
-
 // Observer is the service-plane observability root: one per process,
 // shared by the HTTP middleware, the server, the pool and the CLIs. It
 // owns the structured logger, the stage and HTTP latency histograms,
@@ -43,13 +37,6 @@ type Observer struct {
 	mu       sync.Mutex
 	inflight map[*Timeline]struct{}
 	recent   []JobSummary // ring, oldest first
-
-	// summaries indexes recent finished timelines by correlation ID for
-	// GET /debug/timeline/{request-id}; summaryIDs is its FIFO eviction
-	// order. A request ID that finishes twice (sweep cells sharing one
-	// edge request) keeps the latest summary.
-	summaries  map[string]*TimelineSummary
-	summaryIDs []string
 }
 
 // NewObserver returns an observer logging through log (nil: no-op
@@ -66,10 +53,9 @@ func NewObserver(log *slog.Logger) *Observer {
 		HTTP: NewHistogramVec("simsvc_http_request_seconds",
 			"Wall-clock HTTP request latency by route and status code.",
 			[]string{"route", "code"}, nil),
-		Tracer:    newTracer(0),
-		start:     time.Now(),
-		inflight:  map[*Timeline]struct{}{},
-		summaries: map[string]*TimelineSummary{},
+		Tracer:   newTracer(0),
+		start:    time.Now(),
+		inflight: map[*Timeline]struct{}{},
 	}
 	o.reg.HistogramVec(o.Stage)
 	o.reg.HistogramVec(o.HTTP)
@@ -95,36 +81,15 @@ func (o *Observer) StartTimeline(name, requestID string) *Timeline {
 }
 
 // finishTimeline moves a finished timeline from the in-flight index
-// into the recent ring and indexes its compact summary by request ID.
-func (o *Observer) finishTimeline(t *Timeline, s JobSummary, ts *TimelineSummary) {
+// into the recent ring.
+func (o *Observer) finishTimeline(t *Timeline, s JobSummary) {
 	o.mu.Lock()
 	delete(o.inflight, t)
 	o.recent = append(o.recent, s)
 	if len(o.recent) > recentJobs {
 		o.recent = o.recent[len(o.recent)-recentJobs:]
 	}
-	if ts != nil && ts.RequestID != "" {
-		if _, seen := o.summaries[ts.RequestID]; !seen {
-			o.summaryIDs = append(o.summaryIDs, ts.RequestID)
-		}
-		o.summaries[ts.RequestID] = ts
-		for len(o.summaryIDs) > recentSummaries {
-			delete(o.summaries, o.summaryIDs[0])
-			o.summaryIDs = o.summaryIDs[1:]
-		}
-	}
 	o.mu.Unlock()
-}
-
-// TimelineByRequestID returns the most recent finished timeline summary
-// for a correlation ID (nil if unknown, evicted, or o is nil).
-func (o *Observer) TimelineByRequestID(id string) *TimelineSummary {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.summaries[id]
 }
 
 // UptimeSeconds returns the observer's age — the process's serving

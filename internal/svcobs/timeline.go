@@ -57,9 +57,6 @@ type Timeline struct {
 	traceID      string
 	parentSpanID string
 	spanID       string
-	// summary is the compact export built once at Finish, served on the
-	// response header and GET /debug/timeline/{request-id}.
-	summary *TimelineSummary
 }
 
 // Mark closes the current stage and opens the named one. Marking the
@@ -153,10 +150,10 @@ func (t *Timeline) Finish() {
 	}
 	t.done = true
 	t.spans = append(t.spans, StageSpan{Stage: t.cur, Start: t.curStart, End: now})
-	tier := t.tier
-	if tier == "" {
-		tier = "event"
+	if t.tier == "" {
+		t.tier = "event"
 	}
+	tier := t.tier
 	summary := JobSummary{
 		Name:      t.name,
 		RequestID: t.reqID,
@@ -167,29 +164,12 @@ func (t *Timeline) Finish() {
 		Seconds:   now.Sub(t.start).Seconds(),
 		Stages:    make(map[string]float64, len(t.spans)),
 	}
-	spans := append([]StageSpan(nil), t.spans...)
+	// A finished timeline's spans never change again, so the tracer can
+	// read them after the lock is released.
+	spans := t.spans
 	for _, sp := range spans {
 		summary.Stages[sp.Stage] += sp.End.Sub(sp.Start).Seconds()
 	}
-	ts := &TimelineSummary{
-		Name:         t.name,
-		RequestID:    t.reqID,
-		TraceID:      t.traceID,
-		SpanID:       t.spanID,
-		ParentSpanID: t.parentSpanID,
-		Tier:         tier,
-		Worker:       t.worker,
-		StartUS:      t.start.UnixMicro(),
-		EndUS:        now.UnixMicro(),
-	}
-	for _, sp := range spans {
-		if d := sp.End.Sub(sp.Start); d > 0 {
-			ts.Stages = append(ts.Stages, StageSummary{
-				Stage: sp.Stage, StartUS: sp.Start.UnixMicro(), DurUS: d.Microseconds(),
-			})
-		}
-	}
-	t.summary = ts
 	obs, worker := t.obs, t.worker
 	t.mu.Unlock()
 
@@ -200,16 +180,16 @@ func (t *Timeline) Finish() {
 		obs.Stage.Observe(secs, stage, tier)
 	}
 	obs.Tracer.addJob(summary.Name, summary.RequestID, tier, worker, spans)
-	obs.finishTimeline(t, summary, ts)
+	obs.finishTimeline(t, summary)
 }
 
 // TimelineSummary is a finished timeline's compact wire form: what a
-// worker hands back to the fleet dispatcher (X-Ladm-Timeline response
-// header, GET /debug/timeline/{request-id}) so campaign traces can
-// stitch the worker's stage spans under the dispatch attempt that
-// caused them. Times are absolute wall-clock microseconds — the
-// stitcher places them on the shared timeline directly, accepting
-// ordinary NTP-level clock skew between boxes.
+// worker hands back to the fleet dispatcher on the X-Ladm-Timeline
+// response header so campaign traces can stitch the worker's stage
+// spans under the dispatch attempt that caused them. Times are absolute
+// wall-clock microseconds — the stitcher places them on the shared
+// timeline directly, accepting ordinary NTP-level clock skew between
+// boxes.
 type TimelineSummary struct {
 	Name         string         `json:"name"`
 	RequestID    string         `json:"request_id,omitempty"`
@@ -230,15 +210,38 @@ type StageSummary struct {
 	DurUS   int64  `json:"dur_us"`
 }
 
-// Summary returns the compact export built at Finish (nil before the
-// timeline finishes, or on a nil timeline).
+// Summary builds the compact export from a finished traced timeline's
+// spans: nil before Finish, for a timeline that never adopted a trace
+// (there is no dispatch attempt to stitch it under), or on a nil
+// timeline.
 func (t *Timeline) Summary() *TimelineSummary {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.summary
+	if !t.done || t.traceID == "" {
+		return nil
+	}
+	ts := &TimelineSummary{
+		Name:         t.name,
+		RequestID:    t.reqID,
+		TraceID:      t.traceID,
+		SpanID:       t.spanID,
+		ParentSpanID: t.parentSpanID,
+		Tier:         t.tier,
+		Worker:       t.worker,
+		StartUS:      t.start.UnixMicro(),
+		EndUS:        t.spans[len(t.spans)-1].End.UnixMicro(), // Finish's close
+	}
+	for _, sp := range t.spans {
+		if d := sp.End.Sub(sp.Start); d > 0 {
+			ts.Stages = append(ts.Stages, StageSummary{
+				Stage: sp.Stage, StartUS: sp.Start.UnixMicro(), DurUS: d.Microseconds(),
+			})
+		}
+	}
+	return ts
 }
 
 // TimelineStatus is the /statusz view of one in-flight job.

@@ -29,9 +29,10 @@ type TraceContext struct {
 	// that new child operations name as their parent.
 	SpanID string
 	// Minted marks a context the middleware made up for a request that
-	// carried no valid traceparent. Its IDs still correlate logs and
-	// timelines in this process, but no trace data is sent back to a
-	// caller that never asked for it. Child contexts are not minted.
+	// carried no valid traceparent. No job timeline adopts it (its trace
+	// ID lands on the middleware's access-log line), so no trace data is
+	// sent back to a caller that never asked for it. Child contexts are
+	// not minted.
 	Minted bool
 }
 

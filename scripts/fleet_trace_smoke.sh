@@ -6,8 +6,8 @@
 # client track plus attempt spans AND stitched worker stage spans on
 # BOTH endpoint tracks (round-robin dispatch and retries spread the
 # attempts). Then starts a front-end over the same
-# workers and asserts GET /fleetz aggregates both (reachable, with
-# self-reported /statusz numbers).
+# workers and asserts the GET /fleetz JSON aggregates both (reachable,
+# with self-reported /statusz numbers).
 set -euo pipefail
 
 ADDR_A="${ADDR_A:-127.0.0.1:18093}"
@@ -79,9 +79,5 @@ for w in fz["workers"]:
 print(f"fleet_trace_smoke: fleetz OK — {s['reachable']} reachable, "
       f"{s['submitted']} jobs submitted cluster-wide")
 PY
-
-# The HTML view must render.
-curl -sf "http://$ADDR_FE/fleetz?format=html" | grep -q "<html" \
-  || { echo "fleet_trace_smoke: /fleetz?format=html did not render" >&2; exit 1; }
 
 echo "fleet_trace_smoke: OK"

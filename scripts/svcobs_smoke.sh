@@ -7,7 +7,7 @@
 #      store probe, pool execution, completion) carries that request_id,
 #   3. /metrics exposes the stage and HTTP latency histograms plus the
 #      labeled tier-escalation counter,
-#   4. /statusz answers a well-formed JSON document (and an HTML view),
+#   4. /statusz answers a well-formed JSON document,
 #   5. /debug/servicetrace returns a valid Chrome trace with spans.
 set -euo pipefail
 
@@ -68,8 +68,6 @@ for key in '"service"' '"uptime_seconds"' '"pool"' '"jobs"' '"cache"' '"store"' 
 done
 grep -qF "\"request_id\": \"$RID\"" <<< "$STATUSZ" || {
   echo "svcobs_smoke: statusz slowest ring lost the request id" >&2; exit 1; }
-curl -sf "http://$ADDR/statusz?format=html" | grep -q "<html" || {
-  echo "svcobs_smoke: statusz html view broken" >&2; exit 1; }
 
 echo "svcobs_smoke: service trace"
 TRACE="$(curl -sf "http://$ADDR/debug/servicetrace")"
