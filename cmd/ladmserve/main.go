@@ -30,16 +30,15 @@
 //	               tier/confidence fields name who answered)
 //	POST /sweep    run a workload x policy x machine cross product
 //	               {"workloads":["vecadd"],"policies":["h-coda","ladm"]}
-//	               (also takes "fidelity", applied to every cell)
-//	GET  /jobs     every tracked job
+//	               (also takes "fidelity", applied to every cell; with
+//	               "async":true it answers 202 and each cell is polled
+//	               by its job id)
 //	GET  /jobs/{id}
 //	GET  /jobs/{id}/telemetry  series/trace of a telemetry job (?view=csv|trace);
 //	               also accepts the job's 64-hex content key, which reads the
 //	               durable telemetry spill — with -store-dir, telemetry
 //	               survives registry eviction and server restarts
 //	GET  /jobs/{id}/events     live job lifecycle events (SSE)
-//	GET  /sweeps/{id}          sweep progress snapshot
-//	GET  /sweeps/{id}/events   live sweep progress ticks (SSE)
 //	GET  /metrics  Prometheus text format
 //	GET  /healthz  liveness: the process is up and serving HTTP
 //	GET  /readyz   readiness: 503 (with reasons) while draining, while the

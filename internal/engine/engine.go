@@ -19,9 +19,9 @@
 // event queue's node arena, and the per-transaction (txState), per-phase
 // (phaseRun) and per-threadblock (tbExec) state is recycled through
 // engine-owned free lists. The engine runs on a single goroutine, so the
-// free lists are plain slices — no sync.Pool, no locks. Debug and
-// telemetry hooks opt back into allocating closure wrappers; see DESIGN.md
-// "Allocation-free event core".
+// free lists are plain slices — no sync.Pool, no locks. Transaction
+// tracing rides the same pooled state; see DESIGN.md "Allocation-free
+// event core".
 package engine
 
 import (
@@ -564,12 +564,6 @@ func (x *tbExec) step(t float64) {
 	}
 }
 
-// debugPhase, when set by tests, observes phase timing.
-var debugPhase func(tb, stage, m int, t0, end float64)
-
-// debugTx, when set by tests, observes transaction timing.
-var debugTx func(tb, m, i int, tx *trace.Transaction, at, done float64)
-
 // phaseDone advances the state machine once a phase's loads have retired.
 func (x *tbExec) phaseDone(end float64) {
 	e := x.e
@@ -666,12 +660,6 @@ func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 	pr.issue(t0)
 }
 
-func (p *phaseRun) observe(end float64) {
-	if debugPhase != nil {
-		debugPhase(p.x.tb, p.x.stage, p.x.m, p.t0, end)
-	}
-}
-
 // phaseRun drives one memory phase: a sliding window of in-flight
 // transactions over the SM issue port, completion tracking, and the
 // barrier that ends the phase when all loads are back. Pooled via the
@@ -708,15 +696,7 @@ func (p *phaseRun) issue(t float64) {
 		if at > p.lastIssue {
 			p.lastIssue = at
 		}
-		if debugTx != nil {
-			idx, txc := p.next-1, tx
-			e.startTx(at, x.sm, x.node, tx, nil, func(dt float64, blocks bool) {
-				debugTx(x.tb, x.m, idx, &txc, at, dt)
-				p.onTxDone(dt, blocks)
-			})
-			continue
-		}
-		e.startTx(at, x.sm, x.node, tx, p, nil)
+		e.startTx(at, x.sm, x.node, tx, p)
 	}
 	p.maybeFinish()
 }
@@ -748,7 +728,6 @@ func (p *phaseRun) maybeFinish() {
 	}
 	p.finished = true
 	end := maxF(p.maxLoad, p.lastIssue) + p.compute
-	p.observe(end)
 	x, e := p.x, p.e
 	if p.inFlight == 0 {
 		e.releasePR(p)

@@ -31,13 +31,8 @@ const reqHeaderBytes = 16
 // the simulator's dominant allocation. The journey now lives in a pooled
 // txState advanced by a stage tag: the same struct is rescheduled hop to
 // hop and returned to the engine's free list on retirement, so steady
-// state allocates nothing per transaction.
-
-// txDone receives a transaction's retirement time and whether the issuing
-// warp had to wait for it (loads block, stores are fire-and-forget).
-// Only the debug/telemetry wrapper path pays for this indirection; the
-// pooled fast path retires straight into its phaseRun.
-type txDone func(t float64, blocks bool)
+// state allocates nothing per transaction, with transaction tracing on
+// or off.
 
 // txStage tags the next hop of a pooled transaction's journey.
 type txStage uint8
@@ -55,13 +50,13 @@ const (
 // sync.Pool, no locks).
 type txState struct {
 	e     *Engine
-	pr    *phaseRun // retirement target on the fast path
-	done  txDone    // non-nil: debug/telemetry wrapper path (overrides pr)
+	pr    *phaseRun // retirement target
 	stage txStage
 
-	sm   int
-	node int
-	home int
+	sm     int
+	node   int
+	home   int
+	issued float64 // issue time, the start of the transaction's trace span
 
 	tx       trace.Transaction
 	missMask cache.SectorMask
@@ -87,50 +82,32 @@ func (st *txState) run(t float64) {
 }
 
 // finish retires the transaction and recycles its state. The state is
-// released before the completion handler runs: the handler may issue new
-// transactions, and those should be able to reuse this slot.
+// released before the phase hears of the retirement: onTxDone may issue
+// new transactions, and those should be able to reuse this slot.
 func (st *txState) finish(t float64, blocks bool) {
-	e := st.e
-	pr, done := st.pr, st.done
+	e, pr := st.e, st.pr
+	if e.tel.TxTracing() {
+		mask := cache.SectorMask(st.tx.Mask)
+		e.tel.TxSpan(st.node, st.sm, pop(mask)*e.cfg.SectorBytes, st.tx.Mode == kir.Store, st.issued, t)
+	}
 	e.mshr[st.sm]-- // before releaseTx zeroes st
 	e.releaseTx(st)
-	if done != nil {
-		done(t, blocks)
-		return
-	}
 	pr.onTxDone(t, blocks)
 }
 
-// startTx schedules the transaction's journey beginning at its issue time.
-// tx is captured by value: the caller's buffer may be reused. Retirement
-// reports to pr; a non-nil done overrides it (the debug hook's wrapper
-// path, which may allocate — it is not steady state).
-func (e *Engine) startTx(at float64, sm, node int, tx trace.Transaction, pr *phaseRun, done txDone) {
+// startTx schedules the transaction's journey beginning at its issue time;
+// retirement reports to pr. tx is captured by value: the caller's buffer
+// may be reused.
+func (e *Engine) startTx(at float64, sm, node int, tx trace.Transaction, pr *phaseRun) {
 	st := e.acquireTx()
 	st.e = e
 	st.pr = pr
-	st.done = done
 	st.stage = stageL1
 	st.sm = sm
 	st.node = node
+	st.issued = at
 	st.tx = tx
 	e.mshr[sm]++ // sampled as MSHR occupancy; decremented in finish
-	if e.tel.TxTracing() {
-		// Telemetry opts back into the wrapper path: the span closure
-		// allocates, which is acceptable when tracing is on.
-		inner, innerPR := done, pr
-		bytes := pop(cache.SectorMask(tx.Mask)) * e.cfg.SectorBytes
-		store := tx.Mode == kir.Store
-		st.pr = nil
-		st.done = func(t float64, blocks bool) {
-			e.tel.TxSpan(node, sm, bytes, store, at, t)
-			if inner != nil {
-				inner(t, blocks)
-				return
-			}
-			innerPR.onTxDone(t, blocks)
-		}
-	}
 	e.sched.schedule(at, st)
 }
 

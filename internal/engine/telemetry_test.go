@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -227,5 +229,25 @@ func TestGoldenChromeTrace(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace differs from golden file (run with -update if intended)\ngot %d bytes, want %d",
 			buf.Len(), len(want))
+	}
+}
+
+// TestTxTraceDigest pins the Chrome trace of the same tiny vecadd run
+// with per-transaction spans on, so the "cat":"tx" events the golden
+// above leaves out are locked too. Only the trace's sha256 is kept,
+// not another golden file.
+func TestTxTraceDigest(t *testing.T) {
+	tel := simtel.New(simtel.Config{Trace: true, TraceTx: true})
+	simulateTel(t, vecAdd(8), arch.DefaultHierarchical(), runtime.LADM(), tel)
+	var buf bytes.Buffer
+	if err := tel.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"cat":"tx"`)) {
+		t.Fatal(`trace has no "cat":"tx" events`)
+	}
+	const want = "50e04606c90680fcb0ee2b3f4c9b4f202903865ed925e1551e886803ea8f422d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("tx trace sha256 = %s (%d bytes), want %s", got, buf.Len(), want)
 	}
 }

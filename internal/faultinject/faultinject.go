@@ -260,23 +260,6 @@ func (in *Injector) Summary() string {
 	return strings.Join(parts, " ")
 }
 
-// Hook returns a deterministic error-injecting function for non-HTTP
-// seams (e.g. simstore's disk I/O): each call decides one fault for
-// "<seam>\x00<op>" and maps FaultError/FaultReset onto an injected
-// error, FaultLatency onto a sleep, everything else onto nil. The shape
-// matches simstore.Options.FaultOp.
-func (in *Injector) Hook(seam string) func(op string) error {
-	return func(op string) error {
-		switch f := in.Decide(seam + "\x00" + op); f {
-		case FaultError, FaultReset:
-			return &InjectedError{Fault: f, Op: op}
-		case FaultLatency:
-			time.Sleep(in.spec.Latency)
-		}
-		return nil
-	}
-}
-
 // InjectedError is the error every injected failure surfaces as, so
 // tests can tell injected faults from real ones.
 type InjectedError struct {

@@ -230,23 +230,6 @@ func TestTransportLatency(t *testing.T) {
 	}
 }
 
-func TestHook(t *testing.T) {
-	in := New(Spec{Seed: 5, Error: 1})
-	hook := in.Hook("store")
-	err := hook("put")
-	var ie *InjectedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("hook error %v is not an InjectedError", err)
-	}
-	// Disabled spec: always nil.
-	hook = New(Spec{Seed: 5}).Hook("store")
-	for i := 0; i < 10; i++ {
-		if err := hook("get"); err != nil {
-			t.Fatalf("no-fault hook returned %v", err)
-		}
-	}
-}
-
 func TestSummary(t *testing.T) {
 	in := New(Spec{Seed: 1, Error: 1})
 	in.Decide("a")

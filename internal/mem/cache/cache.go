@@ -124,9 +124,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears the counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // FullMask returns the mask selecting every sector of a line.
 func (c *Cache) FullMask() SectorMask {
 	return SectorMask(1<<c.cfg.SectorsPerLine()) - 1

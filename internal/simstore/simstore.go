@@ -51,13 +51,6 @@ type Options struct {
 	// Schema is the producer's key schema (e.g. simsvc.KeySchema).
 	// Records carrying any other schema are treated as corrupt.
 	Schema string
-	// Retries is the number of backoff retries for transient I/O errors
-	// before the store degrades (default 3).
-	Retries int
-	// RetryBase is the first backoff delay (default 25ms); successive
-	// delays double, jittered, capped at RetryMax (default 1s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Logf receives operational messages (nil: silent).
 	Logf func(format string, args ...any)
 }
@@ -81,6 +74,21 @@ type Stats struct {
 	Healthy bool
 }
 
+// retryLimits shape the backoff on transient I/O errors: up to n
+// retries, the first after base, doubling (jittered) up to max; running
+// out degrades the store. Open applies the defaults below; in-package
+// tests pass faster limits to open.
+type retryLimits struct {
+	n         int
+	base, max time.Duration
+}
+
+const (
+	defaultRetries   = 3
+	defaultRetryBase = 25 * time.Millisecond
+	defaultRetryMax  = time.Second
+)
+
 type entry struct {
 	size  int64
 	atime time.Time
@@ -95,13 +103,11 @@ type writeReq struct {
 // Store is a durable content-addressed record store. All methods are
 // safe for concurrent use.
 type Store struct {
-	dir       string
-	schema    string
-	maxBytes  int64
-	retries   int
-	retryBase time.Duration
-	retryMax  time.Duration
-	logf      func(string, ...any)
+	dir      string
+	schema   string
+	maxBytes int64
+	retry    retryLimits
+	logf     func(string, ...any)
 
 	mu    sync.Mutex
 	index map[string]*entry
@@ -127,28 +133,21 @@ type Store struct {
 // directory is unusable (permissions, not a directory, ...): callers
 // should log it and run store-less.
 func Open(opts Options) (*Store, error) {
+	return open(opts, retryLimits{defaultRetries, defaultRetryBase, defaultRetryMax})
+}
+
+func open(opts Options, retry retryLimits) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("simstore: no directory")
 	}
 	s := &Store{
-		dir:       opts.Dir,
-		schema:    opts.Schema,
-		maxBytes:  opts.MaxBytes,
-		retries:   opts.Retries,
-		retryBase: opts.RetryBase,
-		retryMax:  opts.RetryMax,
-		logf:      opts.Logf,
-		index:     map[string]*entry{},
-		wq:        make(chan writeReq, 64),
-	}
-	if s.retries <= 0 {
-		s.retries = 3
-	}
-	if s.retryBase <= 0 {
-		s.retryBase = 25 * time.Millisecond
-	}
-	if s.retryMax <= 0 {
-		s.retryMax = time.Second
+		dir:      opts.Dir,
+		schema:   opts.Schema,
+		maxBytes: opts.MaxBytes,
+		retry:    retry,
+		logf:     opts.Logf,
+		index:    map[string]*entry{},
+		wq:       make(chan writeReq, 64),
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -308,14 +307,14 @@ func (s *Store) withRetry(op string, fn func() error) error {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if attempt >= s.retries {
+		if attempt >= s.retry.n {
 			break
 		}
 		s.retried.Add(1)
-		time.Sleep(Backoff(s.retryBase, s.retryMax, attempt))
+		time.Sleep(Backoff(s.retry.base, s.retry.max, attempt))
 	}
 	if s.degraded.CompareAndSwap(false, true) {
-		s.logf("simstore: %s failed after %d retries (%v); degrading to store-less operation", op, s.retries, err)
+		s.logf("simstore: %s failed after %d retries (%v); degrading to store-less operation", op, s.retry.n, err)
 	}
 	return err
 }

@@ -18,10 +18,7 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 		opts.Schema = "test/v1"
 	}
 	// Keep retry backoff out of test wall time.
-	opts.Retries = 1
-	opts.RetryBase = time.Millisecond
-	opts.RetryMax = 2 * time.Millisecond
-	s, err := Open(opts)
+	s, err := open(opts, retryLimits{1, time.Millisecond, 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,40 +8,28 @@ import (
 	"sync"
 )
 
-// Live job and sweep event streaming over Server-Sent Events. Each
-// tracked job (and each sweep) owns an eventHub: publishers are the
-// job's own lifecycle transitions, subscribers are GET .../events
-// connections. The hub keeps a bounded replay history that every
-// subscriber receives in full before the live events, so one that
-// connects (or reconnects) after the fact still sees how the job got
-// where it is; there is no resume cursor. The hub publishes without
-// ever blocking — a slow consumer loses events (counted in
-// simsvc_events_dropped_total), it never stalls a worker.
+// Live job event streaming over Server-Sent Events. Each tracked job
+// owns an eventHub: publishers are the job's own lifecycle transitions,
+// subscribers are GET /jobs/{id}/events connections. A hub publishes at
+// most three events — queued (register), running (setStatus) and the
+// terminal status (finishJob) — and keeps them all as its replay
+// history, which every subscriber receives in full before the live
+// events, so one that connects (or reconnects) after the fact still sees
+// how the job got where it is; there is no resume cursor. The hub
+// publishes without ever blocking — a slow consumer loses events
+// (counted in simsvc_events_dropped_total), it never stalls a worker.
 
-// JobEvent is one entry of a job's or sweep's event stream.
+// JobEvent is one entry of a job's event stream.
 type JobEvent struct {
 	// Seq orders events within one stream; it is the SSE event id.
 	Seq int64 `json:"seq"`
-	// Type is "status" for job lifecycle transitions, "progress" for
-	// sweep cell completions, "done" for a sweep's completion.
-	Type string `json:"type"`
-	// Job names the job a status event describes (or the cell a sweep
-	// progress tick just finished).
+	// Type is "status": every event is a lifecycle transition.
+	Type   string `json:"type"`
 	Job    string `json:"job,omitempty"`
 	Status string `json:"status,omitempty"`
 	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Sweep progress: completed cells, the sweep's total, and how many
-	// completions were cache hits.
-	Completed int `json:"completed,omitempty"`
-	Total     int `json:"total,omitempty"`
-	CacheHits int `json:"cache_hits,omitempty"`
 }
-
-// eventHistoryMax bounds each hub's replay buffer. Job streams carry a
-// handful of transitions; a huge sweep's progress ticks rotate through,
-// and a late subscriber still sees the most recent state.
-const eventHistoryMax = 256
 
 // subBuffer is each subscriber channel's capacity beyond the replayed
 // history; publishes beyond a full buffer are dropped, not blocked on.
@@ -72,9 +60,6 @@ func (h *eventHub) publish(ev JobEvent) {
 	h.seq++
 	ev.Seq = h.seq
 	h.history = append(h.history, ev)
-	if len(h.history) > eventHistoryMax {
-		h.history = h.history[len(h.history)-eventHistoryMax:]
-	}
 	for ch := range h.subs {
 		select {
 		case ch <- ev:
@@ -135,7 +120,7 @@ func (h *eventHub) unsubscribe(ch chan JobEvent) {
 //	data: <JobEvent JSON>
 //
 // Every connection, a reconnecting one included, replays the hub's full
-// bounded history first: duplicates are safe, gaps are not.
+// history first: duplicates are safe, gaps are not.
 func streamEvents(w http.ResponseWriter, r *http.Request, hub *eventHub) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -337,12 +337,12 @@ func TestRouteLabel(t *testing.T) {
 	cases := map[string]string{
 		"/run":                          "/run",
 		"/sweep":                        "/sweep",
-		"/jobs":                         "/jobs",
+		"/jobs":                         "other",
 		"/jobs/job-000001":              "/jobs/{id}",
 		"/jobs/abc/telemetry":           "/jobs/{id}/telemetry",
 		"/jobs/abc/events":              "/jobs/{id}/events",
-		"/sweeps/sweep-000001":          "/sweeps/{id}",
-		"/sweeps/abc/events":            "/sweeps/{id}/events",
+		"/sweeps/sweep-000001":          "other",
+		"/sweeps/abc/events":            "other",
 		"/metrics":                      "/metrics",
 		"/statusz":                      "/statusz",
 		"/fleetz":                       "/fleetz",

@@ -467,57 +467,3 @@ func TestRetentionTiesGoInCompletionOrder(t *testing.T) {
 	wantRegistry(t, srv, "job-000001", "job-000003")
 	wantEvicted(t, ts, 1)
 }
-
-// TestSweepRetention: past retainSweeps, each registration drops the
-// oldest finished sweep; unfinished sweeps stay however old they are.
-func TestSweepRetention(t *testing.T) {
-	_, srv := gatedService(t, 1, nil)
-	// Each sweep has one cell, so it runs until finish completes it.
-	register := func() *sweepRecord { return srv.registerSweep(make([]*jobRecord, 1)) }
-	finish := func(sw *sweepRecord) {
-		sw.mu.Lock()
-		sw.completed = len(sw.recs)
-		sw.mu.Unlock()
-	}
-	var all []*sweepRecord
-	for i := 0; i < retainSweeps; i++ {
-		all = append(all, register())
-	}
-	// Sweeps 1 and 3 are still running; every other one has finished.
-	for i, sw := range all {
-		if i != 0 && i != 2 {
-			finish(sw)
-		}
-	}
-	has := func(id string) bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.sweeps[id] != nil
-	}
-	check := func(gone, kept []string) {
-		t.Helper()
-		for _, id := range gone {
-			if has(id) {
-				t.Errorf("%s survived eviction", id)
-			}
-		}
-		for _, id := range kept {
-			if !has(id) {
-				t.Errorf("%s was evicted", id)
-			}
-		}
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		if len(srv.sweeps) != retainSweeps || len(srv.sweepList) != retainSweeps {
-			t.Errorf("registry holds %d sweeps (%d listed), want %d",
-				len(srv.sweeps), len(srv.sweepList), retainSweeps)
-		}
-	}
-	register()
-	check([]string{"sweep-000002"}, []string{"sweep-000001", "sweep-000003", "sweep-000004"})
-	register()
-	check([]string{"sweep-000004"}, []string{"sweep-000001", "sweep-000003", "sweep-000005"})
-	finish(all[0])
-	register()
-	check([]string{"sweep-000001"}, []string{"sweep-000003", "sweep-000005"})
-}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,51 +70,17 @@ type jobRecord struct {
 	tl *svcobs.Timeline
 }
 
-// sweepRecord tracks one submitted sweep's progress across its cells.
-type sweepRecord struct {
-	id   string
-	recs []*jobRecord
-	hub  *eventHub
-
-	mu        sync.Mutex
-	completed int // the sweep is done when every cell has completed
-	cacheHits int
-}
-
-// tick records one finished cell, publishes a progress event, and closes
-// the stream after the last cell.
-func (sw *sweepRecord) tick(rec *jobRecord, status string, cached bool) {
-	sw.mu.Lock()
-	sw.completed++
-	if cached {
-		sw.cacheHits++
-	}
-	completed, hits := sw.completed, sw.cacheHits
-	done := completed == len(sw.recs)
-	sw.mu.Unlock()
-	sw.hub.publish(JobEvent{
-		Type: "progress", Job: rec.id, Status: status, Cached: cached,
-		Completed: completed, Total: len(sw.recs), CacheHits: hits,
-	})
-	if done {
-		sw.hub.publish(JobEvent{
-			Type: "done", Completed: completed, Total: len(sw.recs), CacheHits: hits,
-		})
-		sw.hub.close()
-	}
-}
-
 // Server exposes the pool, cache and metrics over HTTP:
 //
 //	POST /run      {workload, policy, machine, scale?, telemetry?, fidelity?, async?}
 //	POST /sweep    {workloads, policies?, machines?, scale?, fidelity?, async?}
-//	GET  /jobs     all tracked jobs
 //	GET  /jobs/{id}
 //	GET  /jobs/{id}/telemetry  sampled series / Chrome trace (telemetry jobs)
 //	GET  /jobs/{id}/events     live job lifecycle events (SSE)
-//	GET  /sweeps/{id}          sweep progress snapshot
-//	GET  /sweeps/{id}/events   live sweep progress (SSE)
 //	GET  /metrics  Prometheus text format
+//
+// Every sweep cell is a job of its own: an async sweep's caller follows
+// its cells through GET /jobs/{id}.
 type Server struct {
 	pool  *Pool
 	cache *Cache
@@ -139,10 +104,7 @@ type Server struct {
 	// finishJob appends each one under mu as it stamps rec.finished, so
 	// the front is always the oldest completion and eviction pops from
 	// it without scanning or sorting the registry.
-	done      []*jobRecord
-	sweeps    map[string]*sweepRecord
-	sweepList []*sweepRecord // sweeps in creation (= id) order
-	nextSweep int
+	done []*jobRecord
 
 	// Registry retention: finished records beyond retainMax, or older
 	// than retainTTL, are evicted at registration time. Zero values
@@ -212,10 +174,6 @@ const DefaultMaxBody = 1 << 20
 // sustained traffic.
 const DefaultRetainJobs = 4096
 
-// retainSweeps bounds the sweep registry: finished sweeps beyond this
-// are evicted oldest-first at registration time.
-const retainSweeps = 1024
-
 // NewServer wraps a pool with a result cache and a job registry.
 func NewServer(pool *Pool) *Server {
 	s := &Server{
@@ -223,7 +181,6 @@ func NewServer(pool *Pool) *Server {
 		cache:     NewCache(pool.Metrics()),
 		obs:       svcobs.NewObserver(nil),
 		jobs:      map[string]*jobRecord{},
-		sweeps:    map[string]*sweepRecord{},
 		retainMax: DefaultRetainJobs,
 		maxBody:   DefaultMaxBody,
 	}
@@ -304,12 +261,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", s.handleRun)
 	mux.HandleFunc("POST /sweep", s.handleSweep)
-	mux.HandleFunc("GET /jobs", s.handleJobs)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /jobs/{id}/telemetry", s.handleJobTelemetry)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /sweeps/{id}", s.handleSweepGet)
-	mux.HandleFunc("GET /sweeps/{id}/events", s.handleSweepEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /statusz", s.handleStatusz)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -369,7 +323,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func RouteLabel(r *http.Request) string {
 	path := r.URL.Path
 	switch path {
-	case "/run", "/sweep", "/jobs", "/metrics", "/statusz", "/healthz", "/readyz",
+	case "/run", "/sweep", "/metrics", "/statusz", "/healthz", "/readyz",
 		"/fleetz", "/debug/servicetrace":
 		return path
 	}
@@ -381,14 +335,6 @@ func RouteLabel(r *http.Request) string {
 			return "/jobs/{id}/events"
 		case !strings.Contains(rest, "/"):
 			return "/jobs/{id}"
-		}
-	}
-	if rest, ok := strings.CutPrefix(path, "/sweeps/"); ok {
-		if strings.HasSuffix(rest, "/events") {
-			return "/sweeps/{id}/events"
-		}
-		if !strings.Contains(rest, "/") {
-			return "/sweeps/{id}"
 		}
 	}
 	if strings.HasPrefix(path, "/debug/pprof") {
@@ -503,44 +449,6 @@ func (s *Server) register(ctx context.Context, req Request) *jobRecord {
 		"fidelity", req.Fidelity, "telemetry", req.Telemetry)
 	rec.hub.publish(JobEvent{Type: "status", Job: rec.id, Status: StatusQueued})
 	return rec
-}
-
-// registerSweep tracks a new sweep over the given cells, evicting the
-// oldest finished sweeps beyond the registry bound. Unfinished sweeps
-// are never evicted: the walk from the oldest passes over them and
-// re-seats them ahead of the untouched tail, so it costs the sweeps it
-// visits, not the registry.
-func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextSweep++
-	sw := &sweepRecord{
-		id:   fmt.Sprintf("sweep-%06d", s.nextSweep),
-		recs: recs,
-		hub:  newEventHub(s.pool.Metrics()),
-	}
-	s.sweeps[sw.id] = sw
-	s.sweepList = append(s.sweepList, sw)
-	excess := len(s.sweeps) - retainSweeps
-	var live []*sweepRecord // unfinished sweeps walked past
-	i := 0
-	for ; excess > 0 && i < len(s.sweepList); i++ {
-		old := s.sweepList[i]
-		old.mu.Lock()
-		finished := old.completed == len(old.recs)
-		old.mu.Unlock()
-		if finished {
-			delete(s.sweeps, old.id)
-			excess--
-		} else {
-			live = append(live, old)
-		}
-	}
-	keep := i - len(live)
-	copy(s.sweepList[keep:i], live)
-	clear(s.sweepList[:keep])
-	s.sweepList = s.sweepList[keep:]
-	return sw
 }
 
 func finishedStatus(status string) bool {
@@ -902,51 +810,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, cell := range cells {
 		recs[i] = s.register(r.Context(), cell)
 	}
-	sw := s.registerSweep(recs)
-	runCell := func(ctx context.Context, rec *jobRecord) {
-		s.execute(ctx, rec)
-		s.mu.Lock()
-		status, cached := rec.status, rec.cached
-		s.mu.Unlock()
-		sw.tick(rec, status, cached)
-	}
+	ctx := r.Context()
 	if req.Async {
 		// WithoutCancel: cells outlive the HTTP request but stay
 		// correlated with it in the logs.
-		ctx := context.WithoutCancel(r.Context())
-		for _, rec := range recs {
-			go runCell(ctx, rec)
-		}
-		writeJSON(w, http.StatusAccepted, s.sweepView(sw))
-		return
+		ctx = context.WithoutCancel(ctx)
 	}
 	var wg sync.WaitGroup
+	wg.Add(len(recs))
 	for _, rec := range recs {
-		wg.Add(1)
-		go func(rec *jobRecord) {
+		go func() {
 			defer wg.Done()
-			runCell(r.Context(), rec)
-		}(rec)
+			s.execute(ctx, rec)
+		}()
+	}
+	if req.Async {
+		writeJSON(w, http.StatusAccepted, s.sweepView(recs))
+		return
 	}
 	wg.Wait()
+	sv := s.sweepView(recs)
 	code := http.StatusOK
-	for _, rec := range recs {
-		s.mu.Lock()
-		failed := rec.err != nil
-		s.mu.Unlock()
-		if failed {
+	for _, v := range sv.Jobs {
+		if v.Status != StatusDone {
 			code = http.StatusInternalServerError
 			break
 		}
 	}
-	writeJSON(w, code, s.sweepView(sw))
+	writeJSON(w, code, sv)
 }
 
-// SweepView is the JSON shape of one sweep's progress: the submitted
-// cells plus completed/cache-hit counts, mirrored live on the sweep's
-// SSE stream.
+// SweepView is the JSON shape of a sweep's answer: its cells' job views
+// and the completed/cache-hit counts read off them when it is written.
 type SweepView struct {
-	ID        string    `json:"id"`
 	Total     int       `json:"total"`
 	Completed int       `json:"completed"`
 	CacheHits int       `json:"cache_hits"`
@@ -954,43 +850,33 @@ type SweepView struct {
 	Jobs      []JobView `json:"jobs"`
 }
 
-func (s *Server) sweepView(sw *sweepRecord) SweepView {
-	sw.mu.Lock()
-	completed, hits := sw.completed, sw.cacheHits
-	sw.mu.Unlock()
-	return SweepView{
-		ID:        sw.id,
-		Total:     len(sw.recs),
-		Completed: completed,
-		CacheHits: hits,
-		Done:      completed == len(sw.recs),
-		Jobs:      s.views(sw.recs),
+func (s *Server) sweepView(recs []*jobRecord) SweepView {
+	sv := SweepView{Total: len(recs), Jobs: make([]JobView, len(recs))}
+	for i, rec := range recs {
+		v := s.view(rec)
+		sv.Jobs[i] = v
+		if finishedStatus(v.Status) {
+			sv.Completed++
+			if v.Cached {
+				sv.CacheHits++
+			}
+		}
 	}
+	sv.Done = sv.Completed == sv.Total
+	return sv
 }
 
-// lookup returns the registry entry named by the request's {id}, or
-// answers 404 and returns nil.
-func lookup[T any](s *Server, w http.ResponseWriter, r *http.Request, registry map[string]*T, kind string) *T {
+// lookup returns the job named by the request's {id}, or answers 404
+// and returns nil.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *jobRecord {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	v := registry[id]
+	rec := s.jobs[id]
 	s.mu.Unlock()
-	if v == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown %s %q", kind, id))
+	if rec == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 	}
-	return v
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	if sw := lookup(s, w, r, s.sweeps, "sweep"); sw != nil {
-		writeJSON(w, http.StatusOK, s.sweepView(sw))
-	}
-}
-
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	if sw := lookup(s, w, r, s.sweeps, "sweep"); sw != nil {
-		streamEvents(w, r, sw.hub)
-	}
+	return rec
 }
 
 // handleJobEvents streams a job's lifecycle transitions as SSE. Every
@@ -998,32 +884,13 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 // fact still shows the full queued -> running -> terminal sequence; the
 // stream ends at the terminal status.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if rec := lookup(s, w, r, s.jobs, "job"); rec != nil {
+	if rec := s.lookup(w, r); rec != nil {
 		streamEvents(w, r, rec.hub)
 	}
 }
 
-func (s *Server) views(recs []*jobRecord) []JobView {
-	out := make([]JobView, len(recs))
-	for i, rec := range recs {
-		out[i] = s.view(rec)
-	}
-	return out
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	recs := make([]*jobRecord, 0, len(s.jobs))
-	for _, rec := range s.jobs {
-		recs = append(recs, rec)
-	}
-	s.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
-	writeJSON(w, http.StatusOK, s.views(recs))
-}
-
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if rec := lookup(s, w, r, s.jobs, "job"); rec != nil {
+	if rec := s.lookup(w, r); rec != nil {
 		s.writeView(w, http.StatusOK, rec)
 	}
 }

@@ -172,7 +172,7 @@ func TestServerSweepDedupesIdenticalCells(t *testing.T) {
 	if len(sv.Jobs) != 4 {
 		t.Fatalf("cells = %d, want 4", len(sv.Jobs))
 	}
-	if sv.ID == "" || !sv.Done || sv.Completed != 4 || sv.Total != 4 {
+	if !sv.Done || sv.Completed != 4 || sv.Total != 4 {
 		t.Errorf("sweep envelope = %+v", sv)
 	}
 	for i, v := range sv.Jobs {
@@ -184,6 +184,64 @@ func TestServerSweepDedupesIdenticalCells(t *testing.T) {
 	// single-flight/cache serves the duplicates.
 	if calls.Load() != 2 {
 		t.Errorf("simulate calls = %d, want 2", calls.Load())
+	}
+}
+
+// TestServerSweepAsync: an async sweep answers 202 at once with its
+// cells' job views and no sweep id; every cell is then followed through
+// GET /jobs/{id}. There is no sweep registry and no job listing.
+func TestServerSweepAsync(t *testing.T) {
+	ts, _ := newTestService(t, new(atomic.Int64))
+	resp, body := postJSON(t, ts.URL+"/sweep", map[string]any{
+		"workloads": []string{"vecadd", "sq-gemm"},
+		"policies":  []string{"ladm", "h-coda"},
+		"scale":     8,
+		"async":     true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var envelope map[string]json.RawMessage
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := envelope["id"]; ok {
+		t.Errorf("async sweep envelope has an id: %s", body)
+	}
+	var sv SweepView
+	if err := json.Unmarshal(body, &sv); err != nil {
+		t.Fatal(err)
+	}
+	if sv.Total != 4 || len(sv.Jobs) != 4 {
+		t.Fatalf("sweep envelope = %+v", sv)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, cell := range sv.Jobs {
+		for {
+			r, data := getBody(t, ts.URL+"/jobs/"+cell.ID)
+			if r.StatusCode != http.StatusOK {
+				t.Fatalf("GET /jobs/%s: %d %s", cell.ID, r.StatusCode, data)
+			}
+			var v JobView
+			if err := json.Unmarshal(data, &v); err != nil {
+				t.Fatal(err)
+			}
+			if v.Status == StatusDone {
+				if v.Run == nil || v.Run.Workload != cell.Request.Workload {
+					t.Errorf("cell %s run = %+v", cell.ID, v.Run)
+				}
+				break
+			}
+			if finishedStatus(v.Status) || time.Now().After(deadline) {
+				t.Fatalf("cell %s never completed: %+v", cell.ID, v)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for _, path := range []string{"/sweeps/x", "/sweeps/x/events", "/jobs"} {
+		if r, _ := getBody(t, ts.URL+path); r.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", path, r.StatusCode)
+		}
 	}
 }
 
@@ -205,35 +263,15 @@ func TestServerSweepValidatesBeforeRunning(t *testing.T) {
 	}
 }
 
+// TestServerJobsListAndNotFound: there is no job listing, and an
+// unknown job id is a 404.
 func TestServerJobsListAndNotFound(t *testing.T) {
 	ts, _ := newTestService(t, new(atomic.Int64))
 	postJSON(t, ts.URL+"/run", Request{Workload: "vecadd"})
-	resp, body := func() (*http.Response, []byte) {
-		r, err := http.Get(ts.URL + "/jobs")
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/jobs", "/jobs/job-999999"} {
+		if r, _ := getBody(t, ts.URL+path); r.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404", path, r.StatusCode)
 		}
-		defer r.Body.Close()
-		d, _ := io.ReadAll(r.Body)
-		return r, d
-	}()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("jobs list status = %d", resp.StatusCode)
-	}
-	var views []JobView
-	if err := json.Unmarshal(body, &views); err != nil {
-		t.Fatal(err)
-	}
-	if len(views) != 1 || views[0].ID != "job-000001" {
-		t.Errorf("jobs = %+v", views)
-	}
-	r, err := http.Get(ts.URL + "/jobs/job-999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job status = %d", r.StatusCode)
 	}
 }
 
