@@ -15,15 +15,17 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x ladm ladm/internal/engine > bench.txt
+//	go test -run '^$' -bench . -benchmem -benchtime 1x -count 5 -cpu 2 ... > bench.txt
 //	go run ./cmd/benchguard -baseline BENCH_engine.json bench.txt
 //
-// After an intentional change to the engine's allocation behavior,
-// regenerate the baseline from several samples per benchmark (ns/op and
+// Several go test runs may write to one file (the CI gives its
+// sub-millisecond benchmarks -benchtime 200x in a second run): ns/op and
+// allocs/op are per operation, so every sample of a benchmark counts
+// alike. After an intentional change to the engine's allocation
+// behavior, regenerate the baseline from the same command (ns/op and
 // allocs/op are pinned at the median sample; ratio overrides are
 // preserved):
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x -count 5 -cpu 2 ... > bench.txt
 //	go run ./cmd/benchguard -baseline BENCH_engine.json -update bench.txt
 //
 // A re-pin only ever lowers an allocation ceiling: the new ceiling is

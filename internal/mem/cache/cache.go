@@ -13,6 +13,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // SectorMask is a bitmask over the sectors of one line (bit i = sector i).
@@ -76,20 +77,33 @@ type Result struct {
 	Bypassed bool
 }
 
+// pageBytes is the size a page of sets is cut to: the largest
+// power-of-two run of sets whose lines fit in it. 12 KB of 24-byte lines
+// is both an L1's whole array (128 sets × 4 ways) and 32 sets of a
+// 16-way L2 slice, and 12288 bytes is a Go size class, so a page wastes
+// nothing.
+const pageBytes = 16 << 10
+
 // Cache is a sectored set-associative cache with LRU replacement.
 //
-// The line array is allocated by the first Access, not by New: a machine
-// of 256 SMs and 16 L2 slices holds about 6 MB of lines, and a cheap cell
-// touches only a few of its caches. Until then the cache is empty.
+// The lines are allocated by page, a page being a run of consecutive
+// sets: the first Access allocates the page table, and each page is
+// allocated by the first Access that lands in it. A machine of 256 SMs
+// and 16 L2 slices holds about 6 MB of lines (a monolithic 16 MB L2
+// alone 3 MB), and a cheap cell touches a few of its caches and a few
+// sets of each. Sets on a page not yet allocated are empty. A cache
+// whose every set was touched holds exactly Sets×Assoc lines.
 type Cache struct {
 	cfg      Config
-	lines    []line // sets*assoc, set-major; nil until the first Access
+	pages    [][]line // set-major, 1<<pageShift sets each; nil until touched
 	tick     uint64
 	stats    Stats
 	resident int // valid sectors currently held (occupancy gauge)
 
 	lineShift uint // log2(LineBytes)
 	setBits   int  // log2(Sets) when Sets is a power of two, else -1
+	pageShift uint // log2(sets per page)
+	pageMask  int  // sets per page - 1
 }
 
 // New creates a cache. It panics on inconsistent geometry: caches are
@@ -115,6 +129,10 @@ func New(cfg Config) *Cache {
 	if bits.OnesCount(uint(cfg.Sets)) == 1 {
 		c.setBits = bits.TrailingZeros(uint(cfg.Sets))
 	}
+	if perPage := pageBytes / (int(unsafe.Sizeof(line{})) * cfg.Assoc); perPage > 1 {
+		c.pageShift = uint(bits.Len(uint(perPage)) - 1)
+	}
+	c.pageMask = 1<<c.pageShift - 1
 	return c
 }
 
@@ -172,9 +190,23 @@ func (c *Cache) SetIndex(addr uint64) int {
 	return int(x % n)
 }
 
-func (c *Cache) set(lineAddr uint64) []line {
-	setIdx := c.SetIndex(lineAddr)
-	return c.lines[setIdx*c.cfg.Assoc : (setIdx+1)*c.cfg.Assoc]
+// set returns the ways of set s, or nil while its page is unallocated.
+// The page table must exist.
+func (c *Cache) set(s int) []line {
+	pg := c.pages[s>>c.pageShift]
+	if pg == nil {
+		return nil
+	}
+	off := (s & c.pageMask) * c.cfg.Assoc
+	return pg[off : off+c.cfg.Assoc]
+}
+
+// newPage allocates page p: 1<<pageShift sets, or the sets left over
+// when it is the last page.
+func (c *Cache) newPage(p int) []line {
+	first := p << c.pageShift
+	c.pages[p] = make([]line, min(c.pageMask+1, c.cfg.Sets-first)*c.cfg.Assoc)
+	return c.pages[p]
 }
 
 // Access probes the cache for the sectors in mask of addr's line.
@@ -188,13 +220,19 @@ func (c *Cache) Access(addr uint64, mask SectorMask, allocate, dirty bool) Resul
 	if mask == 0 {
 		panic("cache: empty sector mask")
 	}
-	if c.lines == nil {
-		c.lines = make([]line, c.cfg.Sets*c.cfg.Assoc)
+	if c.pages == nil {
+		c.pages = make([][]line, (c.cfg.Sets-1)>>c.pageShift+1)
 	}
 	c.tick++
 	c.stats.Accesses++
 	lineAddr := c.LineAddr(addr)
-	set := c.set(lineAddr)
+	s := c.SetIndex(lineAddr)
+	pg := c.pages[s>>c.pageShift]
+	if pg == nil {
+		pg = c.newPage(s >> c.pageShift)
+	}
+	off := (s & c.pageMask) * c.cfg.Assoc
+	set := pg[off : off+c.cfg.Assoc]
 
 	// Probe.
 	for i := range set {
@@ -266,11 +304,11 @@ func (c *Cache) Access(addr uint64, mask SectorMask, allocate, dirty bool) Resul
 // Probe reports which of the requested sectors are present without
 // modifying any state (no LRU update, no fill).
 func (c *Cache) Probe(addr uint64, mask SectorMask) (hit SectorMask) {
-	if c.lines == nil {
+	if c.pages == nil {
 		return 0
 	}
 	lineAddr := c.LineAddr(addr)
-	set := c.set(lineAddr)
+	set := c.set(c.SetIndex(lineAddr)) // nil on an unallocated page: a miss
 	for i := range set {
 		ln := &set[i]
 		if ln.live && ln.tag == lineAddr {
@@ -284,18 +322,20 @@ func (c *Cache) Probe(addr uint64, mask SectorMask) (hit SectorMask) {
 // that a write-back cache would flush. It models the L2 coherence
 // invalidation at kernel boundaries described in the paper (Section V-A).
 //
-// It clears only each set's live prefix (see the victim choice in
-// Access): dead ways past it are already zero, so a set whose first way
-// is dead costs one load.
+// It visits only the allocated pages and clears only each set's live
+// prefix (see the victim choice in Access): dead ways past it are
+// already zero, so a set whose first way is dead costs one load.
 func (c *Cache) InvalidateAll() (writebackSectors int) {
-	for s := 0; s < len(c.lines); s += c.cfg.Assoc {
-		set := c.lines[s : s+c.cfg.Assoc]
-		for i := range set {
-			if !set[i].live {
-				break
+	for _, pg := range c.pages {
+		for s := 0; s < len(pg); s += c.cfg.Assoc {
+			set := pg[s : s+c.cfg.Assoc]
+			for i := range set {
+				if !set[i].live {
+					break
+				}
+				writebackSectors += popcount(set[i].dirty)
+				set[i] = line{}
 			}
-			writebackSectors += popcount(set[i].dirty)
-			set[i] = line{}
 		}
 	}
 	c.resident = 0
@@ -311,9 +351,11 @@ func (c *Cache) ResidentSectors() int { return c.resident }
 // LiveLines counts currently valid lines (testing/inspection).
 func (c *Cache) LiveLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].live {
-			n++
+	for _, pg := range c.pages {
+		for i := range pg {
+			if pg[i].live {
+				n++
+			}
 		}
 	}
 	return n
@@ -323,18 +365,20 @@ func (c *Cache) LiveLines() int {
 // ways, or a dead way that is not zero — the invariant InvalidateAll's
 // early stop relies on (testing/inspection).
 func (c *Cache) CheckPrefix() error {
-	for s := 0; s < len(c.lines); s += c.cfg.Assoc {
-		set := c.lines[s : s+c.cfg.Assoc]
-		dead := false
-		for i := range set {
-			switch {
-			case !set[i].live:
-				if set[i] != (line{}) {
-					return fmt.Errorf("cache: set %d way %d is dead but not cleared", s/c.cfg.Assoc, i)
+	for p, pg := range c.pages {
+		for s := 0; s < len(pg); s += c.cfg.Assoc {
+			set, idx := pg[s:s+c.cfg.Assoc], p<<c.pageShift+s/c.cfg.Assoc
+			dead := false
+			for i := range set {
+				switch {
+				case !set[i].live:
+					if set[i] != (line{}) {
+						return fmt.Errorf("cache: set %d way %d is dead but not cleared", idx, i)
+					}
+					dead = true
+				case dead:
+					return fmt.Errorf("cache: set %d way %d is live after a dead way", idx, i)
 				}
-				dead = true
-			case dead:
-				return fmt.Errorf("cache: set %d way %d is live after a dead way", s/c.cfg.Assoc, i)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -325,30 +326,82 @@ func BenchmarkAccessStream(b *testing.B) {
 // fullScanInvalidate is the oracle for InvalidateAll: the brute-force
 // form that visits every way of every set, live or not.
 func fullScanInvalidate(c *Cache) (writebackSectors int) {
-	for i := range c.lines {
-		if c.lines[i].live {
-			writebackSectors += popcount(c.lines[i].dirty)
+	for _, pg := range c.pages {
+		for i := range pg {
+			if pg[i].live {
+				writebackSectors += popcount(pg[i].dirty)
+			}
+			pg[i] = line{}
 		}
-		c.lines[i] = line{}
 	}
 	c.resident = 0
 	c.stats.WritebackSecs += uint64(writebackSectors)
 	return writebackSectors
 }
 
+// setsPerPage returns how many sets one page of c holds.
+func setsPerPage(c *Cache) int { return c.pageMask + 1 }
+
+// allocatedPages counts c's pages that exist.
+func allocatedPages(c *Cache) int {
+	n := 0
+	for _, pg := range c.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// hotLines returns per line addresses mapping to each of up to k sets
+// drawn at random, so a sequence over them hits and evicts on sets
+// that lie on different pages.
+func hotLines(r *rand.Rand, c *Cache, k, per int) []uint64 {
+	want := make(map[int]int)
+	for len(want) < min(k, c.cfg.Sets) {
+		want[r.Intn(c.cfg.Sets)] = per
+	}
+	var out []uint64
+	for a := uint64(0); len(out) < len(want)*per; a += uint64(c.cfg.LineBytes) {
+		if s := c.SetIndex(a); want[s] > 0 {
+			want[s]--
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // TestInvalidateMatchesFullScan runs one random mix of Access, Probe
 // and InvalidateAll against two caches, invalidating one with
 // InvalidateAll's live-prefix walk and the other with the full-scan
 // oracle, and requires every result, writeback count and book to agree.
+// Geometries span up to four pages, and some end in a partial page.
 func TestInvalidateMatchesFullScan(t *testing.T) {
+	fixed := []Config{
+		{Sets: 100, Assoc: 16, LineBytes: 128, SectorBytes: 32},  // three pages of 32 sets and one of 4
+		{Sets: 3072, Assoc: 16, LineBytes: 128, SectorBytes: 32}, // a dgx L2 slice: 96 pages
+		{Sets: 128, Assoc: 4, LineBytes: 128, SectorBytes: 32},   // an L1: one page
+	}
 	var flushed, bypasses uint64 // coverage: dirty flushes and allocate=false misses
+	var spanned int              // coverage: sequences that touched several pages
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		cfg := Config{Sets: 1 + r.Intn(8), Assoc: 1 + r.Intn(6), LineBytes: 128, SectorBytes: 32}
+		cfg := Config{Sets: 1, Assoc: 1 + r.Intn(6), LineBytes: 128, SectorBytes: 32}
+		if r.Intn(3) == 0 {
+			cfg.Assoc = 16
+		}
+		cfg.Sets += r.Intn(4 * setsPerPage(New(cfg)))
+		if r.Intn(4) == 0 {
+			cfg = fixed[r.Intn(len(fixed))]
+		}
 		got, want := New(cfg), New(cfg)
-		lines := 4 * cfg.Sets * cfg.Assoc // enough to evict, few enough to hit
+		hot := hotLines(r, got, 6, cfg.Assoc+2) // enough to evict, few enough to hit
 		for i := 0; i < 400; i++ {
-			addr := uint64(r.Intn(lines))*128 + uint64(r.Intn(128))
+			addr := hot[r.Intn(len(hot))]
+			if r.Intn(8) == 0 { // anywhere: first touches of other pages
+				addr = uint64(r.Intn(4*cfg.Sets*cfg.Assoc)) * 128
+			}
+			addr += uint64(r.Intn(128))
 			mask := SectorMask(1 + r.Intn(15))
 			switch op := r.Intn(20); {
 			case op == 0:
@@ -383,23 +436,27 @@ func TestInvalidateMatchesFullScan(t *testing.T) {
 			}
 		}
 		bypasses += got.Stats().Bypasses
+		if allocatedPages(got) > 1 {
+			spanned++
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-	if flushed == 0 || bypasses == 0 {
-		t.Errorf("sequences never flushed a dirty sector (%d) or bypassed (%d)", flushed, bypasses)
+	if flushed == 0 || bypasses == 0 || spanned == 0 {
+		t.Errorf("sequences never flushed a dirty sector (%d), bypassed (%d) or spanned pages (%d)",
+			flushed, bypasses, spanned)
 	}
 }
 
 // TestUntouchedCache pins the empty cache a machine's unused L1s and L2
-// slices stay in: no line array until the first Access, and every
-// query answers as for an empty cache.
+// slices stay in: no page table until the first Access, every query
+// answering as for an empty cache, and then only the touched page.
 func TestUntouchedCache(t *testing.T) {
 	c := New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
-	if c.lines != nil {
-		t.Errorf("New allocated %d lines before any access", len(c.lines))
+	if c.pages != nil {
+		t.Errorf("New allocated a table of %d pages before any access", len(c.pages))
 	}
 	if hit := c.Probe(0x1000, 0b1111); hit != 0 {
 		t.Errorf("Probe on an untouched cache hit %04b", hit)
@@ -413,12 +470,58 @@ func TestUntouchedCache(t *testing.T) {
 	if err := c.CheckPrefix(); err != nil {
 		t.Error(err)
 	}
-	if c.lines != nil {
-		t.Error("a query other than Access allocated the line array")
+	if c.pages != nil {
+		t.Error("a query other than Access allocated the page table")
 	}
 	c.Access(0x1000, 0b0001, true, false)
-	if len(c.lines) != 512*16 {
-		t.Errorf("first Access allocated %d lines, want %d", len(c.lines), 512*16)
+	if len(c.pages) != 16 {
+		t.Fatalf("page table has %d pages, want 512 sets / 32 per page = 16", len(c.pages))
+	}
+	lines := 0
+	for _, pg := range c.pages {
+		lines += cap(pg)
+	}
+	if n := allocatedPages(c); n != 1 || lines != 32*16 {
+		t.Errorf("first Access allocated %d pages of %d lines in all, want 1 page of %d", n, lines, 32*16)
+	}
+	// A Probe of a set on another page misses without allocating it.
+	if hit := c.Probe(0x1000+256*128, 0b0001); hit != 0 || allocatedPages(c) != 1 {
+		t.Errorf("Probe on an untouched page: hit %04b, %d pages allocated", hit, allocatedPages(c))
+	}
+}
+
+// TestFullTouchAllocatesSetsTimesAssoc pins that pages cost nothing over
+// the dense array: touching every set allocates exactly Sets×Assoc
+// lines, with every geometry of the machines in internal/arch, a set
+// count that ends in a partial page and a way count too large for one
+// set per page.
+func TestFullTouchAllocatesSetsTimesAssoc(t *testing.T) {
+	for _, g := range []struct{ sets, assoc, pages int }{
+		{128, 4, 1},     // L1
+		{512, 16, 16},   // hier L2 slice
+		{2048, 16, 64},  // xbar, ring
+		{3072, 16, 96},  // dgx
+		{8192, 16, 256}, // monolithic
+		{100, 16, 4},    // partial last page
+		{1, 3, 1},
+		{7, 1000, 7}, // one set per page
+	} {
+		c := New(Config{Sets: g.sets, Assoc: g.assoc, LineBytes: 128, SectorBytes: 32})
+		// Line x < Sets maps to set x, so lines 0..Sets-1 touch every set.
+		for x := 0; x < g.sets; x++ {
+			c.Access(uint64(x)*128, 0b0001, true, false)
+		}
+		lines := 0
+		for _, pg := range c.pages {
+			lines += cap(pg)
+		}
+		if len(c.pages) != g.pages || allocatedPages(c) != g.pages || lines != g.sets*g.assoc {
+			t.Errorf("%d×%d: %d of %d pages allocated, %d lines, want %d pages and %d lines",
+				g.sets, g.assoc, allocatedPages(c), len(c.pages), lines, g.pages, g.sets*g.assoc)
+		}
+		if n := c.LiveLines(); n != g.sets {
+			t.Errorf("%d×%d: %d live lines after touching every set once", g.sets, g.assoc, n)
+		}
 	}
 }
 
@@ -429,14 +532,33 @@ func TestCheckPrefix(t *testing.T) {
 	if err := c.CheckPrefix(); err != nil {
 		t.Fatal(err)
 	}
-	set := c.SetIndex(0) * c.cfg.Assoc
-	c.lines[set], c.lines[set+1] = c.lines[set+1], c.lines[set]
+	set := c.set(c.SetIndex(0))
+	set[0], set[1] = set[1], set[0]
 	if c.CheckPrefix() == nil {
 		t.Error("a live way after a dead way passed")
 	}
-	c.lines[set], c.lines[set+1] = c.lines[set+1], c.lines[set]
-	c.lines[set+1].tag = 7
+	set[0], set[1] = set[1], set[0]
+	set[1].tag = 7
 	if c.CheckPrefix() == nil {
 		t.Error("a dead way with a stale tag passed")
+	}
+
+	// On a cache of several pages, a broken set on a later page is
+	// found and named by its set index.
+	c = New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
+	c.Access(0, 0b0001, true, false)
+	c.Access(100*128, 0b0001, true, false) // line 100 maps to set 100, page 3
+	if err := c.CheckPrefix(); err != nil {
+		t.Fatal(err)
+	}
+	set = c.set(100)
+	set[0], set[1] = set[1], set[0]
+	if err := c.CheckPrefix(); err == nil || !strings.Contains(err.Error(), "set 100 way 1 ") {
+		t.Errorf("a live way after a dead way on page 3: %v", err)
+	}
+	set[0], set[1] = set[1], set[0]
+	set[2].dirty = 1
+	if err := c.CheckPrefix(); err == nil || !strings.Contains(err.Error(), "set 100 way 2 ") {
+		t.Errorf("a dead way with a stale dirty mask on page 3: %v", err)
 	}
 }
