@@ -339,9 +339,6 @@ func fullScanInvalidate(c *Cache) (writebackSectors int) {
 	return writebackSectors
 }
 
-// setsPerPage returns how many sets one page of c holds.
-func setsPerPage(c *Cache) int { return c.pageMask + 1 }
-
 // allocatedPages counts c's pages that exist.
 func allocatedPages(c *Cache) int {
 	n := 0
@@ -390,7 +387,7 @@ func TestInvalidateMatchesFullScan(t *testing.T) {
 		if r.Intn(3) == 0 {
 			cfg.Assoc = 16
 		}
-		cfg.Sets += r.Intn(4 * setsPerPage(New(cfg)))
+		cfg.Sets += r.Intn(4 * (New(cfg).pageMask + 1)) // up to four pages
 		if r.Intn(4) == 0 {
 			cfg = fixed[r.Intn(len(fixed))]
 		}
