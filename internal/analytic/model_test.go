@@ -7,8 +7,8 @@ import (
 	"ladm/internal/arch"
 	"ladm/internal/core"
 	"ladm/internal/kernels"
-	"ladm/internal/simtel"
 	rt "ladm/internal/runtime"
+	"ladm/internal/simtel"
 )
 
 // testScale keeps the event-engine reference runs fast; the budget file

@@ -114,7 +114,7 @@ func AffineForAccess(k *kir.Kernel, i int) (AffineAccess, bool) {
 	base := p.Eval(&env) // tid = bid = 0, m = 0
 	aff.TMin, aff.TMax = base, base
 	for _, c := range [3]int64{aff.ThreadStride * int64(k.Block.X-1),
-		aff.CoefTy * int64(maxI(k.Block.Y, 1) - 1), aff.CoefTz * int64(maxI(k.Block.Z, 1) - 1)} {
+		aff.CoefTy * int64(maxI(k.Block.Y, 1)-1), aff.CoefTz * int64(maxI(k.Block.Z, 1)-1)} {
 		if c < 0 {
 			aff.TMin += c
 		} else {
@@ -141,7 +141,7 @@ func (a *AffineAccess) Span(bx, by, m int64) (lo, hi int64) {
 func (a *AffineAccess) GridSpan(gridX, gridY, iters int) (lo, hi int64) {
 	lo, hi = a.TMin, a.TMax
 	for _, c := range [3]int64{a.CoefBx * int64(gridX-1),
-		a.CoefBy * int64(maxI(gridY, 1) - 1), a.CoefM * int64(maxI(iters, 1) - 1)} {
+		a.CoefBy * int64(maxI(gridY, 1)-1), a.CoefM * int64(maxI(iters, 1)-1)} {
 		if c < 0 {
 			lo += c
 		} else {

@@ -77,26 +77,37 @@ func TestSchedulerZeroAllocs(t *testing.T) {
 
 // smallCellBudget bounds what one sq-gemm scale-64 LADM cell
 // (runtime.Prepare + New + Run) may allocate on any registered machine
-// (runtime.MemStats.TotalAlloc after a warm-up, go1.24, amd64). The
-// cell's 4 threadblocks touch a few L1s, and a few pages of sets of the
-// L2 slices its data is homed on. Measured, in MB per cell:
+// (runtime.MemStats.TotalAlloc after a warm-up, go1.24, amd64), and
+// newObjectBudget the heap objects its New may make. The cell's 4
+// threadblocks touch a few L1s, and a few pages of sets of the L2
+// slices its data is homed on. Measured per cell:
 //
-//	machine            eager lines  lazy lines  lazy pages
-//	hier, hier-perlink        6.52        0.87        0.38
-//	monolithic                   -        3.40        0.33
-//	xbar-*, ring-*               -        1.84        0.36
-//	dgx                       8.90        2.66        0.39
+//	                                MB per cell                  objects per New
+//	machine             eager lines  lazy lines  lazy pages  value slices   per unit  value slices
+//	hier, hier-perlink         6.52        0.87        0.38          0.33  1406-1474            17
+//	monolithic                    -        3.40        0.33          0.27       1206            17
+//	xbar-*, ring-*                -        1.84        0.36          0.31  1244-1278            17
+//	dgx                        8.90        2.66        0.39          0.33       1536            17
 //
 // Eager lines built every cache's array in engine.New; lazy lines
 // built a cache's whole array on its first access; lazy pages build
-// only the pages of sets it touches.
-const smallCellBudget = 512 << 10
+// only the pages of sets it touches. Per unit, New made a heap object
+// (and a formatted name) for every L1, issue port, L2 slice, HBM stack
+// and channel, and the free lists started at full slabs. With value
+// slices New makes a few slices per level, names a resource only when a
+// message asks, and the free lists' first slabs are small.
+const (
+	smallCellBudget = 512 << 10
+	newObjectBudget = 100
+)
 
 // TestSmallCellAllocBudget is the allocation budget for the per-cell
 // machine, the cost a design-space sweep of cheap cells pays per cell:
 // after a warm-up, preparing and running one cheap cell must allocate
 // at most smallCellBudget on every machine, so the machines with large
-// L2s (monolithic's 16 MB, dgx's 6 MB slices) pay no more than hier.
+// L2s (monolithic's 16 MB, dgx's 6 MB slices) pay no more than hier,
+// and building its machine must make at most newObjectBudget objects,
+// however many SMs, nodes and channels the machine has.
 func TestSmallCellAllocBudget(t *testing.T) {
 	spec, err := kernels.ByName("sq-gemm", 64)
 	if err != nil {
@@ -108,12 +119,15 @@ func TestSmallCellAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cell := func() {
+			prepare := func() *runtime.Plan {
 				plan, err := runtime.Prepare(spec.W, &cfg, runtime.LADM())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := New(plan).Run(); err != nil {
+				return plan
+			}
+			cell := func() {
+				if _, err := New(prepare()).Run(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -126,7 +140,12 @@ func TestSmallCellAllocBudget(t *testing.T) {
 			if got > smallCellBudget {
 				t.Errorf("sq-gemm/ladm/%s at scale 64 allocated %d bytes, budget %d", name, got, smallCellBudget)
 			}
-			t.Logf("allocated %d bytes, %d objects", got, after.Mallocs-before.Mallocs)
+			plan := prepare()
+			objects := testing.AllocsPerRun(20, func() { New(plan) })
+			if objects > newObjectBudget {
+				t.Errorf("New on %s made %.0f objects, budget %d", name, objects, newObjectBudget)
+			}
+			t.Logf("allocated %d bytes, %d objects; New made %.0f objects", got, after.Mallocs-before.Mallocs, objects)
 		})
 	}
 }

@@ -26,7 +26,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 
 	"ladm/internal/arch"
 	"ladm/internal/interconnect"
@@ -46,30 +45,28 @@ type Engine struct {
 	cfg  *arch.Config
 	plan *runtime.Plan
 
+	// The machine, held by value: a few slices per cell, not one heap
+	// object per hardware unit. Index into them; go vet reports a
+	// by-value range or copy of a cache, resource or HBM stack.
 	net     *interconnect.Network
-	l1      []*cache.Cache       // per SM
-	l2      []*cache.Cache       // per node
-	l2srv   []*queueing.Resource // per node: L2 bank service bandwidth
-	hbm     []*dram.HBM          // per node
-	smIssue []*queueing.Resource // per SM: LSU issue (transactions/cycle)
+	l1      []cache.Cache       // per SM
+	l2      []cache.Cache       // per node
+	l2srv   []queueing.Resource // per node: L2 bank service bandwidth
+	hbm     []dram.HBM          // per node
+	smIssue []queueing.Resource // per SM: LSU issue (transactions/cycle)
 
 	// Oversubscription: device residency per node and host links per GPU.
 	residency *page.Residency
-	hostLink  []*queueing.Resource
+	hostLink  []queueing.Resource
 
 	sched scheduler
 	run   *stats.Run
 
 	// Free lists recycling the event core's per-transaction, per-phase
-	// and per-threadblock state. Single-goroutine, so plain slices.
-	txFree []*txState
-	prFree []*phaseRun
-	tbFree []*tbExec
-
-	// Objects carved from slabs so far, per free list. Once a run
-	// drains, every carved object is back on its list; the tests check
-	// these books after each run.
-	txCarved, prCarved, tbCarved int
+	// and per-threadblock state.
+	txFree freeList[txState]
+	prFree freeList[phaseRun]
+	tbFree freeList[tbExec]
 
 	// Per-node TB queue storage, reused across kernel launches and
 	// EffTimes() repetitions instead of reallocating every launch.
@@ -124,37 +121,41 @@ func New(plan *runtime.Plan) *Engine {
 			Arch:     cfg.Name,
 		},
 	}
-	for sm := 0; sm < cfg.SMs(); sm++ {
-		e.l1 = append(e.l1, cache.New(cache.Config{
-			Sets:        cfg.L1Sets(),
-			Assoc:       cfg.L1Assoc,
-			LineBytes:   cfg.LineBytes,
-			SectorBytes: cfg.SectorBytes,
-		}))
-		e.smIssue = append(e.smIssue, queueing.NewResource(
-			fmt.Sprintf("sm%d.issue", sm), float64(cfg.IssuePerCycle)))
+	sms, nodes := cfg.SMs(), cfg.Nodes()
+	e.l1 = cache.NewLevel(cache.Config{
+		Sets:        cfg.L1Sets(),
+		Assoc:       cfg.L1Assoc,
+		LineBytes:   cfg.LineBytes,
+		SectorBytes: cfg.SectorBytes,
+	}, sms)
+	e.l2 = cache.NewLevel(cache.Config{
+		Sets:        cfg.L2SetsPerNode(),
+		Assoc:       cfg.L2Assoc,
+		LineBytes:   cfg.LineBytes,
+		SectorBytes: cfg.SectorBytes,
+	}, nodes)
+	e.smIssue = make([]queueing.Resource, sms)
+	for sm := range e.smIssue {
+		e.smIssue[sm].Init(queueing.SMIssue, sm, 0, float64(cfg.IssuePerCycle))
 	}
 	// L2 bank service: each bank moves one sector per cycle.
 	l2Rate := float64(cfg.L2Banks * cfg.SectorBytes)
-	for node := 0; node < cfg.Nodes(); node++ {
-		e.l2 = append(e.l2, cache.New(cache.Config{
-			Sets:        cfg.L2SetsPerNode(),
-			Assoc:       cfg.L2Assoc,
-			LineBytes:   cfg.LineBytes,
-			SectorBytes: cfg.SectorBytes,
-		}))
-		e.l2srv = append(e.l2srv, queueing.NewResource(
-			fmt.Sprintf("l2srv.n%d", node), l2Rate))
-		hcfg := dram.DefaultConfig(
-			fmt.Sprintf("hbm.n%d", node), cfg.BytesPerCycle(cfg.DRAMPerNodeGBs))
-		if cfg.DRAMChannels > 0 {
-			hcfg.Channels = cfg.DRAMChannels
-		}
-		if cfg.DRAMLat > 0 {
-			hcfg.AccessLat = cfg.DRAMLat
-		}
-		e.hbm = append(e.hbm, dram.New(hcfg))
+	e.l2srv = make([]queueing.Resource, nodes)
+	for node := range e.l2srv {
+		e.l2srv[node].Init(queueing.L2Service, node, 0, l2Rate)
 	}
+	e.hostLink = make([]queueing.Resource, cfg.GPUs)
+	for gpu := range e.hostLink {
+		e.hostLink[gpu].Init(queueing.HostLink, gpu, 0, cfg.BytesPerCycle(cfg.HostLinkGBs))
+	}
+	hcfg := dram.DefaultConfig(cfg.BytesPerCycle(cfg.DRAMPerNodeGBs))
+	if cfg.DRAMChannels > 0 {
+		hcfg.Channels = cfg.DRAMChannels
+	}
+	if cfg.DRAMLat > 0 {
+		hcfg.AccessLat = cfg.DRAMLat
+	}
+	e.hbm = dram.NewStacks(hcfg, nodes)
 	capacityPages := 0
 	if cfg.MemCapacityPerNodeKB > 0 {
 		capacityPages = int(uint64(cfg.MemCapacityPerNodeKB) << 10 / cfg.PageBytes)
@@ -162,82 +163,72 @@ func New(plan *runtime.Plan) *Engine {
 			capacityPages = 1
 		}
 	}
-	e.residency = page.NewResidency(cfg.Nodes(), capacityPages)
-	for gpu := 0; gpu < cfg.GPUs; gpu++ {
-		e.hostLink = append(e.hostLink, queueing.NewResource(
-			fmt.Sprintf("host.g%d", gpu), cfg.BytesPerCycle(cfg.HostLinkGBs)))
-	}
+	e.residency = page.NewResidency(nodes, capacityPages)
 	e.stealTBs = plan.Policy.StealTBs
-	e.mshr = make([]int32, cfg.SMs())
-	e.telRunning = make([]int32, cfg.Nodes())
-	e.telRetired = make([]int64, cfg.Nodes())
-	e.telSteals = make([]int64, cfg.Nodes())
+	e.mshr = make([]int32, sms)
+	e.telRunning = make([]int32, nodes)
+	e.telRetired = make([]int64, nodes)
+	e.telSteals = make([]int64, nodes)
 	e.tel = plan.Tel
 	e.sched.interrupt = plan.Interrupt
 	if e.tel.Sampling() {
 		e.sched.startSampling(e.tel.SampleEvery(), e.telSample)
 	}
-	e.tel.SetTopology(cfg.Nodes(), cfg.SMsPerChiplet)
+	e.tel.SetTopology(nodes, cfg.SMsPerChiplet)
 	return e
 }
 
-// Free-list refills come in slabs: the pools' warm-up used to be the
-// simulator's dominant allocation count (one heap object per peak
-// in-flight transaction — 160k allocs/op on random-loc, misattributed for
-// a while to the symbolic env handling until a profile pinned it on
-// acquireTx). A slab turns N warm-up allocations into one without
-// changing the free lists' steady-state behavior: released objects still
-// recycle individually.
+// freeList recycles one kind of pooled state. The engine is
+// single-goroutine, so it is a plain slice: no sync.Pool, no locks.
+//
+// Refills come in slabs: the pools' warm-up used to be the simulator's
+// dominant allocation count (one heap object per peak in-flight
+// transaction — 160k allocs/op on random-loc, misattributed for a while
+// to the symbolic env handling until a profile pinned it on the
+// transaction pool). A slab turns N warm-up allocations into one without
+// changing the free list's steady-state behavior: released objects still
+// recycle individually. The first slab holds slabFirst objects and each
+// later one as many as were carved before it, up to the list's limit,
+// so a cheap cell does not carve a full slab of state it never uses.
+type freeList[T any] struct {
+	free []*T
+	// carved counts the objects carved from slabs so far. Once a run
+	// drains, every carved object is back on the list; the tests check
+	// these books after each run.
+	carved int
+}
+
+// slabFirst is the size of every free list's first slab; the limits
+// are the sizes the slabs double up to.
 const (
-	txSlabSize = 256
-	prSlabSize = 64
-	tbSlabSize = 32
+	slabFirst = 8
+	txSlabMax = 256
+	prSlabMax = 64
+	tbSlabMax = 32
 )
 
-// acquireTx pops a recycled transaction state (or carves a fresh slab).
-func (e *Engine) acquireTx() *txState {
-	if n := len(e.txFree); n > 0 {
-		st := e.txFree[n-1]
-		e.txFree = e.txFree[:n-1]
-		return st
+// get pops a recycled object, or carves a fresh slab of at most limit
+// objects and returns its first.
+func (l *freeList[T]) get(limit int) *T {
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
 	}
-	slab := make([]txState, txSlabSize)
-	e.txCarved += txSlabSize
+	slab := make([]T, min(max(l.carved, slabFirst), limit))
+	l.carved += len(slab)
 	for i := range slab[1:] {
-		e.txFree = append(e.txFree, &slab[1+i])
+		l.free = append(l.free, &slab[1+i])
 	}
 	return &slab[0]
 }
 
-// releaseTx returns a retired transaction state to the free list. Safe
-// because the engine is single-goroutine and every reference to st is
-// dropped at its finish.
-func (e *Engine) releaseTx(st *txState) {
-	*st = txState{}
-	e.txFree = append(e.txFree, st)
-}
-
-// acquirePR pops a recycled phase state (or carves a fresh slab).
-func (e *Engine) acquirePR() *phaseRun {
-	if n := len(e.prFree); n > 0 {
-		p := e.prFree[n-1]
-		e.prFree = e.prFree[:n-1]
-		return p
-	}
-	slab := make([]phaseRun, prSlabSize)
-	e.prCarved += prSlabSize
-	for i := range slab[1:] {
-		e.prFree = append(e.prFree, &slab[1+i])
-	}
-	return &slab[0]
-}
-
-// releasePR recycles a phase once it has finished AND its last in-flight
-// transaction (background stores included) has retired — before that,
-// outstanding txStates still point at it.
-func (e *Engine) releasePR(p *phaseRun) {
-	*p = phaseRun{}
-	e.prFree = append(e.prFree, p)
+// put zeroes x and returns it to the list. Safe because the engine is
+// single-goroutine and the caller drops every reference to x.
+func (l *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	l.free = append(l.free, x)
 }
 
 // acquireTB pops a recycled threadblock executor; its transaction buffer
@@ -247,21 +238,8 @@ func (e *Engine) releasePR(p *phaseRun) {
 // of re-growing from nil (the growth appends in trace.merge were the
 // second-largest allocation source after the free-list warm-up).
 func (e *Engine) acquireTB() *tbExec {
-	if n := len(e.tbFree); n > 0 {
-		x := e.tbFree[n-1]
-		e.tbFree = e.tbFree[:n-1]
-		if cap(x.buf) == 0 && e.bufHint > 0 {
-			x.buf = make([]trace.Transaction, 0, e.bufHint)
-		}
-		return x
-	}
-	slab := make([]tbExec, tbSlabSize)
-	e.tbCarved += tbSlabSize
-	for i := range slab[1:] {
-		e.tbFree = append(e.tbFree, &slab[1+i])
-	}
-	x := &slab[0]
-	if e.bufHint > 0 {
+	x := e.tbFree.get(tbSlabMax)
+	if cap(x.buf) == 0 && e.bufHint > 0 {
 		x.buf = make([]trace.Transaction, 0, e.bufHint)
 	}
 	return x
@@ -275,8 +253,8 @@ func (e *Engine) releaseTB(x *tbExec) {
 		e.bufHint = c
 	}
 	buf := x.buf[:0]
-	*x = tbExec{buf: buf}
-	e.tbFree = append(e.tbFree, x)
+	e.tbFree.put(x)
+	x.buf = buf
 }
 
 // loadQueues copies the assignment's per-node TB queues into engine-owned
@@ -426,8 +404,8 @@ func (e *Engine) Run() (*stats.Run, error) {
 // in the paper: dirty data is written back and inter-kernel L2 locality is
 // lost.
 func (e *Engine) flushL2s() {
-	for node, l2 := range e.l2 {
-		wb := l2.InvalidateAll()
+	for node := range e.l2 {
+		wb := e.l2[node].InvalidateAll()
 		if wb > 0 {
 			bytes := wb * e.cfg.SectorBytes
 			e.run.DRAMBytes += uint64(bytes)
@@ -442,8 +420,8 @@ func (e *Engine) finalizeStats() {
 	e.run.InterChipletBytes = e.net.Bytes(interconnect.InterChiplet)
 	e.run.InterGPUBytes = e.net.Bytes(interconnect.InterGPU)
 	var rowHits, rowTotal uint64
-	for _, h := range e.hbm {
-		st := h.Stats()
+	for node := range e.hbm {
+		st := e.hbm[node].Stats()
 		rowHits += st.RowHits
 		rowTotal += st.RowHits + st.RowMisses
 	}
@@ -454,21 +432,21 @@ func (e *Engine) finalizeStats() {
 	e.run.HostFetches = e.residency.Fetches
 	e.run.TBs = e.plan.Workload.TotalTBs()
 
-	for _, h := range e.hbm {
-		if b := h.MaxChannelBusy(); b > e.run.MaxDRAMBusy {
+	for node := range e.hbm {
+		if b := e.hbm[node].MaxChannelBusy(); b > e.run.MaxDRAMBusy {
 			e.run.MaxDRAMBusy = b
 		}
 	}
 	e.run.MaxRingBusy = e.net.MaxBusy(interconnect.InterChiplet)
 	e.run.MaxLinkBusy = e.net.MaxBusy(interconnect.InterGPU)
 	e.run.MaxIntraBusy = e.net.MaxBusy(interconnect.Local)
-	for _, r := range e.l2srv {
-		if b := r.BusyCycles(); b > e.run.MaxL2SrvBusy {
+	for node := range e.l2srv {
+		if b := e.l2srv[node].BusyCycles(); b > e.run.MaxL2SrvBusy {
 			e.run.MaxL2SrvBusy = b
 		}
 	}
-	for _, r := range e.smIssue {
-		if b := r.BusyCycles(); b > e.run.MaxIssueBusy {
+	for sm := range e.smIssue {
+		if b := e.smIssue[sm].BusyCycles(); b > e.run.MaxIssueBusy {
 			e.run.MaxIssueBusy = b
 		}
 	}
@@ -640,7 +618,7 @@ func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 	if window < 1 {
 		window = 1
 	}
-	pr := e.acquirePR()
+	pr := e.prFree.get(prSlabMax)
 	pr.e = e
 	pr.x = x
 	pr.t0 = t0
@@ -715,7 +693,7 @@ func (p *phaseRun) onTxDone(t float64, blocks bool) {
 	// retirement recycles it. (If maybeFinish inside issue just released
 	// p, its fields are zeroed and this check is safely false.)
 	if p.finished && p.inFlight == 0 {
-		p.e.releasePR(p)
+		p.e.prFree.put(p)
 	}
 }
 
@@ -730,7 +708,7 @@ func (p *phaseRun) maybeFinish() {
 	end := maxF(p.maxLoad, p.lastIssue) + p.compute
 	x, e := p.x, p.e
 	if p.inFlight == 0 {
-		e.releasePR(p)
+		e.prFree.put(p)
 	}
 	x.phaseDone(end)
 }

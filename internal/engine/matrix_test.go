@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ladm/internal/arch"
@@ -54,21 +55,21 @@ func (e *Engine) checkBooks() error {
 		name         string
 		free, carved int
 	}{
-		{"txState", len(e.txFree), e.txCarved},
-		{"phaseRun", len(e.prFree), e.prCarved},
-		{"tbExec", len(e.tbFree), e.tbCarved},
+		{"txState", len(e.txFree.free), e.txFree.carved},
+		{"phaseRun", len(e.prFree.free), e.prFree.carved},
+		{"tbExec", len(e.tbFree.free), e.tbFree.carved},
 	} {
 		if l.free != l.carved {
 			return fmt.Errorf("%s free list holds %d of %d carved", l.name, l.free, l.carved)
 		}
 	}
-	for sm, c := range e.l1 {
-		if err := c.CheckPrefix(); err != nil {
+	for sm := range e.l1 {
+		if err := e.l1[sm].CheckPrefix(); err != nil {
 			return fmt.Errorf("sm %d L1: %w", sm, err)
 		}
 	}
-	for node, c := range e.l2 {
-		if err := c.CheckPrefix(); err != nil {
+	for node := range e.l2 {
+		if err := e.l2[node].CheckPrefix(); err != nil {
 			return fmt.Errorf("node %d L2: %w", node, err)
 		}
 	}
@@ -87,13 +88,13 @@ func (e *Engine) checkBooks() error {
 func (e *Engine) sectorBooks() error {
 	r := e.run
 	var l1, l2 cache.Stats
-	for _, c := range e.l1 {
-		st := c.Stats()
+	for sm := range e.l1 {
+		st := e.l1[sm].Stats()
 		l1.SectorHits += st.SectorHits
 		l1.SectorMisses += st.SectorMisses
 	}
-	for _, c := range e.l2 {
-		st := c.Stats()
+	for node := range e.l2 {
+		st := e.l2[node].Stats()
 		l2.SectorHits += st.SectorHits
 		l2.SectorMisses += st.SectorMisses
 	}
@@ -131,15 +132,15 @@ func (e *Engine) busyBooks() error {
 		}
 		return nil
 	}
-	for _, pool := range [][]*queueing.Resource{e.smIssue, e.l2srv, e.hostLink} {
-		for _, r := range pool {
-			if err := over(r.Name(), r.BusyCycles()); err != nil {
+	for _, pool := range [][]queueing.Resource{e.smIssue, e.l2srv, e.hostLink} {
+		for i := range pool {
+			if err := over(pool[i].Name(), pool[i].BusyCycles()); err != nil {
 				return err
 			}
 		}
 	}
-	for node, h := range e.hbm {
-		if err := over(fmt.Sprintf("hbm.n%d channel", node), h.MaxChannelBusy()); err != nil {
+	for node := range e.hbm {
+		if err := over(fmt.Sprintf("hbm.n%d channel", node), e.hbm[node].MaxChannelBusy()); err != nil {
 			return err
 		}
 	}
@@ -149,6 +150,30 @@ func (e *Engine) busyBooks() error {
 		}
 	}
 	return nil
+}
+
+// TestBusyBooksNameResource checks that checkBooks names the resource
+// whose busy cycles outlast the run: names are formatted from each
+// resource's label on demand, so the message is the only place they show.
+func TestBusyBooksNameResource(t *testing.T) {
+	cfg := arch.DefaultHierarchical()
+	plan, err := runtime.Prepare(vecAdd(64), &cfg, runtime.LADM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(plan)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.checkBooks(); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	// Book more than the whole run on SM 17's issue port.
+	e.smIssue[17].Serve(0, int(e.run.Cycles+1)*e.cfg.IssuePerCycle)
+	err = e.checkBooks()
+	if err == nil || !strings.HasPrefix(err.Error(), "sm17.issue busy ") {
+		t.Errorf("overbooked issue port: checkBooks = %v, want it to name sm17.issue", err)
+	}
 }
 
 // books reports a non-empty queue: a set bucket bit, or an arena node

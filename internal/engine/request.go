@@ -90,8 +90,8 @@ func (st *txState) finish(t float64, blocks bool) {
 		mask := cache.SectorMask(st.tx.Mask)
 		e.tel.TxSpan(st.node, st.sm, pop(mask)*e.cfg.SectorBytes, st.tx.Mode == kir.Store, st.issued, t)
 	}
-	e.mshr[st.sm]-- // before releaseTx zeroes st
-	e.releaseTx(st)
+	e.mshr[st.sm]-- // before put zeroes st
+	e.txFree.put(st)
 	pr.onTxDone(t, blocks)
 }
 
@@ -99,7 +99,7 @@ func (st *txState) finish(t float64, blocks bool) {
 // retirement reports to pr. tx is captured by value: the caller's buffer
 // may be reused.
 func (e *Engine) startTx(at float64, sm, node int, tx trace.Transaction, pr *phaseRun) {
-	st := e.acquireTx()
+	st := e.txFree.get(txSlabMax)
 	st.e = e
 	st.pr = pr
 	st.stage = stageL1

@@ -40,52 +40,62 @@ func (k Kind) String() string {
 	}
 }
 
-// Network is the fabric of one simulated machine.
+// Network is the fabric of one simulated machine. Its resources are
+// held by value, carved from one slice.
 type Network struct {
 	cfg *arch.Config
 
-	intra   []*queueing.Resource // per node: SM<->L2 crossbar
-	ring    []*queueing.Resource // per GPU: inter-chiplet ring (aggregate)
-	egress  []*queueing.Resource // per GPU: switch uplink
-	ingress []*queueing.Resource // per GPU: switch downlink
+	intra   []queueing.Resource // per node: SM<->L2 crossbar
+	ring    []queueing.Resource // per GPU: inter-chiplet ring (aggregate)
+	egress  []queueing.Resource // per GPU: switch uplink
+	ingress []queueing.Resource // per GPU: switch downlink
 
 	// hop links for the detailed ring: hops[gpu][dir*C+chiplet] is the
 	// directional link leaving that chiplet (dir 0 = clockwise).
-	hops [][]*queueing.Resource
+	hops [][]queueing.Resource
 
 	bytes [3]uint64 // by Kind
 }
 
 // New builds the fabric for cfg.
 func New(cfg *arch.Config) *Network {
-	n := &Network{cfg: cfg}
+	nodes, gpus, chiplets := cfg.Nodes(), cfg.GPUs, cfg.ChipletsPerGPU
+	links := 0 // directional ring links per GPU
+	if cfg.PerLinkRing && chiplets > 1 {
+		links = 2 * chiplets
+	}
+	res := make([]queueing.Resource, nodes+gpus*(3+links))
+	carve := func(n int) []queueing.Resource {
+		s := res[:n]
+		res = res[n:]
+		return s
+	}
+	n := &Network{
+		cfg:     cfg,
+		intra:   carve(nodes),
+		ring:    carve(gpus),
+		egress:  carve(gpus),
+		ingress: carve(gpus),
+		hops:    make([][]queueing.Resource, gpus),
+	}
 	intraRate := cfg.BytesPerCycle(cfg.IntraChipletGBs)
-	for node := 0; node < cfg.Nodes(); node++ {
-		n.intra = append(n.intra, queueing.NewResource(
-			fmt.Sprintf("intra.n%d", node), intraRate))
+	for node := range n.intra {
+		n.intra[node].Init(queueing.Crossbar, node, 0, intraRate)
 	}
 	ringRate := cfg.BytesPerCycle(cfg.InterChipletGBs)
 	linkRate := cfg.BytesPerCycle(cfg.InterGPUGBs)
-	chiplets := cfg.ChipletsPerGPU
-	for gpu := 0; gpu < cfg.GPUs; gpu++ {
-		n.ring = append(n.ring, queueing.NewResource(
-			fmt.Sprintf("ring.g%d", gpu), ringRate))
-		n.egress = append(n.egress, queueing.NewResource(
-			fmt.Sprintf("egress.g%d", gpu), linkRate))
-		n.ingress = append(n.ingress, queueing.NewResource(
-			fmt.Sprintf("ingress.g%d", gpu), linkRate))
-		if cfg.PerLinkRing && chiplets > 1 {
+	for gpu := 0; gpu < gpus; gpu++ {
+		n.ring[gpu].Init(queueing.Ring, gpu, 0, ringRate)
+		n.egress[gpu].Init(queueing.Egress, gpu, 0, linkRate)
+		n.ingress[gpu].Init(queueing.Ingress, gpu, 0, linkRate)
+		if links > 0 {
 			// 2*C directional links sharing the GPU's aggregate ring
 			// bandwidth.
-			per := ringRate / float64(2*chiplets)
-			links := make([]*queueing.Resource, 2*chiplets)
-			for i := range links {
-				links[i] = queueing.NewResource(
-					fmt.Sprintf("hop.g%d.%d", gpu, i), per)
+			per := ringRate / float64(links)
+			n.hops[gpu] = carve(links)
+			for i := range n.hops[gpu] {
+				n.hops[gpu][i].Init(queueing.RingHop, gpu, i, per)
 			}
-			n.hops = append(n.hops, links)
-		} else {
-			n.hops = append(n.hops, nil)
 		}
 	}
 	return n
@@ -203,22 +213,31 @@ func (n *Network) TotalOffNodeBytes() uint64 {
 // MaxBusy returns the largest busy time across all fabric resources of the
 // given level — the runtime lower bound that level imposes.
 func (n *Network) MaxBusy(kind Kind) float64 {
-	var pools [][]*queueing.Resource
+	var pools [][]queueing.Resource
 	switch kind {
 	case Local:
-		pools = [][]*queueing.Resource{n.intra}
+		pools = [][]queueing.Resource{n.intra}
 	case InterChiplet:
-		pools = [][]*queueing.Resource{n.ring}
+		pools = [][]queueing.Resource{n.ring}
 		pools = append(pools, n.hops...)
 	default:
-		pools = [][]*queueing.Resource{n.egress, n.ingress}
+		pools = [][]queueing.Resource{n.egress, n.ingress}
 	}
 	var m float64
 	for _, pool := range pools {
-		for _, r := range pool {
-			if b := r.BusyCycles(); b > m {
-				m = b
-			}
+		if b := maxBusy(pool); b > m {
+			m = b
+		}
+	}
+	return m
+}
+
+// maxBusy returns the largest busy time in pool (0 when it is empty).
+func maxBusy(pool []queueing.Resource) float64 {
+	var m float64
+	for i := range pool {
+		if b := pool[i].BusyCycles(); b > m {
+			m = b
 		}
 	}
 	return m
@@ -233,13 +252,7 @@ func (n *Network) IntraBusy(node int) float64 { return n.intra[node].BusyCycles(
 // bandwidth, so its busy time is directly comparable).
 func (n *Network) RingBusy(gpu int) float64 {
 	if n.hops[gpu] != nil {
-		var m float64
-		for _, r := range n.hops[gpu] {
-			if b := r.BusyCycles(); b > m {
-				m = b
-			}
-		}
-		return m
+		return maxBusy(n.hops[gpu])
 	}
 	return n.ring[gpu].BusyCycles()
 }
@@ -262,14 +275,10 @@ func (n *Network) IngressBacklog(gpu int, now float64) float64 {
 
 // Reset clears all resource schedules and byte counters.
 func (n *Network) Reset() {
-	for _, pool := range [][]*queueing.Resource{n.intra, n.ring, n.egress, n.ingress} {
-		for _, r := range pool {
-			r.Reset()
-		}
-	}
-	for _, links := range n.hops {
-		for _, r := range links {
-			r.Reset()
+	pools := append([][]queueing.Resource{n.intra, n.ring, n.egress, n.ingress}, n.hops...)
+	for _, pool := range pools {
+		for i := range pool {
+			pool[i].Reset()
 		}
 	}
 	n.bytes = [3]uint64{}

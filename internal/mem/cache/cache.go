@@ -93,22 +93,42 @@ const pageBytes = 16 << 10
 // alone 3 MB), and a cheap cell touches a few of its caches and a few
 // sets of each. Sets on a page not yet allocated are empty. A cache
 // whose every set was touched holds exactly Sets×Assoc lines.
+//
+// Caches are held by value, a level at a time (see NewLevel). Do not
+// copy a Cache: go vet reports a copy, which would fill and count apart
+// from the original.
 type Cache struct {
-	cfg      Config
+	_ noCopy
+	geometry
 	pages    [][]line // set-major, 1<<pageShift sets each; nil until touched
 	tick     uint64
 	stats    Stats
 	resident int // valid sectors currently held (occupancy gauge)
+}
 
+// geometry is a validated Config and the shifts and masks derived from
+// it: one value, computed once, for every cache of a level.
+type geometry struct {
+	cfg       Config
 	lineShift uint // log2(LineBytes)
 	setBits   int  // log2(Sets) when Sets is a power of two, else -1
 	pageShift uint // log2(sets per page)
 	pageMask  int  // sets per page - 1
 }
 
-// New creates a cache. It panics on inconsistent geometry: caches are
-// constructed from validated arch configs, so a bad geometry is a bug.
-func New(cfg Config) *Cache {
+// noCopy makes go vet's copylocks check report a copy of the struct
+// holding it, as sync.Mutex does.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// NewLevel returns n empty caches of one geometry, in one slice: a level
+// of the hierarchy, such as a machine's L1s or its L2 slices. It
+// validates the geometry once for the level and panics on an
+// inconsistent one: caches are constructed from validated arch configs,
+// so a bad geometry is a bug.
+func NewLevel(cfg Config, n int) []Cache {
 	if cfg.Sets <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache: bad geometry %+v", cfg))
 	}
@@ -121,19 +141,23 @@ func New(cfg Config) *Cache {
 	if bits.OnesCount(uint(cfg.LineBytes)) != 1 {
 		panic(fmt.Sprintf("cache: line size %d is not a power of two", cfg.LineBytes))
 	}
-	c := &Cache{
+	g := geometry{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setBits:   -1,
 	}
 	if bits.OnesCount(uint(cfg.Sets)) == 1 {
-		c.setBits = bits.TrailingZeros(uint(cfg.Sets))
+		g.setBits = bits.TrailingZeros(uint(cfg.Sets))
 	}
 	if perPage := pageBytes / (int(unsafe.Sizeof(line{})) * cfg.Assoc); perPage > 1 {
-		c.pageShift = uint(bits.Len(uint(perPage)) - 1)
+		g.pageShift = uint(bits.Len(uint(perPage)) - 1)
 	}
-	c.pageMask = 1<<c.pageShift - 1
-	return c
+	g.pageMask = 1<<g.pageShift - 1
+	cs := make([]Cache, n)
+	for i := range cs {
+		cs[i].geometry = g
+	}
+	return cs
 }
 
 // Config returns the cache geometry.

@@ -7,9 +7,12 @@ import (
 	"testing/quick"
 )
 
+// newCache returns one cache of the given geometry.
+func newCache(cfg Config) *Cache { return &NewLevel(cfg, 1)[0] }
+
 func tiny() *Cache {
 	// 4 sets, 2-way, 128B lines, 32B sectors: 1 KB.
-	return New(Config{Sets: 4, Assoc: 2, LineBytes: 128, SectorBytes: 32})
+	return newCache(Config{Sets: 4, Assoc: 2, LineBytes: 128, SectorBytes: 32})
 }
 
 func TestGeometry(t *testing.T) {
@@ -112,7 +115,7 @@ func collidingLines(c *Cache, n int) []uint64 {
 func TestSetIndexSpreadsStrides(t *testing.T) {
 	// Power-of-two strides must not camp on one set: walk 64 lines at a
 	// 64 KB stride and require more than one set to be touched.
-	c := New(Config{Sets: 512, Assoc: 4, LineBytes: 128, SectorBytes: 32})
+	c := newCache(Config{Sets: 512, Assoc: 4, LineBytes: 128, SectorBytes: 32})
 	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
 		seen[c.SetIndex(uint64(i)*65536)] = true
@@ -141,7 +144,7 @@ func TestSetIndexMatchesDivisionFold(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, sets := range []int{1, 2, 64, 96, 128, 500, 512, 1 << 20} {
 		for _, lineBytes := range []int{32, 128} {
-			c := New(Config{Sets: sets, Assoc: 1, LineBytes: lineBytes, SectorBytes: 32})
+			c := newCache(Config{Sets: sets, Assoc: 1, LineBytes: lineBytes, SectorBytes: 32})
 			for i := 0; i < 5000; i++ {
 				addr := r.Uint64()
 				if i%2 == 0 {
@@ -244,7 +247,7 @@ func TestBadGeometryPanics(t *testing.T) {
 					t.Errorf("config %+v should panic", cfg)
 				}
 			}()
-			New(cfg)
+			NewLevel(cfg, 1)
 		}()
 	}
 	c := tiny()
@@ -307,7 +310,7 @@ func TestSectorConservation(t *testing.T) {
 }
 
 func BenchmarkAccessHit(b *testing.B) {
-	c := New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
+	c := newCache(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
 	c.Access(0, 0b1111, true, false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -316,7 +319,7 @@ func BenchmarkAccessHit(b *testing.B) {
 }
 
 func BenchmarkAccessStream(b *testing.B) {
-	c := New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
+	c := newCache(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i)*128, 0b1111, true, false)
@@ -387,11 +390,11 @@ func TestInvalidateMatchesFullScan(t *testing.T) {
 		if r.Intn(3) == 0 {
 			cfg.Assoc = 16
 		}
-		cfg.Sets += r.Intn(4 * (New(cfg).pageMask + 1)) // up to four pages
+		cfg.Sets += r.Intn(4 * (newCache(cfg).pageMask + 1)) // up to four pages
 		if r.Intn(4) == 0 {
 			cfg = fixed[r.Intn(len(fixed))]
 		}
-		got, want := New(cfg), New(cfg)
+		got, want := newCache(cfg), newCache(cfg)
 		hot := hotLines(r, got, 6, cfg.Assoc+2) // enough to evict, few enough to hit
 		for i := 0; i < 400; i++ {
 			addr := hot[r.Intn(len(hot))]
@@ -451,7 +454,7 @@ func TestInvalidateMatchesFullScan(t *testing.T) {
 // slices stay in: no page table until the first Access, every query
 // answering as for an empty cache, and then only the touched page.
 func TestUntouchedCache(t *testing.T) {
-	c := New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
+	c := newCache(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
 	if c.pages != nil {
 		t.Errorf("New allocated a table of %d pages before any access", len(c.pages))
 	}
@@ -487,6 +490,32 @@ func TestUntouchedCache(t *testing.T) {
 	}
 }
 
+// TestNewLevel pins that the caches of a level share their geometry
+// and nothing else: filling one leaves its neighbours untouched.
+func TestNewLevel(t *testing.T) {
+	cfg := Config{Sets: 128, Assoc: 4, LineBytes: 128, SectorBytes: 32}
+	cs := NewLevel(cfg, 3)
+	if len(cs) != 3 {
+		t.Fatalf("NewLevel made %d caches, want 3", len(cs))
+	}
+	cs[1].Access(0x1000, 0b0011, true, false)
+	for i := range cs {
+		if cs[i].Config() != cfg {
+			t.Errorf("cache %d has geometry %+v, want %+v", i, cs[i].Config(), cfg)
+		}
+		want := SectorMask(0)
+		if i == 1 {
+			want = 0b0011
+		}
+		if hit := cs[i].Probe(0x1000, 0b1111); hit != want {
+			t.Errorf("cache %d holds %04b of the line, want %04b", i, hit, want)
+		}
+		if untouched := cs[i].pages == nil; untouched != (i != 1) {
+			t.Errorf("cache %d: page table allocated = %v", i, !untouched)
+		}
+	}
+}
+
 // TestFullTouchAllocatesSetsTimesAssoc pins that pages cost nothing over
 // the dense array: touching every set allocates exactly Sets×Assoc
 // lines, with every geometry of the machines in internal/arch, a set
@@ -503,7 +532,7 @@ func TestFullTouchAllocatesSetsTimesAssoc(t *testing.T) {
 		{1, 3, 1},
 		{7, 1000, 7}, // one set per page
 	} {
-		c := New(Config{Sets: g.sets, Assoc: g.assoc, LineBytes: 128, SectorBytes: 32})
+		c := newCache(Config{Sets: g.sets, Assoc: g.assoc, LineBytes: 128, SectorBytes: 32})
 		// Line x < Sets maps to set x, so lines 0..Sets-1 touch every set.
 		for x := 0; x < g.sets; x++ {
 			c.Access(uint64(x)*128, 0b0001, true, false)
@@ -542,7 +571,7 @@ func TestCheckPrefix(t *testing.T) {
 
 	// On a cache of several pages, a broken set on a later page is
 	// found and named by its set index.
-	c = New(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
+	c = newCache(Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32})
 	c.Access(0, 0b0001, true, false)
 	c.Access(100*128, 0b0001, true, false) // line 100 maps to set 100, page 3
 	if err := c.CheckPrefix(); err != nil {

@@ -7,15 +7,10 @@
 // which is where the paper's ITL results come from.
 package dram
 
-import (
-	"fmt"
-
-	"ladm/internal/queueing"
-)
+import "ladm/internal/queueing"
 
 // Config describes one node's HBM.
 type Config struct {
-	Name          string
 	Channels      int     // independent channels per node
 	BytesPerCycle float64 // aggregate bandwidth across channels
 	RowBytes      uint64  // row-buffer coverage per channel
@@ -26,9 +21,8 @@ type Config struct {
 
 // DefaultConfig returns an HBM model scaled to the given aggregate
 // bandwidth.
-func DefaultConfig(name string, bytesPerCycle float64) Config {
+func DefaultConfig(bytesPerCycle float64) Config {
 	return Config{
-		Name:          name,
 		Channels:      8,
 		BytesPerCycle: bytesPerCycle,
 		RowBytes:      2048,
@@ -39,7 +33,7 @@ func DefaultConfig(name string, bytesPerCycle float64) Config {
 }
 
 type channel struct {
-	res     *queueing.Resource
+	res     queueing.Resource
 	openRow uint64
 	hasRow  bool
 }
@@ -62,28 +56,45 @@ func (s Stats) RowHitRate() float64 {
 	return float64(s.RowHits) / float64(total)
 }
 
-// HBM is one node's DRAM.
+// HBM is one node's DRAM. Stacks are held by value, a machine's worth
+// at a time (see NewStacks). Do not copy an HBM: go vet reports a copy.
 type HBM struct {
+	_        noCopy
 	cfg      Config
 	channels []channel
 	stats    Stats
 }
 
-// New builds an HBM instance from cfg.
-func New(cfg Config) *HBM {
+// noCopy makes go vet's copylocks check report a copy of the struct
+// holding it, as sync.Mutex does.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// NewStacks builds one HBM stack per node from cfg, in one slice, with
+// every stack's channels carved from one more. The channels of node n
+// are named hbm.n<n>.ch<i>. It panics on an inconsistent cfg: stacks
+// are built from validated arch configs, so a bad one is a bug.
+func NewStacks(cfg Config, nodes int) []HBM {
 	if cfg.Channels < 1 {
-		panic(fmt.Sprintf("dram %q: need at least one channel", cfg.Name))
+		panic("dram: need at least one channel")
 	}
 	if cfg.ChannelStride == 0 || cfg.RowBytes == 0 {
-		panic(fmt.Sprintf("dram %q: zero stride or row size", cfg.Name))
+		panic("dram: zero stride or row size")
 	}
-	h := &HBM{cfg: cfg, channels: make([]channel, cfg.Channels)}
 	per := cfg.BytesPerCycle / float64(cfg.Channels)
-	for i := range h.channels {
-		h.channels[i].res = queueing.NewResource(
-			fmt.Sprintf("%s.ch%d", cfg.Name, i), per)
+	hs := make([]HBM, nodes)
+	chans := make([]channel, nodes*cfg.Channels)
+	for n := range hs {
+		h := &hs[n]
+		h.cfg = cfg
+		h.channels = chans[n*cfg.Channels : (n+1)*cfg.Channels]
+		for i := range h.channels {
+			h.channels[i].res.Init(queueing.DRAMChannel, n, i, per)
+		}
 	}
-	return h
+	return hs
 }
 
 // Config returns the model parameters.

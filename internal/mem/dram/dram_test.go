@@ -7,14 +7,17 @@ import (
 )
 
 func testHBM() *HBM {
-	cfg := DefaultConfig("hbm0", 128)
+	cfg := DefaultConfig(128)
 	cfg.Channels = 2
 	cfg.ChannelStride = 256
 	cfg.RowBytes = 1024
 	cfg.AccessLat = 100
 	cfg.RowMissLat = 50
-	return New(cfg)
+	return newHBM(cfg)
 }
+
+// newHBM returns one stack built from cfg.
+func newHBM(cfg Config) *HBM { return &NewStacks(cfg, 1)[0] }
 
 func TestRowHitVsMiss(t *testing.T) {
 	h := testHBM()
@@ -104,9 +107,9 @@ func TestBusyTracking(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"no channels": {Name: "x", Channels: 0, RowBytes: 1024, ChannelStride: 256},
-		"zero stride": {Name: "x", Channels: 2, RowBytes: 1024, ChannelStride: 0},
-		"zero row":    {Name: "x", Channels: 2, RowBytes: 0, ChannelStride: 256},
+		"no channels": {Channels: 0, RowBytes: 1024, ChannelStride: 256},
+		"zero stride": {Channels: 2, RowBytes: 1024, ChannelStride: 0},
+		"zero row":    {Channels: 2, RowBytes: 0, ChannelStride: 256},
 	} {
 		func() {
 			defer func() {
@@ -114,7 +117,7 @@ func TestBadConfigPanics(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			New(cfg)
+			NewStacks(cfg, 1)
 		}()
 	}
 }
@@ -124,7 +127,7 @@ func TestBadConfigPanics(t *testing.T) {
 func TestDRAMProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := New(DefaultConfig("p", float64(16+r.Intn(256))))
+		h := newHBM(DefaultConfig(float64(16 + r.Intn(256))))
 		now := 0.0
 		n := 200
 		for i := 0; i < n; i++ {

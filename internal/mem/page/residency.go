@@ -31,7 +31,11 @@ type residencyNode struct {
 // per-node page capacity. capacityPages <= 0 means unlimited (every touch
 // is resident).
 func NewResidency(nodes, capacityPages int) *Residency {
-	r := &Residency{capacity: capacityPages, nodes: make([]residencyNode, nodes)}
+	r := &Residency{capacity: capacityPages}
+	if r.Unlimited() {
+		return r // nothing is tracked, so no node needs a list or a map
+	}
+	r.nodes = make([]residencyNode, nodes)
 	for i := range r.nodes {
 		r.nodes[i].order = list.New()
 		r.nodes[i].where = make(map[int]*list.Element)

@@ -11,10 +11,39 @@ package queueing
 
 import "fmt"
 
-// Resource is a bandwidth-limited server. The zero value is not usable;
-// create resources with NewResource.
+// Kind is what a resource models. With its one or two indices it makes
+// the resource's label, which Name formats only when a message asks for
+// it, so building a machine of hundreds of resources formats no string.
+type Kind uint8
+
+const (
+	SMIssue     Kind = iota + 1 // sm<i>.issue: one SM's LSU issue port
+	L2Service                   // l2srv.n<i>: one node's L2 bank bandwidth
+	HostLink                    // host.g<i>: one GPU's host link
+	DRAMChannel                 // hbm.n<i>.ch<j>: channel j of node i's HBM
+	Crossbar                    // intra.n<i>: one node's SM<->L2 crossbar
+	Ring                        // ring.g<i>: one GPU's aggregate chiplet ring
+	Egress                      // egress.g<i>: one GPU's switch uplink
+	Ingress                     // ingress.g<i>: one GPU's switch downlink
+	RingHop                     // hop.g<i>.<j>: directional ring link j of GPU i
+)
+
+// noCopy makes go vet's copylocks check report a copy of the struct
+// holding it, as sync.Mutex does. A copied resource books bandwidth on
+// the copy, and nothing the simulator reads sees it.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// Resource is a bandwidth-limited server. Machines hold resources by
+// value, in slices, and set each one up in place with Init; the zero
+// value is an unlabeled, infinitely fast resource. Do not copy a
+// Resource: go vet reports a copy.
 type Resource struct {
-	name string
+	_    noCopy
+	kind Kind
+	i, j int32 // the label's indices (j only for two-index kinds)
 	// rate is the service rate in bytes per cycle; rate <= 0 means
 	// infinite bandwidth (pure latency element).
 	rate     float64
@@ -25,14 +54,39 @@ type Resource struct {
 	ops   uint64  // total transfers
 }
 
-// NewResource creates a named resource with the given service rate in
-// bytes per cycle. A non-positive rate models an infinitely fast resource.
-func NewResource(name string, bytesPerCycle float64) *Resource {
-	return &Resource{name: name, rate: bytesPerCycle}
+// Init sets r up in place as a fresh resource of the given kind and
+// indices, serving bytesPerCycle. j is read only by the two-index kinds
+// (DRAMChannel, RingHop). A non-positive rate models an infinitely fast
+// resource.
+func (r *Resource) Init(kind Kind, i, j int, bytesPerCycle float64) {
+	*r = Resource{kind: kind, i: int32(i), j: int32(j), rate: bytesPerCycle}
 }
 
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
+// Name formats the resource's name from its label.
+func (r *Resource) Name() string {
+	switch r.kind {
+	case SMIssue:
+		return fmt.Sprintf("sm%d.issue", r.i)
+	case L2Service:
+		return fmt.Sprintf("l2srv.n%d", r.i)
+	case HostLink:
+		return fmt.Sprintf("host.g%d", r.i)
+	case DRAMChannel:
+		return fmt.Sprintf("hbm.n%d.ch%d", r.i, r.j)
+	case Crossbar:
+		return fmt.Sprintf("intra.n%d", r.i)
+	case Ring:
+		return fmt.Sprintf("ring.g%d", r.i)
+	case Egress:
+		return fmt.Sprintf("egress.g%d", r.i)
+	case Ingress:
+		return fmt.Sprintf("ingress.g%d", r.i)
+	case RingHop:
+		return fmt.Sprintf("hop.g%d.%d", r.i, r.j)
+	default:
+		return fmt.Sprintf("Kind(%d).%d.%d", r.kind, r.i, r.j)
+	}
+}
 
 // Rate returns the service rate in bytes per cycle (<= 0: infinite).
 func (r *Resource) Rate() float64 { return r.rate }
@@ -47,7 +101,7 @@ func (r *Resource) Rate() float64 { return r.rate }
 // TestServeDoesNotAllocate guards this end of the contract.
 func (r *Resource) Serve(now float64, bytes int) (done float64) {
 	if bytes < 0 {
-		panic(fmt.Sprintf("queueing: negative transfer on %s", r.name))
+		panic("queueing: negative transfer on " + r.Name())
 	}
 	if r.rate <= 0 {
 		return now

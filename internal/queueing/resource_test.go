@@ -6,8 +6,16 @@ import (
 	"testing/quick"
 )
 
+// newResource returns a resource serving bytesPerCycle, labelled as
+// crossbar 0.
+func newResource(bytesPerCycle float64) *Resource {
+	r := new(Resource)
+	r.Init(Crossbar, 0, 0, bytesPerCycle)
+	return r
+}
+
 func TestServeSerialization(t *testing.T) {
-	r := NewResource("link", 10) // 10 B/cycle
+	r := newResource(10) // 10 B/cycle
 	done := r.Serve(0, 100)
 	if done != 10 {
 		t.Errorf("first transfer done at %f, want 10", done)
@@ -34,7 +42,7 @@ func TestServeSerialization(t *testing.T) {
 }
 
 func TestInfiniteRate(t *testing.T) {
-	r := NewResource("inf", 0)
+	r := newResource(0)
 	if done := r.Serve(7, 1<<30); done != 7 {
 		t.Errorf("infinite resource delayed transfer to %f", done)
 	}
@@ -44,7 +52,7 @@ func TestInfiniteRate(t *testing.T) {
 }
 
 func TestZeroByteTransfer(t *testing.T) {
-	r := NewResource("link", 10)
+	r := newResource(10)
 	r.Serve(0, 100) // busy until 10
 	if done := r.Serve(5, 0); done != 10 {
 		t.Errorf("zero-byte transfer done at %f, want 10 (waits but does not occupy)", done)
@@ -55,7 +63,7 @@ func TestZeroByteTransfer(t *testing.T) {
 }
 
 func TestQueueDelay(t *testing.T) {
-	r := NewResource("link", 10)
+	r := newResource(10)
 	r.Serve(0, 100) // busy until 10
 	if d := r.QueueDelay(4); d != 6 {
 		t.Errorf("QueueDelay(4) = %f, want 6", d)
@@ -66,7 +74,7 @@ func TestQueueDelay(t *testing.T) {
 }
 
 func TestUtilizationAndReset(t *testing.T) {
-	r := NewResource("link", 10)
+	r := newResource(10)
 	r.Serve(0, 100)
 	if u := r.Utilization(20); u != 0.5 {
 		t.Errorf("utilization = %f, want 0.5", u)
@@ -88,11 +96,44 @@ func TestUtilizationAndReset(t *testing.T) {
 
 func TestNegativeBytesPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("negative transfer should panic")
+		if msg, _ := recover().(string); msg != "queueing: negative transfer on hbm.n2.ch5" {
+			t.Errorf("negative transfer panicked with %q, want the resource named", msg)
 		}
 	}()
-	NewResource("x", 1).Serve(0, -1)
+	var r Resource
+	r.Init(DRAMChannel, 2, 5, 1)
+	r.Serve(0, -1)
+}
+
+// TestNames pins the names resources format from their labels: they
+// are the names the machine's resources carried when each was named
+// with a formatted string up front.
+func TestNames(t *testing.T) {
+	for _, c := range []struct {
+		kind Kind
+		i, j int
+		want string
+	}{
+		{SMIssue, 0, 0, "sm0.issue"},
+		{SMIssue, 17, 0, "sm17.issue"},
+		{SMIssue, 255, 0, "sm255.issue"},
+		{L2Service, 3, 0, "l2srv.n3"},
+		{HostLink, 1, 0, "host.g1"},
+		{DRAMChannel, 2, 5, "hbm.n2.ch5"},
+		{DRAMChannel, 15, 0, "hbm.n15.ch0"},
+		{Crossbar, 12, 0, "intra.n12"},
+		{Ring, 0, 0, "ring.g0"},
+		{Egress, 3, 0, "egress.g3"},
+		{Ingress, 2, 0, "ingress.g2"},
+		{RingHop, 0, 3, "hop.g0.3"},
+		{RingHop, 1, 7, "hop.g1.7"},
+	} {
+		var r Resource
+		r.Init(c.kind, c.i, c.j, 1)
+		if got := r.Name(); got != c.want {
+			t.Errorf("Init(%d, %d, %d).Name() = %q, want %q", c.kind, c.i, c.j, got, c.want)
+		}
+	}
 }
 
 // Property: completion times are non-decreasing for non-decreasing arrival
@@ -100,7 +141,7 @@ func TestNegativeBytesPanics(t *testing.T) {
 func TestResourceProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		res := NewResource("p", float64(1+r.Intn(100)))
+		res := newResource(float64(1 + r.Intn(100)))
 		now, lastDone := 0.0, 0.0
 		var totalBytes uint64
 		for i := 0; i < 100; i++ {
@@ -126,7 +167,7 @@ func TestResourceProperties(t *testing.T) {
 // zero-allocation contract: booking bandwidth on a resource must never
 // allocate, whatever mix of backlogged and idle arrivals it sees.
 func TestServeDoesNotAllocate(t *testing.T) {
-	res := NewResource("hot", 32)
+	res := newResource(32)
 	now := 0.0
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
@@ -141,7 +182,7 @@ func TestServeDoesNotAllocate(t *testing.T) {
 }
 
 func BenchmarkServe(b *testing.B) {
-	res := NewResource("bench", 32)
+	res := newResource(32)
 	b.ReportAllocs()
 	now := 0.0
 	for i := 0; i < b.N; i++ {
