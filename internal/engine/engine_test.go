@@ -34,6 +34,26 @@ func vecAdd(tbs int) *kir.Workload {
 	}
 }
 
+// TestDispatchedEvents pins the number of events vecadd(8) dispatches
+// under LADM on the hier machine. The count follows from the event
+// sequence alone, so a change to the queue's machinery must leave it
+// where it is, and the scheduler counts every event whether or not an
+// interrupt channel is armed.
+func TestDispatchedEvents(t *testing.T) {
+	cfg := arch.DefaultHierarchical()
+	plan, err := runtime.Prepare(vecAdd(8), &cfg, runtime.LADM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(plan)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.sched.dispatched, uint64(216); got != want {
+		t.Errorf("vecadd(8) on hier dispatched %d events, want %d", got, want)
+	}
+}
+
 // stridedScan is a grid-stride workload whose stride defeats naive
 // interleaving (the Figure 3 scenario).
 func stridedScan(tbs, iters int) *kir.Workload {

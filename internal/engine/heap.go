@@ -36,6 +36,15 @@ import (
 // one on every bit above the relinked bucket's. Relinking rewrites only
 // int32 links and bucket minima: no payload moves, no pointer is written.
 //
+// Sentinels. Arena nodes 0 to 63 head the buckets' lists. An empty
+// bucket's tail is its own sentinel and its minimum is MaxUint64, so
+// link appends to any bucket with the same four stores — the tail's
+// link, the tail, the minimum (a min, which compiles to a conditional
+// move) and the mask bit — and no branch on whether the bucket was
+// empty. Which way that branch went depended on the event mix, so it
+// mispredicted; the queue is small enough (see Cost) that mispredicts,
+// not cache misses, were what a relink cost.
+//
 // Order. Every bucket is a FIFO list. Equal keys always share a bucket
 // (they have the same xor with last), a relink moves a bucket's nodes
 // in list order into buckets that held none of their keys, and a push
@@ -55,7 +64,14 @@ import (
 // -cpu 2 medians). A variant that split 16-byte (t, seq) keys from the
 // payloads and popped with Floyd's trick made pop about 20% cheaper but
 // gained nothing end to end, and per-bucket slices instead of an arena
-// allocated three objects per warm launch.
+// allocated three objects per warm launch. Relinking was then the
+// queue's cost: link alone took 14.9% of sampled fig9-campaign CPU,
+// 7.2 ms per cell, though a pop relinks only 3.8-5.7 nodes on average
+// and no cell's queue holds more than 5 120 events (160 KB of arena).
+// The sentinels took link to 5.0 ms per cell, and BenchmarkEventHeap
+// from 45.7 to 38.5 ns per pop/push pair (medians of 6 alternating
+// samples); a radix-16 heap cut relinks per pop from 6.4 to 4.1 but
+// gained nothing end to end.
 
 // runner is a scheduled event's payload.
 type runner interface {
@@ -77,9 +93,14 @@ type node struct {
 	r    runner
 }
 
+// buckets is the number of radix buckets, and of sentinel nodes.
+const buckets = 64
+
 // eventHeap is a monotone radix heap of events keyed by time. Its zero
-// value is empty and ready to use. Arena index 0 is a sentinel that never
-// holds an event, so 0 can end a list.
+// value is empty and ready to use. Arena nodes 0 to 63 are the buckets'
+// list sentinels and never hold an event: bucket b's list starts at
+// nodes[b].next, and an empty bucket's tail is its own sentinel. No
+// node links to a sentinel, so 0 can end a list.
 type eventHeap struct {
 	nodes []node
 	free  int32 // head of the free list
@@ -87,29 +108,40 @@ type eventHeap struct {
 	last uint64 // key of the most recent pop; no queued key is smaller
 	mask uint64 // bit b set iff bucket b is non-empty
 
-	head, tail [64]int32
-	min        [64]uint64 // smallest key in each non-empty bucket
+	tail [buckets]int32
+	// min is the smallest key in each bucket, MaxUint64 in an empty
+	// one. Bucket 0's is never read: its keys all equal last.
+	min [buckets]uint64
 }
 
 // empty reports whether no event is queued.
 func (h *eventHeap) empty() bool { return h.mask == 0 }
 
-// link appends node i, whose key is set, to the bucket its key selects.
-func (h *eventHeap) link(i int32) {
-	n := &h.nodes[i]
-	n.next = 0
-	b := bits.Len64(n.key ^ h.last)
-	if h.mask&(1<<b) == 0 {
-		h.mask |= 1 << b
-		h.head[b] = i
-		h.min[b] = n.key
-	} else {
-		h.nodes[h.tail[b]].next = i
-		if n.key < h.min[b] {
-			h.min[b] = n.key
-		}
+// init carves the sentinels and empties every bucket.
+func (h *eventHeap) init() {
+	h.nodes = make([]node, buckets, 2*buckets)
+	for b := range h.tail {
+		h.clear(b)
 	}
+}
+
+// clear empties bucket b without touching the nodes it held.
+func (h *eventHeap) clear(b int) {
+	h.nodes[b].next = 0
+	h.tail[b] = int32(b)
+	h.min[b] = math.MaxUint64
+}
+
+// link appends node i, which holds key and ends no list (next is 0), to
+// the bucket key selects. An empty bucket's tail is its sentinel and its
+// minimum is MaxUint64, so linking into it takes the same four stores as
+// linking into a full one, and no branch.
+func (h *eventHeap) link(i int32, key uint64) {
+	b := bits.Len64(key^h.last) & (buckets - 1) // ≤ 63 already; the mask drops bounds checks
+	h.nodes[h.tail[b]].next = i
 	h.tail[b] = i
+	h.min[b] = min(h.min[b], key)
+	h.mask |= 1 << b
 }
 
 // push queues r at key, which must not be below the last popped key.
@@ -119,35 +151,40 @@ func (h *eventHeap) push(key uint64, r runner) {
 		h.free = h.nodes[i].next
 	} else {
 		if len(h.nodes) == 0 {
-			h.nodes = append(h.nodes, node{}) // the sentinel
+			h.init()
 		}
 		i = int32(len(h.nodes))
 		h.nodes = append(h.nodes, node{})
 	}
 	n := &h.nodes[i]
-	n.key = key
-	n.r = r
-	h.link(i)
+	n.key, n.next, n.r = key, 0, r
+	h.link(i, key)
 }
 
 // pop removes the earliest event, first-pushed among equal times, and
 // returns its time and payload. The heap must not be empty.
 func (h *eventHeap) pop() (float64, runner) {
 	if h.mask&1 == 0 {
-		b := bits.TrailingZeros64(h.mask)
+		b := bits.TrailingZeros64(h.mask) & (buckets - 1)
 		h.mask &^= 1 << b
 		h.last = h.min[b]
-		for i := h.head[b]; i != 0; {
-			next := h.nodes[i].next
-			h.link(i)
+		i := h.nodes[b].next
+		h.clear(b)
+		for i != 0 {
+			n := &h.nodes[i]
+			next := n.next
+			n.next = 0
+			h.link(i, n.key)
 			i = next
 		}
 	}
-	i := h.head[0]
+	s := &h.nodes[0]
+	i := s.next
 	n := &h.nodes[i]
-	h.head[0] = n.next
+	s.next = n.next
 	if n.next == 0 {
 		h.mask &^= 1
+		h.tail[0] = 0
 	}
 	r := n.r
 	n.r = nil // drop the payload reference so the GC can reclaim it
@@ -161,7 +198,7 @@ func (h *eventHeap) reset() {
 	for h.mask != 0 {
 		b := bits.TrailingZeros64(h.mask)
 		h.mask &^= 1 << b
-		for i := h.head[b]; i != 0; {
+		for i := h.nodes[b].next; i != 0; {
 			n := &h.nodes[i]
 			next := n.next
 			n.r = nil
@@ -169,6 +206,7 @@ func (h *eventHeap) reset() {
 			h.free = i
 			i = next
 		}
+		h.clear(b)
 	}
 }
 
@@ -186,13 +224,17 @@ type scheduler struct {
 	nextSample  float64
 
 	// interrupt, when non-nil, aborts drain: it is polled every
-	// interruptCheckEvery events (a counter increment and branch on the
-	// hot path, a channel poll only at the mask boundary), so a canceled
-	// job releases its worker within a bounded number of events instead
-	// of simulating to completion. An uninterrupted run dispatches the
-	// exact same event sequence whether the channel is armed or not.
-	interrupt  <-chan struct{}
-	stopped    bool
+	// interruptCheckEvery events (a branch on the hot path, a channel
+	// poll only at the mask boundary), so a canceled job releases its
+	// worker within a bounded number of events instead of simulating to
+	// completion. An uninterrupted run dispatches the exact same event
+	// sequence whether the channel is armed or not.
+	interrupt <-chan struct{}
+	stopped   bool
+
+	// dispatched counts every event run since the scheduler was made,
+	// whether or not interrupt is armed: the number of events a job
+	// cost.
 	dispatched uint64
 }
 
@@ -230,16 +272,13 @@ func (s *scheduler) at(t float64, fn func(t float64)) {
 // setting s.stopped and discarding the remaining events.
 func (s *scheduler) drain() float64 {
 	for !s.events.empty() {
-		if s.interrupt != nil {
-			s.dispatched++
-			if s.dispatched&(interruptCheckEvery-1) == 0 {
-				select {
-				case <-s.interrupt:
-					s.stopped = true
-					s.events.reset()
-					return s.now
-				default:
-				}
+		if s.interrupt != nil && s.dispatched&(interruptCheckEvery-1) == 0 {
+			select {
+			case <-s.interrupt:
+				s.stopped = true
+				s.events.reset()
+				return s.now
+			default:
 			}
 		}
 		t, r := s.events.pop()
@@ -248,6 +287,7 @@ func (s *scheduler) drain() float64 {
 			s.nextSample += s.sampleEvery
 		}
 		s.now = t
+		s.dispatched++
 		r.run(t)
 	}
 	return s.now

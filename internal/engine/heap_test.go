@@ -205,7 +205,7 @@ func TestEventHeapInterleavedMonotonic(t *testing.T) {
 		got := int(gr.(heapTag))
 		floor = gotT
 		for m := h.mask; m != 0; m &= m - 1 {
-			for i := h.head[bits.TrailingZeros64(m)]; i != 0; i = h.nodes[i].next {
+			for i := h.nodes[bits.TrailingZeros64(m)].next; i != 0; i = h.nodes[i].next {
 				n := &h.nodes[i]
 				qt, qid := math.Float64frombits(n.key), int(n.r.(heapTag))
 				if qt < gotT || (qt == gotT && qid < got) {
@@ -257,4 +257,41 @@ func TestScheduleClampsToNow(t *testing.T) {
 				i, order[i], times[i], want[i], wantT[i], order)
 		}
 	}
+}
+
+// BenchmarkEventHeap runs the queue in steady state at the depth of a
+// busy engine, about 5 000 events: each pop pushes one event a delta
+// after the popped time, drawn the way the engine's deltas fall — ties,
+// +28 and +120 cycle hops, and fractional serve times. One op is
+// heapBenchEvents pop/push pairs, so that even a single iteration times
+// milliseconds; ns/event is the cost of one pair.
+func BenchmarkEventHeap(b *testing.B) {
+	const depth, heapBenchEvents = 5000, 1 << 16
+	r := rand.New(rand.NewSource(5))
+	var deltas [1024]float64
+	for i := range deltas {
+		switch p := r.Intn(20); {
+		case p < 6:
+		case p < 11:
+			deltas[i] = 28
+		case p < 15:
+			deltas[i] = 120
+		default:
+			deltas[i] = float64(r.Intn(512)) / 8
+		}
+	}
+	var h eventHeap
+	x := &tbExec{} // a pointer-shaped payload, as the engine queues
+	for i := 0; i < depth; i++ {
+		h.push(math.Float64bits(deltas[i%len(deltas)]*float64(i%7)), x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for j := 0; j < heapBenchEvents; j++ {
+			t, _ := h.pop()
+			h.push(math.Float64bits(t+deltas[j%len(deltas)]), x)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*heapBenchEvents), "ns/event")
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -176,8 +177,10 @@ func TestBusyBooksNameResource(t *testing.T) {
 	}
 }
 
-// books reports a non-empty queue: a set bucket bit, or an arena node
-// (other than the sentinel) that is not on the free list.
+// books reports a non-empty queue: a set bucket bit, a bucket that is
+// not empty in the sentinel sense (its list starts nowhere, its tail is
+// its sentinel, its minimum is MaxUint64), or an arena node (other than
+// the sentinels) that is not on the free list.
 func (h *eventHeap) books() error {
 	if h.mask != 0 {
 		return fmt.Errorf("event queue not empty: bucket mask %#x", h.mask)
@@ -185,7 +188,12 @@ func (h *eventHeap) books() error {
 	if len(h.nodes) == 0 {
 		return nil // nothing was ever queued
 	}
-	carved, free := len(h.nodes)-1, 0
+	for b := range buckets {
+		if h.nodes[b].next != 0 || h.tail[b] != int32(b) || (b > 0 && h.min[b] != math.MaxUint64) {
+			return fmt.Errorf("empty bucket %d: head %d, tail %d, min %#x", b, h.nodes[b].next, h.tail[b], h.min[b])
+		}
+	}
+	carved, free := len(h.nodes)-buckets, 0
 	for i := h.free; i != 0; i = h.nodes[i].next {
 		if free++; free > carved {
 			return fmt.Errorf("event free list cycles")

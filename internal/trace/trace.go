@@ -19,6 +19,28 @@
 // site's transactions, so any exact lookup merges into the same
 // transaction and appends in the same first-touch order.
 //
+// Most sites need no lane at all. When a block's rows split every warp
+// into x-runs (lanes with consecutive tid.x and one tid.y and tid.z) and
+// a site's index is base + tid.x + cy·tid.y + cz·tid.z under a predicate
+// that is the same for every lane, a run's lanes read consecutive
+// elements, and the in-bounds ones one contiguous byte range. Such a
+// site is coalesced a run at a time, that range cut into lines and
+// sector masks directly, through the same line merge as the per-lane
+// path, so the output is the same bit for bit (closedForm,
+// coalesceRuns). Every site of the dense kernels (conv, fwt-k2,
+// hotspot3d, sq-gemm, tra and the like; TestClosedFormCoverage pins five)
+// takes this path. Indirect, Div/Mod and strided sites keep the per-lane
+// one, as does all of lbm, whose 120-thread rows split no 32-lane warp
+// into whole runs.
+//
+// Cost. On perfbench fig9-campaign (scale 256, 2-vCPU Xeon, go1.24.0)
+// WarpTransactions and what it calls fell from 12.9 to 8.6 ms of
+// sampled CPU per cell, 7.2 ms of which is the per-lane sites left,
+// nearly all of the irregular workloads; trace generation fell from
+// 24.9% to 20.8% of the profile, behind the event queue. A 16×16 tile
+// (BenchmarkWarpTransactions2D, two runs per warp) went from 742 to
+// 149 ns per warp.
+//
 // Because the generator evaluates the very expressions the static analyzer
 // classified, placement decisions made from the analysis meet exactly the
 // traffic the analysis predicted (or failed to predict, for indirect
@@ -54,6 +76,9 @@ type access struct {
 	elems    int64
 	mode     kir.AccessMode
 	phase    kir.Phase
+	// runs marks a site that coalesces in closed form, a run at a time
+	// (see closedForm).
+	runs bool
 }
 
 // Generator produces transactions for one kernel over one address space.
@@ -66,6 +91,10 @@ type Generator struct {
 	sectorBytes uint64
 	sectorShift uint // log2(sectorBytes)
 	warpSize    int
+	// runLanes is the length of the x-runs every warp splits into —
+	// lanes with consecutive tid.x and one tid.y and tid.z — or 0 when
+	// some warp does not split so (see xRunLanes).
+	runLanes int
 
 	tids    []tid // threadIdx of every thread of a block
 	env     warpEnv
@@ -93,6 +122,7 @@ func New(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 		sectorBytes: uint64(sectorBytes),
 		sectorShift: uint(bits.TrailingZeros(uint(sectorBytes))),
 		warpSize:    warpSize,
+		runLanes:    xRunLanes(k.Block, warpSize),
 		tids:        tidTable(k.Block),
 		idxBuf:      make([]int64, warpSize),
 		predBuf:     make([]int64, warpSize),
@@ -121,10 +151,38 @@ func New(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 		if p := k.SubstitutedPred(i); p != nil {
 			ca.pred = b.expr(p)
 		}
+		ca.runs = g.closedForm(&ca)
 		g.accesses = append(g.accesses, ca)
 		g.sites[acc.Phase]++
 	}
 	return g, nil
+}
+
+// xRunLanes returns the lanes per x-run when every warp of a block
+// splits into whole x-runs: a block row that is a multiple of the warp
+// holds whole warps (one run each), and one that divides the warp packs
+// whole rows into it, the last warp included, since a block holds whole
+// rows. Any other shape returns 0.
+func xRunLanes(block kir.Dim3, warpSize int) int {
+	switch {
+	case block.X%warpSize == 0:
+		return warpSize
+	case warpSize%block.X == 0:
+		return block.X
+	}
+	return 0
+}
+
+// closedForm reports whether site acc coalesces in closed form: its
+// warps split into x-runs, its index is base + tid.x + cy·tid.y +
+// cz·tid.z (no per-lane term, tid.x coefficient the constant 1), its
+// predicate, if any, is the same for every lane, and its elements are
+// as wide as the allocation's. Then a run's in-bounds lanes read one
+// contiguous byte range, which coalescing cuts into lines directly.
+func (g *Generator) closedForm(acc *access) bool {
+	ix := acc.index
+	return g.runLanes > 0 && len(ix.lane) == 0 && ix.linK[0] == 1 && len(ix.lin[0]) == 0 &&
+		(acc.pred == nil || acc.pred.tidFree) && acc.elemSize == int64(acc.alloc.ElemSize)
 }
 
 // Kernel returns the kernel the generator was built for.
@@ -169,6 +227,12 @@ func (g *Generator) WarpTransactions(tbLinear, warp, m int, phase kir.Phase, out
 			continue
 		}
 		instrs++
+		if acc.runs {
+			if acc.pred == nil || acc.pred.scalar(&g.env) > 0 {
+				out = g.coalesceRuns(out, ai, acc)
+			}
+			continue
+		}
 		idx := acc.index.lanes(&g.env, g.idxBuf)
 		var pred []int64
 		if acc.pred != nil {
@@ -179,14 +243,21 @@ func (g *Generator) WarpTransactions(tbLinear, warp, m int, phase kir.Phase, out
 	return out, instrs
 }
 
+// cursor is where an access site's coalescing stands: the line it
+// touched last and that line's position in the output (-1 before the
+// first touch).
+type cursor struct {
+	line uint64
+	pos  int
+}
+
 // coalesce appends the transactions of one access site: the lines its
 // active lanes touch, in first-touch order, each with the mask of sectors
 // touched. An element that crosses a line boundary splits across lines as
-// the hardware would. Consecutive lanes mostly hit the line the previous
-// lane hit, so that line is checked before the line index.
+// the hardware would.
 func (g *Generator) coalesce(out []Transaction, ai int, acc *access, idx, pred []int64) []Transaction {
 	g.lines.reset()
-	last, lastPos := uint64(0), -1
+	c := cursor{pos: -1}
 	for l, i := range idx {
 		if pred != nil && pred[l] <= 0 {
 			continue
@@ -195,24 +266,57 @@ func (g *Generator) coalesce(out []Transaction, ai int, acc *access, idx, pred [
 			continue // out-of-bounds threads are predicated off
 		}
 		addr := acc.alloc.ElemAddr(i)
-		for bytes := uint64(acc.elemSize); bytes > 0; {
-			line := addr &^ (g.lineBytes - 1)
-			off := addr - line
-			span := min(g.lineBytes-off, bytes)
-			first, end := off>>g.sectorShift, (off+span-1)>>g.sectorShift
-			mask := uint8(uint64(2)<<end - uint64(1)<<first)
-			if lastPos < 0 || line != last {
-				lastPos = g.lines.lookup(out, line)
-				if lastPos < 0 {
-					lastPos = len(out)
-					out = append(out, Transaction{Addr: line, Access: ai, Mode: acc.mode, Alloc: acc.alloc})
-				}
-				last = line
-			}
-			out[lastPos].Mask |= mask
-			addr += span
-			bytes -= span
+		out = g.touch(out, &c, ai, acc, addr, addr+uint64(acc.elemSize))
+	}
+	return out
+}
+
+// coalesceRuns is coalesce for a closed-form site (see closedForm). In
+// each x-run of the warp, lane k reads element first+k, so the run's
+// in-bounds lanes read the elements [max(first, 0), min(first+n, elems))
+// and the bytes between their addresses, in lane order. Touching that
+// range line by line merges the same lines, in the same order, into the
+// same masks as touching each lane's element in turn.
+func (g *Generator) coalesceRuns(out []Transaction, ai int, acc *access) []Transaction {
+	g.lines.reset()
+	cur := cursor{pos: -1}
+	base, c := acc.index.scalar(&g.env), acc.index.coefs(&g.env) // c[0] is 1
+	n := int64(g.runLanes)
+	for r := 0; r < len(g.env.tids); r += g.runLanes {
+		t := &g.env.tids[r]
+		first := base + t.x + c[1]*t.y + c[2]*t.z
+		// first+n wraps only for a first past elems, where lo > hi too.
+		lo, hi := max(first, 0), min(first+n, acc.elems)
+		if lo >= hi {
+			continue
 		}
+		addr := acc.alloc.ElemAddr(lo)
+		out = g.touch(out, &cur, ai, acc, addr, addr+uint64(hi-lo)*uint64(acc.elemSize))
+	}
+	return out
+}
+
+// touch merges the bytes [addr, end) of site ai into out, a line at a
+// time, each line with the mask of sectors it covers. Consecutive
+// touches mostly land on the line the cursor holds, so that line is
+// checked before the line index.
+func (g *Generator) touch(out []Transaction, c *cursor, ai int, acc *access, addr, end uint64) []Transaction {
+	for addr < end {
+		line := addr &^ (g.lineBytes - 1)
+		off := addr - line
+		span := min(g.lineBytes-off, end-addr)
+		first, last := off>>g.sectorShift, (off+span-1)>>g.sectorShift
+		mask := uint8(uint64(2)<<last - uint64(1)<<first)
+		if c.pos < 0 || line != c.line {
+			c.pos = g.lines.lookup(out, line)
+			if c.pos < 0 {
+				c.pos = len(out)
+				out = append(out, Transaction{Addr: line, Access: ai, Mode: acc.mode, Alloc: acc.alloc})
+			}
+			c.line = line
+		}
+		out[c.pos].Mask |= mask
+		addr += span
 	}
 	return out
 }

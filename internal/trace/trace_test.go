@@ -290,6 +290,37 @@ func BenchmarkWarpTransactionsCoalesced(b *testing.B) {
 	}
 }
 
+// BenchmarkWarpTransactions2D coalesces the warps of a 16×16 tile of a
+// row-major matrix: every warp holds two x-runs of 16 lanes, one per
+// matrix row, as in sq-gemm, conv and tra.
+func BenchmarkWarpTransactions2D(b *testing.B) {
+	const width = 256
+	row := sym.Sum(sym.Prod(sym.By, sym.BDy), sym.Ty)
+	col := sym.Sum(sym.Prod(sym.Bx, sym.BDx), sym.Tx)
+	idx := sym.Sum(sym.Prod(row, sym.P("W")), col)
+	k := &kir.Kernel{
+		Name: "tile", Grid: kir.Dim2(width/16, width/16), Block: kir.Dim2(16, 16), Iters: 1,
+		Params: map[string]int64{"W": width},
+		Accesses: []kir.Access{
+			{Array: "A", ElemSize: 4, Mode: kir.Load, Index: idx},
+			{Array: "C", ElemSize: 4, Mode: kir.Store, Index: idx},
+		},
+	}
+	space := page.NewSpace(4096, 4)
+	space.MallocManaged("A", width*width*4, 4)
+	space.MallocManaged("C", width*width*4, 4)
+	g, err := New(k, space, nil, 128, 32, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]Transaction, 0, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		buf, _ = g.WarpTransactions(i%256, i%8, 0, kir.InLoop, buf)
+	}
+}
+
 func Test3DThreadMapping(t *testing.T) {
 	// An (8,2,2) block: linear thread 31 is (tx=7, ty=1, tz=1).
 	idx := sym.Sum(sym.Prod(sym.Tz, sym.C(1024)), sym.Prod(sym.Ty, sym.C(64)), sym.Tx)

@@ -107,6 +107,17 @@ func (p *laneExpr) scalar(w *warpEnv) int64 {
 	return v
 }
 
+// coefs evaluates the tid.x, tid.y and tid.z coefficients.
+func (p *laneExpr) coefs(w *warpEnv) [3]int64 {
+	c := p.linK
+	for k := range p.lin {
+		for i := range p.lin[k] {
+			c[k] += p.lin[k][i].eval(w)
+		}
+	}
+	return c
+}
+
 // lanes evaluates the expression for every lane of w into out, which must
 // hold at least len(w.tids) values, and returns out[:len(w.tids)].
 func (p *laneExpr) lanes(w *warpEnv, out []int64) []int64 {
@@ -118,12 +129,7 @@ func (p *laneExpr) lanes(w *warpEnv, out []int64) []int64 {
 		}
 		return out
 	}
-	c := p.linK
-	for k := range p.lin {
-		for i := range p.lin[k] {
-			c[k] += p.lin[k][i].eval(w)
-		}
-	}
+	c := p.coefs(w)
 	for i, t := range w.tids {
 		out[i] = base + c[0]*t.x + c[1]*t.y + c[2]*t.z
 	}

@@ -442,3 +442,162 @@ func TestLaneAffineSplit(t *testing.T) {
 		t.Errorf("bDim.x/16 = %+v, want the constant 4", c)
 	}
 }
+
+// TestClosedFormCoverage pins which sites coalesce in closed form:
+// every access site of the regular kernels below, at a small and a
+// large scale. A kernel edit that drops one of them to the per-lane
+// path fails here, not only in a profile.
+func TestClosedFormCoverage(t *testing.T) {
+	for _, scale := range []int{8, 256} {
+		for _, name := range []string{"fwt-k2", "tra", "conv", "hotspot3d", "sq-gemm"} {
+			spec, err := kernels.ByName(name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := spec.W
+			space := page.NewSpace(4096, 4)
+			for _, a := range w.Allocs {
+				space.MallocManaged(a.ID, a.Bytes, a.ElemSize)
+			}
+			for _, l := range w.Launches {
+				g, err := New(l.Kernel, space, w.Tables, 128, 32, 32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ai := range g.accesses {
+					if !g.accesses[ai].runs {
+						t.Errorf("%s at scale %d: kernel %s access %d (%s, block %v) takes the per-lane path",
+							name, scale, l.Kernel.Name, ai, l.Kernel.Accesses[ai].Array, l.Kernel.Block)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkWarpTransactions decodes a kernel of affine access sites, one
+// launch point and a line geometry from data, and compares every warp's
+// WarpTransactions with refWarp. The shapes aim at the closed form's
+// edges: block rows that split warps into runs or do not, tid.x
+// coefficients of 1 and of other values, elements that straddle lines,
+// allocations that leave runs partly out of bounds, and predicates that
+// are absent, thread-free or per-lane. It returns the number of sites
+// it checked, and how many of them coalesce in closed form.
+func checkWarpTransactions(t *testing.T, data []byte) (sites, closed int) {
+	b := fuzzBytes(data)
+	rows := []int{32, 16, 8, 64, 1, 2, 4, 96, 3, 12, 24, 48}
+	k := &kir.Kernel{
+		Name:   "fuzz",
+		Grid:   kir.Dim3{X: 1 + b.intn(4), Y: 1 + b.intn(3), Z: 1 + b.intn(2)},
+		Block:  kir.Dim3{X: rows[b.intn(len(rows))], Y: 1 + b.intn(4), Z: 1 + b.intn(2)},
+		Params: map[string]int64{"N": int64(b.intn(16)) - 4},
+		Iters:  8,
+	}
+	warpSize := []int{32, 16, 8, 1 + b.intn(32)}[b.intn(4)]
+	geom := [][2]int{{128, 32}, {64, 32}, {256, 32}, {128, 16}, {32, 32}}[b.intn(5)]
+	coef := func() sym.Expr {
+		switch b.intn(8) {
+		case 0:
+			return sym.C(0)
+		case 1:
+			return sym.C(-1 - int64(b.intn(3)))
+		case 2:
+			return sym.C(2 + int64(b.intn(3)))
+		case 3:
+			return sym.C(1 << (20 + b.intn(40)))
+		case 4:
+			return sym.C(b.constant())
+		default:
+			return sym.C(1)
+		}
+	}
+	threads := int64(k.Grid.Count() * k.Block.Count())
+	elemSizes := []int{4, 12, 160}
+	allocs := make([]kir.AllocSpec, 2)
+	for i := range allocs {
+		es := elemSizes[b.intn(len(elemSizes))]
+		elems := 1 + int64(b.intn(int(2*threads)+64))
+		allocs[i] = kir.AllocSpec{ID: string(rune('A' + i)), Bytes: uint64(elems) * uint64(es), ElemSize: es}
+	}
+	for n := 1 + b.intn(4); n > 0; n-- {
+		alloc := allocs[b.intn(len(allocs))]
+		es := alloc.ElemSize
+		if b.intn(8) == 0 {
+			es = elemSizes[b.intn(len(elemSizes))] // may disagree with the allocation
+		}
+		tyCoef := sym.Expr(sym.BDx)
+		if b.intn(3) == 0 {
+			tyCoef = coef()
+		}
+		acc := kir.Access{
+			Array:    alloc.ID,
+			ElemSize: es,
+			Mode:     kir.AccessMode(b.intn(2)),
+			Phase:    kir.Phase(b.intn(int(kir.PostLoop) + 1)),
+			Index: sym.Sum(
+				sym.C(int64(b.intn(64))-32),
+				sym.Prod([]sym.Expr{sym.BDx, sym.C(int64(k.Block.Count())), coef()}[b.intn(3)], sym.Bx),
+				sym.Prod(coef(), sym.M),
+				sym.Prod([]sym.Expr{sym.C(1), coef()}[b.intn(2)], sym.Tx),
+				sym.Prod(tyCoef, sym.Ty),
+				sym.Prod(coef(), sym.Tz)),
+		}
+		switch b.intn(4) {
+		case 1: // thread-free: on for some iterations and blocks only
+			acc.Pred = sym.Sum(sym.P("N"), sym.Neg{X: sym.M}, sym.By)
+		case 2: // per-lane
+			acc.Pred = sym.Sum(sym.C(int64(b.intn(40))), sym.Neg{X: sym.Tx})
+		}
+		k.Accesses = append(k.Accesses, acc)
+	}
+	space := page.NewSpace(4096, 4)
+	for _, a := range allocs {
+		space.MallocManaged(a.ID, a.Bytes, a.ElemSize)
+	}
+	g, err := New(k, space, nil, geom[0], geom[1], warpSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, m := b.intn(k.Grid.Count()), b.intn(k.Iters)
+	for warp := 0; warp < k.WarpsPerTB(warpSize); warp++ {
+		for _, phase := range []kir.Phase{kir.PreLoop, kir.InLoop, kir.PostLoop} {
+			checkWarp(t, "fuzz", g, space, nil, tb, warp, m, phase)
+		}
+	}
+	for ai := range g.accesses {
+		if g.accesses[ai].runs {
+			closed++
+		}
+	}
+	return len(g.accesses), closed
+}
+
+func FuzzWarpTransactions(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 24+r.Intn(64))
+		r.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWarpTransactions(t, data)
+	})
+}
+
+// TestWarpTransactionsRandom is FuzzWarpTransactions' property over a
+// fixed random corpus, so plain `go test` covers it too. The corpus
+// must reach the closed form often, or it tests only the per-lane path.
+func TestWarpTransactionsRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	sites, closed := 0, 0
+	for i := 0; i < 1500; i++ {
+		data := make([]byte, 24+r.Intn(96))
+		r.Read(data)
+		s, c := checkWarpTransactions(t, data)
+		sites, closed = sites+s, closed+c
+	}
+	if closed < sites/8 {
+		t.Errorf("%d of %d sites coalesce in closed form, want at least an eighth", closed, sites)
+	}
+	t.Logf("%d of %d sites coalesce in closed form", closed, sites)
+}
