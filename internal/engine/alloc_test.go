@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math/rand"
 	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"ladm/internal/arch"
@@ -82,12 +84,12 @@ func TestSchedulerZeroAllocs(t *testing.T) {
 // threadblocks touch a few L1s, and a few pages of sets of the L2
 // slices its data is homed on. Measured per cell:
 //
-//	                                MB per cell                  objects per New
-//	machine             eager lines  lazy lines  lazy pages  value slices   per unit  value slices
-//	hier, hier-perlink         6.52        0.87        0.38          0.33  1406-1474            17
-//	monolithic                    -        3.40        0.33          0.27       1206            17
-//	xbar-*, ring-*                -        1.84        0.36          0.31  1244-1278            17
-//	dgx                        8.90        2.66        0.39          0.33       1536            17
+//	                                MB per cell                                objects per New
+//	machine             eager lines  lazy lines  lazy pages  value slices  pooled pages   per unit  value slices
+//	hier, hier-perlink         6.52        0.87        0.38          0.33          0.18  1406-1474            17
+//	monolithic                    -        3.40        0.33          0.27          0.17       1206            17
+//	xbar-*, ring-*                -        1.84        0.36          0.31          0.18  1244-1278            17
+//	dgx                        8.90        2.66        0.39          0.33          0.20       1536            17
 //
 // Eager lines built every cache's array in engine.New; lazy lines
 // built a cache's whole array on its first access; lazy pages build
@@ -95,9 +97,11 @@ func TestSchedulerZeroAllocs(t *testing.T) {
 // (and a formatted name) for every L1, issue port, L2 slice, HBM stack
 // and channel, and the free lists started at full slabs. With value
 // slices New makes a few slices per level, names a resource only when a
-// message asks, and the free lists' first slabs are small.
+// message asks, and the free lists' first slabs are small. With pooled
+// pages the cell takes its full pages from those the warm-up released
+// at the end of its Run.
 const (
-	smallCellBudget = 512 << 10
+	smallCellBudget = 256 << 10
 	newObjectBudget = 100
 )
 
@@ -131,7 +135,11 @@ func TestSmallCellAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cell() // warm-up: package-level caches and lazily built tables
+			// The pool of released cache pages lasts two GCs: keep
+			// the GC off from the warm-up that fills it to the end of
+			// the measured cell that drains it.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			cell() // warm-up: package-level caches, lazily built tables, pooled pages
 			var before, after goruntime.MemStats
 			goruntime.ReadMemStats(&before)
 			cell()
@@ -147,5 +155,50 @@ func TestSmallCellAllocBudget(t *testing.T) {
 			}
 			t.Logf("allocated %d bytes, %d objects; New made %.0f objects", got, after.Mallocs-before.Mallocs, objects)
 		})
+	}
+}
+
+// BenchmarkCheapCells measures the per-cell cost a design-space sweep
+// of cheap cells pays: one op is 200 cells, each runtime.Prepare + New
+// + Run, drawn in a fixed seeded order from a sweep of cheap regular
+// workloads over every policy, every machine and scales 64 to 512.
+// Each cell takes its cache pages from those the cells before it
+// released.
+func BenchmarkCheapCells(b *testing.B) {
+	type cell struct {
+		spec *kernels.Spec
+		cfg  arch.Config
+		pol  runtime.Policy
+	}
+	var cells []cell
+	for _, w := range []string{"sq-gemm", "vecadd", "lstm-1", "alexnet-fc2"} {
+		for _, scale := range []int{64, 96, 128, 160, 192, 224, 256, 320, 384, 448, 512} {
+			spec, err := kernels.ByName(w, scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, pol := range runtime.All() {
+				for _, m := range arch.Names() {
+					cfg, err := arch.ByName(m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cells = append(cells, cell{spec, cfg, pol})
+				}
+			}
+		}
+	}
+	order := rand.New(rand.NewSource(1)).Perm(len(cells))[:200]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range order {
+			plan, err := runtime.Prepare(cells[c].spec.W, &cells[c].cfg, cells[c].pol)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := New(plan).Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

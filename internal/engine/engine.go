@@ -380,8 +380,16 @@ func (e *Engine) telSample(t float64) {
 var ErrInterrupted = errors.New("engine: simulation interrupted")
 
 // Run simulates every launch of the plan's workload and returns the
-// aggregated measurements.
+// aggregated measurements. It then releases the machine's cache pages
+// for the next cell to reuse, so an engine runs once.
 func (e *Engine) Run() (*stats.Run, error) {
+	defer e.release()
+	return e.simulate()
+}
+
+// simulate is Run before the release: the tests check the machine's
+// books between the two.
+func (e *Engine) simulate() (*stats.Run, error) {
 	for _, lp := range e.plan.Launches {
 		gen, err := trace.New(lp.Launch.Kernel, e.plan.Space, e.plan.Workload.Tables,
 			e.cfg.LineBytes, e.cfg.SectorBytes, e.cfg.WarpSize)
@@ -398,6 +406,17 @@ func (e *Engine) Run() (*stats.Run, error) {
 	}
 	e.finalizeStats()
 	return e.run, nil
+}
+
+// release returns every L1's and L2 slice's pages to the cache
+// package's pool (see cache.Cache.Release).
+func (e *Engine) release() {
+	for sm := range e.l1 {
+		e.l1[sm].Release()
+	}
+	for node := range e.l2 {
+		e.l2[node].Release()
+	}
 }
 
 // flushL2s models the kernel-boundary L2 coherence invalidation described

@@ -163,12 +163,13 @@ func TestBusyBooksNameResource(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(plan)
-	if _, err := e.Run(); err != nil {
+	if _, err := e.simulate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.checkBooks(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
+	e.release()
 	// Book more than the whole run on SM 17's issue port.
 	e.smIssue[17].Serve(0, int(e.run.Cycles+1)*e.cfg.IssuePerCycle)
 	err = e.checkBooks()
@@ -212,8 +213,11 @@ func (h *eventHeap) books() error {
 // the format of perfbench/pins. Unlike the per-record goldens, which
 // cover only regular kernels, this matrix reaches every irregular
 // workload's execPhase and maybeFinish paths. Every cell's engine must
-// also close its books (see checkBooks). Regenerate (only when the
-// model itself intentionally changes) with:
+// also close its books (see checkBooks) before it releases its cache
+// pages, and every cell after the first runs on pages released by the
+// cells before it, so the digests also pin that a recycled page
+// simulates as a fresh one. Regenerate (only when the model itself
+// intentionally changes) with:
 //
 //	go test ./internal/engine -run MatrixDigestGolden -update
 func TestMatrixDigestGolden(t *testing.T) {
@@ -226,13 +230,14 @@ func TestMatrixDigestGolden(t *testing.T) {
 				t.Fatalf("%s/%s: %v", spec.W.Name, pol.Name, err)
 			}
 			e := New(plan)
-			run, err := e.Run()
+			run, err := e.simulate()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", spec.W.Name, pol.Name, err)
 			}
 			if err := e.checkBooks(); err != nil {
 				t.Errorf("%s/%s: %v", spec.W.Name, pol.Name, err)
 			}
+			e.release() // the next cell runs on these pages
 			b, err := json.Marshal(run)
 			if err != nil {
 				t.Fatal(err)

@@ -8,12 +8,18 @@
 // that hook is exactly where LADM's remote-request bypassing (RONCE vs.
 // RTWICE, Section III-E of the paper) plugs in — the engine passes
 // allocate=false for remote-origin fills at the home node under RONCE.
+//
+// A cache's lines live on pages of sets. A page is taken on the first
+// Access that lands in it, from a pool of zeroed pages shared by every
+// cache of every geometry, and Release clears it and returns it to the
+// pool: the engine releases its machine's caches at the end of
+// Engine.Run, so the next cell, on any machine, reuses them.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
+	"sync"
 )
 
 // SectorMask is a bitmask over the sectors of one line (bit i = sector i).
@@ -77,22 +83,30 @@ type Result struct {
 	Bypassed bool
 }
 
-// pageBytes is the size a page of sets is cut to: the largest
-// power-of-two run of sets whose lines fit in it. 12 KB of 24-byte lines
+// pageLines is the size a page of sets is cut to: the largest
+// power-of-two run of sets whose lines fit in it. 512 lines of 24 bytes
 // is both an L1's whole array (128 sets × 4 ways) and 32 sets of a
 // 16-way L2 slice, and 12288 bytes is a Go size class, so a page wastes
-// nothing.
-const pageBytes = 16 << 10
+// nothing. With a power-of-two way count up to 512, every page but a
+// partial last one is full, and full pages are what pagePool holds.
+const pageLines = 512
+
+// pagePool holds zeroed full pages: one size class, shared by every
+// cache of every geometry. Release fills it, newPage drains it, and
+// the GC empties it of pages left idle for two cycles.
+var pagePool sync.Pool // of *[pageLines]line
 
 // Cache is a sectored set-associative cache with LRU replacement.
 //
-// The lines are allocated by page, a page being a run of consecutive
-// sets: the first Access allocates the page table, and each page is
-// allocated by the first Access that lands in it. A machine of 256 SMs
-// and 16 L2 slices holds about 6 MB of lines (a monolithic 16 MB L2
-// alone 3 MB), and a cheap cell touches a few of its caches and a few
-// sets of each. Sets on a page not yet allocated are empty. A cache
-// whose every set was touched holds exactly Sets×Assoc lines.
+// The lines live on pages, a page being a run of consecutive sets: the
+// first Access allocates the page table, and each page is taken by the
+// first Access that lands in it, from pagePool when it is full and the
+// pool holds one. A machine of 256 SMs and 16 L2 slices holds about
+// 6 MB of lines (a monolithic 16 MB L2 alone 3 MB), and a cheap cell
+// touches a few of its caches and a few sets of each. Sets on a page
+// not yet taken are empty. A cache whose every set was touched holds
+// exactly Sets×Assoc lines. Release returns the full pages zeroed to
+// the pool and empties the cache.
 //
 // Caches are held by value, a level at a time (see NewLevel). Do not
 // copy a Cache: go vet reports a copy, which would fill and count apart
@@ -149,7 +163,7 @@ func NewLevel(cfg Config, n int) []Cache {
 	if bits.OnesCount(uint(cfg.Sets)) == 1 {
 		g.setBits = bits.TrailingZeros(uint(cfg.Sets))
 	}
-	if perPage := pageBytes / (int(unsafe.Sizeof(line{})) * cfg.Assoc); perPage > 1 {
+	if perPage := pageLines / cfg.Assoc; perPage > 1 {
 		g.pageShift = uint(bits.Len(uint(perPage)) - 1)
 	}
 	g.pageMask = 1<<g.pageShift - 1
@@ -225,12 +239,33 @@ func (c *Cache) set(s int) []line {
 	return pg[off : off+c.cfg.Assoc]
 }
 
-// newPage allocates page p: 1<<pageShift sets, or the sets left over
-// when it is the last page.
+// newPage takes page p: 1<<pageShift sets, or the sets left over when
+// it is the last page. A full page comes from pagePool while it holds
+// one; any other page is allocated.
 func (c *Cache) newPage(p int) []line {
-	first := p << c.pageShift
-	c.pages[p] = make([]line, min(c.pageMask+1, c.cfg.Sets-first)*c.cfg.Assoc)
+	n := min(c.pageMask+1, c.cfg.Sets-p<<c.pageShift) * c.cfg.Assoc
+	if n == pageLines {
+		if pg, _ := pagePool.Get().(*[pageLines]line); pg != nil {
+			c.pages[p] = pg[:]
+			return c.pages[p]
+		}
+	}
+	c.pages[p] = make([]line, n)
 	return c.pages[p]
+}
+
+// Release zeroes every full page and returns it to pagePool, then drops
+// the page table: the cache holds no lines, and its next Access starts
+// a fresh table. Partial pages are left to the GC. Stats are kept.
+func (c *Cache) Release() {
+	for _, pg := range c.pages {
+		if len(pg) == pageLines {
+			clear(pg)
+			pagePool.Put((*[pageLines]line)(pg))
+		}
+	}
+	c.pages = nil
+	c.resident = 0
 }
 
 // Access probes the cache for the sectors in mask of addr's line.

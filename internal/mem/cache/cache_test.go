@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -586,5 +587,115 @@ func TestCheckPrefix(t *testing.T) {
 	set[2].dirty = 1
 	if err := c.CheckPrefix(); err == nil || !strings.Contains(err.Error(), "set 100 way 2 ") {
 		t.Errorf("a dead way with a stale dirty mask on page 3: %v", err)
+	}
+}
+
+// TestReleaseZeroesPages pins the page lifecycle on the machines' L1
+// and L2 geometries: Release empties a cache and keeps its Stats, a
+// fresh cache's pages taken from the pool after it are zero in every
+// way, and the released cache starts a new page table on its next
+// Access.
+func TestReleaseZeroesPages(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool
+	reused := 0
+	for _, cfg := range []Config{
+		{Sets: 128, Assoc: 4, LineBytes: 128, SectorBytes: 32},   // L1
+		{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32},  // hier L2 slice
+		{Sets: 3072, Assoc: 16, LineBytes: 128, SectorBytes: 32}, // dgx L2 slice
+	} {
+		// Lines 0 to Sets×Assoc-1 land on each set Assoc times: store
+		// to every way of every set.
+		c := newCache(cfg)
+		var addrs []uint64
+		for x := 0; x < cfg.Sets*cfg.Assoc; x++ {
+			addrs = append(addrs, uint64(x)*128)
+			c.Access(addrs[x], c.FullMask(), true, true)
+		}
+		if n := c.LiveLines(); n != cfg.Sets*cfg.Assoc {
+			t.Fatalf("%d×%d: %d live lines after filling every way", cfg.Sets, cfg.Assoc, n)
+		}
+		released := make(map[*line]bool)
+		for _, pg := range c.pages {
+			released[&pg[0]] = true
+		}
+		st := c.Stats()
+		c.Release()
+		if c.Stats() != st {
+			t.Errorf("%d×%d: Release changed Stats from %+v to %+v", cfg.Sets, cfg.Assoc, st, c.Stats())
+		}
+		if c.pages != nil || c.LiveLines() != 0 || c.ResidentSectors() != 0 {
+			t.Errorf("%d×%d: released cache holds %d pages, %d live lines, %d resident sectors",
+				cfg.Sets, cfg.Assoc, len(c.pages), c.LiveLines(), c.ResidentSectors())
+		}
+
+		fresh := newCache(cfg)
+		fresh.pages = make([][]line, len(released))
+		for p := range fresh.pages {
+			pg := fresh.newPage(p)
+			if released[&pg[0]] {
+				reused++
+			}
+			for i := range pg {
+				if pg[i] != (line{}) {
+					t.Fatalf("%d×%d: page %d line %d of a fresh cache is %+v", cfg.Sets, cfg.Assoc, p, i, pg[i])
+				}
+			}
+		}
+		for _, a := range addrs {
+			if hit := c.Probe(a, c.FullMask()); hit != 0 {
+				t.Fatalf("%d×%d: released cache hit %04b at %#x", cfg.Sets, cfg.Assoc, hit, a)
+			}
+			if hit := fresh.Probe(a, fresh.FullMask()); hit != 0 {
+				t.Fatalf("%d×%d: fresh cache hit %04b at %#x", cfg.Sets, cfg.Assoc, hit, a)
+			}
+		}
+
+		c.Access(addrs[0], 0b0001, true, false)
+		if len(c.pages) != len(released) || allocatedPages(c) != 1 {
+			t.Errorf("%d×%d: Access after Release made a table of %d pages, %d taken; want %d, 1",
+				cfg.Sets, cfg.Assoc, len(c.pages), allocatedPages(c), len(released))
+		}
+	}
+	if reused == 0 {
+		t.Error("no fresh page came from the released caches")
+	}
+}
+
+// TestReleaseLeavesOddPages pins that only full pages are pooled: a
+// partial last page and a set too large to share a page are left to
+// the GC as they are, while the full pages beside them are zeroed.
+func TestReleaseLeavesOddPages(t *testing.T) {
+	for _, g := range []struct{ sets, assoc, odd int }{
+		{100, 16, 1}, // three full pages and a partial one of 4 sets
+		{7, 1000, 7}, // one set per page
+	} {
+		c := newCache(Config{Sets: g.sets, Assoc: g.assoc, LineBytes: 128, SectorBytes: 32})
+		for x := 0; x < g.sets; x++ { // line x < Sets maps to set x
+			c.Access(uint64(x)*128, 0b0001, true, true)
+		}
+		pages := c.pages
+		c.Release()
+		odd := 0
+		for p, pg := range pages {
+			live := 0
+			for i := range pg {
+				if pg[i].live {
+					live++
+				}
+			}
+			switch {
+			case len(pg) == pageLines && live != 0:
+				t.Errorf("%d×%d: full page %d kept %d live lines", g.sets, g.assoc, p, live)
+			case len(pg) != pageLines:
+				odd++
+				if live != len(pg)/g.assoc {
+					t.Errorf("%d×%d: odd page %d of %d lines holds %d live lines, want %d untouched",
+						g.sets, g.assoc, p, len(pg), live, len(pg)/g.assoc)
+				}
+			}
+		}
+		if odd != g.odd {
+			t.Errorf("%d×%d: %d odd pages, want %d", g.sets, g.assoc, odd, g.odd)
+		}
 	}
 }
