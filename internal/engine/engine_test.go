@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ladm/internal/arch"
+	"ladm/internal/kernels"
 	"ladm/internal/kir"
 	"ladm/internal/runtime"
 	"ladm/internal/stats"
@@ -38,16 +39,27 @@ func vecAdd(tbs int) *kir.Workload {
 // under LADM on the hier machine. The count follows from the event
 // sequence alone, so a change to the queue's machinery must leave it
 // where it is, and the scheduler counts every event whether or not an
-// interrupt channel is armed.
+// interrupt channel is armed. The engine is recycled from a larger cell
+// on another machine, so the count also pins that build starts the
+// count, the event arena and the free lists over from that cell's.
 func TestDispatchedEvents(t *testing.T) {
-	cfg := arch.DefaultHierarchical()
-	plan, err := runtime.Prepare(vecAdd(8), &cfg, runtime.LADM())
+	spec, err := kernels.ByName("random-loc", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(plan)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
+	dgx, hier := arch.DGXLike(), arch.DefaultHierarchical()
+	e := new(Engine)
+	for _, c := range []struct {
+		w   *kir.Workload
+		cfg *arch.Config
+	}{{spec.W, &dgx}, {vecAdd(8), &hier}} {
+		plan, err := runtime.Prepare(c.w, c.cfg, runtime.LADM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recycle(t, e, plan); err != nil {
+			t.Fatalf("%s on %s: %v", c.w.Name, c.cfg.Name, err)
+		}
 	}
 	if got, want := e.sched.dispatched, uint64(216); got != want {
 		t.Errorf("vecadd(8) on hier dispatched %d events, want %d", got, want)

@@ -12,7 +12,8 @@ import (
 //  1. Every event is a node in one arena slice, linked into its bucket by
 //     an int32 index. Popped nodes go onto a free list and the arena
 //     persists across kernel launches, so after warm-up a push reuses a
-//     free node and a pop moves no payload.
+//     free node and a pop moves no payload. A retired engine keeps its
+//     arena for the next cell (see Engine.retire).
 //  2. The payload is a `runner` interface holding a pointer-shaped value
 //     (*txState, *tbExec, or a func). Go stores pointers and funcs
 //     directly in interface words, so scheduling never allocates; only

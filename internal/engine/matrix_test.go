@@ -32,13 +32,36 @@ var matrixPolicies = []runtime.Policy{
 	runtime.HCODA(), runtime.LASPRTwice(), runtime.LASPROnce(), runtime.LADM(),
 }
 
-// checkBooks reports any state a finished run left behind: a queued
-// event or an event node off the free list, an in-flight transaction
-// holding an MSHR, a resident threadblock, or a pooled object that never
-// returned to its free list. It also reports a cache whose live lines
-// are not a prefix of their sets, L1 and L2 sector counts that do not
-// balance, and a bandwidth resource busy for longer than the run.
+// checkBooks reports any state a finished run left behind (see
+// poolBooks). It also reports a cache whose live lines are not a prefix
+// of their sets, L1 and L2 sector counts that do not balance, and a
+// bandwidth resource busy for longer than the run.
 func (e *Engine) checkBooks() error {
+	if err := e.poolBooks(); err != nil {
+		return err
+	}
+	for sm := range e.l1 {
+		if err := e.l1[sm].CheckPrefix(); err != nil {
+			return fmt.Errorf("sm %d L1: %w", sm, err)
+		}
+	}
+	for node := range e.l2 {
+		if err := e.l2[node].CheckPrefix(); err != nil {
+			return fmt.Errorf("node %d L2: %w", node, err)
+		}
+	}
+	if err := e.sectorBooks(); err != nil {
+		return err
+	}
+	return e.busyBooks()
+}
+
+// poolBooks reports the pooled state a finished run left out of its
+// pools: a queued event or an event node off the free list, an
+// in-flight transaction holding an MSHR, a resident threadblock, or an
+// object that never returned to its free list. These are the books an
+// engine must close to be retired.
+func (e *Engine) poolBooks() error {
 	if err := e.sched.events.books(); err != nil {
 		return err
 	}
@@ -64,20 +87,7 @@ func (e *Engine) checkBooks() error {
 			return fmt.Errorf("%s free list holds %d of %d carved", l.name, l.free, l.carved)
 		}
 	}
-	for sm := range e.l1 {
-		if err := e.l1[sm].CheckPrefix(); err != nil {
-			return fmt.Errorf("sm %d L1: %w", sm, err)
-		}
-	}
-	for node := range e.l2 {
-		if err := e.l2[node].CheckPrefix(); err != nil {
-			return fmt.Errorf("node %d L2: %w", node, err)
-		}
-	}
-	if err := e.sectorBooks(); err != nil {
-		return err
-	}
-	return e.busyBooks()
+	return nil
 }
 
 // sectorBooks balances the sector counts of the request path. The
@@ -214,14 +224,15 @@ func (h *eventHeap) books() error {
 // cover only regular kernels, this matrix reaches every irregular
 // workload's execPhase and maybeFinish paths. Every cell's engine must
 // also close its books (see checkBooks) before it releases its cache
-// pages, and every cell after the first runs on pages released by the
-// cells before it, so the digests also pin that a recycled page
-// simulates as a fresh one. Regenerate (only when the model itself
-// intentionally changes) with:
+// pages and retires, and every cell after the first runs on the engine
+// and the pages the cell before it left, so the digests also pin that a
+// recycled engine and a recycled page simulate as fresh ones.
+// Regenerate (only when the model itself intentionally changes) with:
 //
 //	go test ./internal/engine -run MatrixDigestGolden -update
 func TestMatrixDigestGolden(t *testing.T) {
 	var got bytes.Buffer
+	e := new(Engine)
 	for _, spec := range kernels.All(matrixScale) {
 		for _, pol := range matrixPolicies {
 			cfg := arch.DefaultHierarchical()
@@ -229,15 +240,10 @@ func TestMatrixDigestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", spec.W.Name, pol.Name, err)
 			}
-			e := New(plan)
-			run, err := e.simulate()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", spec.W.Name, pol.Name, err)
+			run, books := recycle(t, e, plan) // the next cell runs on e and its pages
+			if books != nil {
+				t.Errorf("%s/%s: %v", spec.W.Name, pol.Name, books)
 			}
-			if err := e.checkBooks(); err != nil {
-				t.Errorf("%s/%s: %v", spec.W.Name, pol.Name, err)
-			}
-			e.release() // the next cell runs on these pages
 			b, err := json.Marshal(run)
 			if err != nil {
 				t.Fatal(err)

@@ -138,11 +138,14 @@ func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
 // NewLevel returns n empty caches of one geometry, in one slice: a level
-// of the hierarchy, such as a machine's L1s or its L2 slices. It
-// validates the geometry once for the level and panics on an
-// inconsistent one: caches are constructed from validated arch configs,
-// so a bad geometry is a bug.
-func NewLevel(cfg Config, n int) []Cache {
+// of the hierarchy, such as a machine's L1s or its L2 slices. It builds
+// them in cs when cs has the capacity, overwriting every one of the n
+// caches, and allocates a slice otherwise (cs may be nil): a recycled
+// engine hands in the level it held for its last cell. It validates the
+// geometry once for the level and panics on an inconsistent one: caches
+// are constructed from validated arch configs, so a bad geometry is a
+// bug.
+func NewLevel(cs []Cache, cfg Config, n int) []Cache {
 	if cfg.Sets <= 0 || cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache: bad geometry %+v", cfg))
 	}
@@ -167,9 +170,12 @@ func NewLevel(cfg Config, n int) []Cache {
 		g.pageShift = uint(bits.Len(uint(perPage)) - 1)
 	}
 	g.pageMask = 1<<g.pageShift - 1
-	cs := make([]Cache, n)
+	if cap(cs) < n {
+		cs = make([]Cache, n)
+	}
+	cs = cs[:n]
 	for i := range cs {
-		cs[i].geometry = g
+		cs[i] = Cache{geometry: g}
 	}
 	return cs
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // newCache returns one cache of the given geometry.
-func newCache(cfg Config) *Cache { return &NewLevel(cfg, 1)[0] }
+func newCache(cfg Config) *Cache { return &NewLevel(nil, cfg, 1)[0] }
 
 func tiny() *Cache {
 	// 4 sets, 2-way, 128B lines, 32B sectors: 1 KB.
@@ -248,7 +248,7 @@ func TestBadGeometryPanics(t *testing.T) {
 					t.Errorf("config %+v should panic", cfg)
 				}
 			}()
-			NewLevel(cfg, 1)
+			NewLevel(nil, cfg, 1)
 		}()
 	}
 	c := tiny()
@@ -495,7 +495,7 @@ func TestUntouchedCache(t *testing.T) {
 // and nothing else: filling one leaves its neighbours untouched.
 func TestNewLevel(t *testing.T) {
 	cfg := Config{Sets: 128, Assoc: 4, LineBytes: 128, SectorBytes: 32}
-	cs := NewLevel(cfg, 3)
+	cs := NewLevel(nil, cfg, 3)
 	if len(cs) != 3 {
 		t.Fatalf("NewLevel made %d caches, want 3", len(cs))
 	}
@@ -514,6 +514,33 @@ func TestNewLevel(t *testing.T) {
 		if untouched := cs[i].pages == nil; untouched != (i != 1) {
 			t.Errorf("cache %d: page table allocated = %v", i, !untouched)
 		}
+	}
+}
+
+// TestNewLevelReusesSlice pins that a level built into a slice with the
+// capacity reuses its array and keeps nothing else of the caches it
+// held: geometry, counters, occupancy and pages are a fresh level's,
+// and a slice too small is replaced.
+func TestNewLevelReusesSlice(t *testing.T) {
+	old := NewLevel(nil, Config{Sets: 512, Assoc: 16, LineBytes: 128, SectorBytes: 32}, 4)
+	for i := range old {
+		old[i].Access(uint64(i)<<12, 0b0101, true, true)
+	}
+	cfg := Config{Sets: 128, Assoc: 4, LineBytes: 128, SectorBytes: 32}
+	cs := NewLevel(old, cfg, 3)
+	if len(cs) != 3 || &cs[0] != &old[0] {
+		t.Fatalf("NewLevel into a 4-cache slice made %d caches, reused the array = %v", len(cs), &cs[0] == &old[0])
+	}
+	fresh := NewLevel(nil, cfg, 1)
+	for i := range cs {
+		if cs[i].geometry != fresh[0].geometry || cs[i].Stats() != (Stats{}) ||
+			cs[i].ResidentSectors() != 0 || cs[i].pages != nil || cs[i].tick != 0 {
+			t.Errorf("reused cache %d is not a fresh one: geometry %+v, stats %+v, %d resident, %d pages",
+				i, cs[i].geometry, cs[i].Stats(), cs[i].ResidentSectors(), len(cs[i].pages))
+		}
+	}
+	if grown := NewLevel(cs, cfg, 5); len(grown) != 5 || &grown[0] == &cs[0] {
+		t.Errorf("NewLevel into a 4-cache slice for 5 caches: %d caches, reused the array = %v", len(grown), &grown[0] == &cs[0])
 	}
 }
 

@@ -73,10 +73,14 @@ func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
 // NewStacks builds one HBM stack per node from cfg, in one slice, with
-// every stack's channels carved from one more. The channels of node n
-// are named hbm.n<n>.ch<i>. It panics on an inconsistent cfg: stacks
-// are built from validated arch configs, so a bad one is a bug.
-func NewStacks(cfg Config, nodes int) []HBM {
+// every stack's channels carved from one more. It builds them in hs, and
+// the channels in the array hs's first stack was carved from, when those
+// have the capacity, overwriting every stack and channel it returns, and
+// allocates otherwise (hs may be nil): a recycled engine hands in the
+// stacks it held for its last cell. The channels of node n are named
+// hbm.n<n>.ch<i>. It panics on an inconsistent cfg: stacks are built
+// from validated arch configs, so a bad one is a bug.
+func NewStacks(hs []HBM, cfg Config, nodes int) []HBM {
 	if cfg.Channels < 1 {
 		panic("dram: need at least one channel")
 	}
@@ -84,14 +88,26 @@ func NewStacks(cfg Config, nodes int) []HBM {
 		panic("dram: zero stride or row size")
 	}
 	per := cfg.BytesPerCycle / float64(cfg.Channels)
-	hs := make([]HBM, nodes)
-	chans := make([]channel, nodes*cfg.Channels)
+	// Every stack's channels are carved from one array, and the first
+	// stack's start it.
+	var chans []channel
+	if cap(hs) > 0 {
+		hs = hs[:1]
+		chans = hs[0].channels[:cap(hs[0].channels)]
+	}
+	if cap(hs) < nodes {
+		hs = make([]HBM, nodes)
+	}
+	if len(chans) < nodes*cfg.Channels {
+		chans = make([]channel, nodes*cfg.Channels)
+	}
+	hs = hs[:nodes]
 	for n := range hs {
-		h := &hs[n]
-		h.cfg = cfg
-		h.channels = chans[n*cfg.Channels : (n+1)*cfg.Channels]
-		for i := range h.channels {
-			h.channels[i].res.Init(queueing.DRAMChannel, n, i, per)
+		hs[n] = HBM{cfg: cfg, channels: chans[n*cfg.Channels : (n+1)*cfg.Channels]}
+		for i := range hs[n].channels {
+			ch := &hs[n].channels[i]
+			*ch = channel{}
+			ch.res.Init(queueing.DRAMChannel, n, i, per)
 		}
 	}
 	return hs

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,7 +18,7 @@ func testHBM() *HBM {
 }
 
 // newHBM returns one stack built from cfg.
-func newHBM(cfg Config) *HBM { return &NewStacks(cfg, 1)[0] }
+func newHBM(cfg Config) *HBM { return &NewStacks(nil, cfg, 1)[0] }
 
 func TestRowHitVsMiss(t *testing.T) {
 	h := testHBM()
@@ -105,6 +106,41 @@ func TestBusyTracking(t *testing.T) {
 	}
 }
 
+// TestNewStacksReusesSlices pins that stacks built into the slices a
+// machine held reuse their stack and channel arrays and keep nothing
+// else: counters, open rows and channel schedules are fresh, and a
+// machine with more channels than the array holds gets a new one.
+func TestNewStacksReusesSlices(t *testing.T) {
+	old := NewStacks(nil, DefaultConfig(64), 4)
+	for n := range old {
+		old[n].Access(0, uint64(n)<<12, 64, true)
+	}
+	cfg := DefaultConfig(32)
+	cfg.Channels = 4
+	hs := NewStacks(old, cfg, 3)
+	if len(hs) != 3 || &hs[0] != &old[0] || &hs[0].channels[0] != &old[0].channels[0] {
+		t.Fatalf("NewStacks into 4 stacks of 8 channels did not reuse the arrays")
+	}
+	for n := range hs {
+		h := &hs[n]
+		if h.Config() != cfg || h.Stats() != (Stats{}) || h.BusyCycles() != 0 || len(h.channels) != 4 {
+			t.Errorf("reused stack %d is not a fresh one: cfg %+v, stats %+v, busy %g, %d channels",
+				n, h.Config(), h.Stats(), h.BusyCycles(), len(h.channels))
+		}
+		for i := range h.channels {
+			ch := &h.channels[i]
+			if ch.hasRow || ch.res.Name() != fmt.Sprintf("hbm.n%d.ch%d", n, i) || ch.res.Rate() != 8 {
+				t.Errorf("stack %d channel %d: open row %v, name %s, rate %g", n, i, ch.hasRow, ch.res.Name(), ch.res.Rate())
+			}
+		}
+	}
+	cfg.Channels = 16
+	chans := &hs[0].channels[0]
+	if grown := NewStacks(hs, cfg, 3); &grown[0] != &hs[0] || &grown[0].channels[0] == chans {
+		t.Errorf("NewStacks for 48 channels in an array of 32 must keep the stacks and replace the channels")
+	}
+}
+
 func TestBadConfigPanics(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"no channels": {Channels: 0, RowBytes: 1024, ChannelStride: 256},
@@ -117,7 +153,7 @@ func TestBadConfigPanics(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			NewStacks(cfg, 1)
+			NewStacks(nil, cfg, 1)
 		}()
 	}
 }
