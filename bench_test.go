@@ -194,3 +194,26 @@ func BenchmarkPipelinePrepare(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFig9Sweep runs one small Fig. 9 campaign end to end, through
+// experiments.Run and a two-worker pool: one workload per locality group
+// (ITL, unclassified, RCL, NL), five cells each, of which the ladm cell
+// shares its CRB twin's run. It is the speed trajectory's point measured
+// through the sweep rather than one cell at a time.
+func BenchmarkFig9Sweep(b *testing.B) {
+	b.ReportAllocs()
+	o := ladm.ExperimentOptions{
+		Scale:     64,
+		Workers:   2,
+		Workloads: []string{"spmv-jds", "b+tree", "fwt-k2", "hotspot3d"},
+	}
+	var gain float64
+	for i := 0; i < b.N; i++ {
+		res, err := ladm.Experiment("fig9", o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gain = res.Values["geomean/all/ladm"]
+	}
+	b.ReportMetric(gain, "ladm-vs-hcoda")
+}

@@ -61,7 +61,7 @@ func main() {
 	storeMax := flag.Int64("store-max-bytes", 0,
 		"size cap for the durable store (0 = unlimited)")
 	progress := flag.Bool("progress", false,
-		"print a per-cell progress line to stderr as sweep cells complete")
+		"print a per-cell progress line to stderr as sweep cells complete (a cell that shares another cell's run, such as an ladm cell and its CRB twin, prints no line of its own)")
 	fidelity := flag.String("fidelity", "event",
 		"serving tier for sweep cells: event, analytic (model-only), or auto (model with escalation)")
 	serviceTrace := flag.String("service-trace", "",

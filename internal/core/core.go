@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"ladm/internal/arch"
+	"ladm/internal/compiler"
 	"ladm/internal/engine"
 	"ladm/internal/kir"
 	rt "ladm/internal/runtime"
@@ -89,39 +90,104 @@ type RunFunc func(ctx context.Context, job Job) (*stats.Run, error)
 // Exec calls f.
 func (f RunFunc) Exec(ctx context.Context, job Job) (*stats.Run, error) { return f(ctx, job) }
 
-// Sweep runs every job through r concurrently and returns the records
-// in job order. A job's Label, when set, replaces Policy on a clone of
-// its record — executors return canonical records, which caches share —
-// and this is the only place a label is applied. Jobs reach r.Exec in
-// job order as far as goroutine start-up allows: each goroutine claims
-// the next index from a shared counter, because the scheduler runs the
-// most recently spawned goroutine first. After every job has settled,
-// the error of the earliest failed job is returned.
+// Sweep runs every distinct job through r concurrently and returns the
+// records in job order.
+//
+// Jobs that simulate the same plan share one run: they name the same
+// Workload pointer and Arch, and the same Policy once its Name is
+// ignored and CacheCRB is resolved for the workload (rt.ResolveCache).
+// LADM is LASP plus CRB, so an ladm job shares the run of its lasp+ronce
+// or lasp+rtwice twin. A job with a Tel collector, whose telemetry is
+// its own, or with no Workload always runs on its own. The first job of
+// each group reaches r.Exec unchanged; the others never reach it, and
+// nothing is remembered beyond one call.
+//
+// A job that is unlabelled and names the same policy as the job that
+// ran gets the run's record as is. Any other job gets a clone carrying
+// its Label, else its Policy.Name: executors return canonical records,
+// which caches share, so a record is never changed in place, and this is
+// the only place a label is applied. A failed run fails every job that
+// shares it. Groups reach r.Exec in job order as far as goroutine
+// start-up allows: each goroutine claims the next group from a shared
+// counter, because the scheduler runs the most recently spawned
+// goroutine first. After every run has settled, the error of the
+// earliest failed job is returned.
 func Sweep(ctx context.Context, r Runner, jobs []Job) ([]*stats.Run, error) {
-	runs := make([]*stats.Run, len(jobs))
-	errs := make([]error, len(jobs))
+	lead, group := distinct(jobs)
+	runs := make([]*stats.Run, len(lead))
+	errs := make([]error, len(lead))
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	wg.Add(len(jobs))
-	for range jobs {
+	wg.Add(len(lead))
+	for range lead {
 		go func() {
 			defer wg.Done()
-			i := next.Add(1) - 1
-			run, err := r.Exec(ctx, jobs[i])
-			if err == nil && jobs[i].Label != "" {
-				run = run.Clone()
-				run.Policy = jobs[i].Label
-			}
-			runs[i], errs[i] = run, err
+			g := next.Add(1) - 1
+			runs[g], errs[g] = r.Exec(ctx, jobs[lead[g]])
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	out := make([]*stats.Run, len(jobs))
+	for i, j := range jobs {
+		g := group[i]
+		if errs[g] != nil {
+			return nil, errs[g]
 		}
+		run := runs[g]
+		if j.Label != "" || j.Policy.Name != jobs[lead[g]].Policy.Name {
+			run = run.Clone()
+			run.Policy = j.Label
+			if run.Policy == "" {
+				run.Policy = j.Policy.Name
+			}
+		}
+		out[i] = run
 	}
-	return runs, nil
+	return out, nil
+}
+
+// planKey names the plan a job simulates: the job with its policy's name
+// dropped and CRB resolved.
+type planKey struct {
+	w    *kir.Workload
+	arch arch.Config
+	pol  rt.Policy
+}
+
+// distinct groups the jobs that simulate the same plan. Groups are
+// numbered in job order: lead[g] is the index of group g's first job and
+// group[i] is job i's group. CRB is resolved once per workload.
+func distinct(jobs []Job) (lead, group []int) {
+	crb := map[*kir.Workload]rt.CacheKind{}
+	ids := make(map[planKey]int, len(jobs))
+	group = make([]int, len(jobs))
+	for i, j := range jobs {
+		if j.Workload == nil || j.Tel != nil {
+			group[i], lead = len(lead), append(lead, i)
+			continue
+		}
+		k := planKey{j.Workload, j.Arch, j.Policy}
+		k.pol.Name = ""
+		if k.pol.Cache == rt.CacheCRB {
+			c, ok := crb[j.Workload]
+			if !ok {
+				// An invalid workload fails in Exec; it stays unresolved.
+				c = rt.CacheCRB
+				if j.Workload.Validate() == nil {
+					c = rt.ResolveCache(c, compiler.Analyze(j.Workload).DominantForWorkload(j.Workload))
+				}
+				crb[j.Workload] = c
+			}
+			k.pol.Cache = c
+		}
+		g, ok := ids[k]
+		if !ok {
+			g, lead = len(lead), append(lead, i)
+			ids[k] = g
+		}
+		group[i] = g
+	}
+	return lead, group
 }

@@ -9,10 +9,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ladm/internal/arch"
+	"ladm/internal/compiler"
 	"ladm/internal/interconnect"
 	"ladm/internal/kernels"
 	"ladm/internal/mem/cache"
@@ -216,6 +218,24 @@ func (h *eventHeap) books() error {
 	return nil
 }
 
+// checkLADMTwin checks that one workload's ladm record equals, in every
+// field but Policy, the record of the twin CRB resolves to: lasp+ronce
+// when the workload's dominant locality is ITL, lasp+rtwice otherwise.
+// core.Sweep relies on it to run an ladm cell once with its twin.
+func checkLADMTwin(t *testing.T, runs map[string]*stats.Run, dominant compiler.LocalityType) {
+	t.Helper()
+	twin := runtime.LASPRTwice().Name
+	if dominant == compiler.IntraThread {
+		twin = runtime.LASPROnce().Name
+	}
+	ladm, other := *runs[runtime.LADM().Name], *runs[twin]
+	ladm.Policy, other.Policy = "", ""
+	if !reflect.DeepEqual(ladm, other) {
+		t.Errorf("%s: the ladm record differs from its CRB twin %s beyond the policy name:\nladm: %+v\n%s: %+v",
+			ladm.Workload, twin, ladm, twin, other)
+	}
+}
+
 // TestMatrixDigestGolden pins the complete stats.Run record of every
 // workload × Fig. 9 policy cell on the Table III machine, one
 // "<workload>/<policy>/<arch> <digest>" line per cell. The digest is the
@@ -226,7 +246,8 @@ func (h *eventHeap) books() error {
 // also close its books (see checkBooks) before it releases its cache
 // pages and retires, and every cell after the first runs on the engine
 // and the pages the cell before it left, so the digests also pin that a
-// recycled engine and a recycled page simulate as fresh ones.
+// recycled engine and a recycled page simulate as fresh ones. Each
+// workload's ladm record must also equal its CRB twin's (checkLADMTwin).
 // Regenerate (only when the model itself intentionally changes) with:
 //
 //	go test ./internal/engine -run MatrixDigestGolden -update
@@ -234,12 +255,15 @@ func TestMatrixDigestGolden(t *testing.T) {
 	var got bytes.Buffer
 	e := new(Engine)
 	for _, spec := range kernels.All(matrixScale) {
+		runs := map[string]*stats.Run{}
+		var dominant compiler.LocalityType
 		for _, pol := range matrixPolicies {
 			cfg := arch.DefaultHierarchical()
 			plan, err := runtime.Prepare(spec.W, &cfg, pol)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", spec.W.Name, pol.Name, err)
 			}
+			dominant = plan.Dominant
 			run, books := recycle(t, e, plan) // the next cell runs on e and its pages
 			if books != nil {
 				t.Errorf("%s/%s: %v", spec.W.Name, pol.Name, books)
@@ -251,7 +275,9 @@ func TestMatrixDigestGolden(t *testing.T) {
 			sum := sha256.Sum256(b)
 			fmt.Fprintf(&got, "%s/%s/%s %s\n", run.Workload, run.Policy, run.Arch,
 				hex.EncodeToString(sum[:])[:16])
+			runs[pol.Name] = run
 		}
+		checkLADMTwin(t, runs, dominant)
 	}
 	golden := filepath.Join("testdata", "matrix256.digest")
 	if *updateGolden {

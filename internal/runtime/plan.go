@@ -482,21 +482,12 @@ func (p *Plan) laspSchedule(k *kir.Kernel) sched.Assignment {
 	}
 }
 
-// decideCaching fills RemoteOnce per the policy's cache kind. CRB follows
-// the paper: remote-once bypassing is enabled exactly for ITL workloads.
+// decideCaching fills RemoteOnce per the policy's cache kind, with CRB
+// resolved by ResolveCache.
 func (p *Plan) decideCaching() {
-	switch p.Policy.Cache {
-	case CacheRTWICE:
-		// nothing bypasses
-	case CacheRONCE:
+	if ResolveCache(p.Policy.Cache, p.Dominant) == CacheRONCE {
 		for _, a := range p.Space.Allocs() {
 			p.RemoteOnce[a.ID] = true
-		}
-	case CacheCRB:
-		if p.Dominant == compiler.IntraThread {
-			for _, a := range p.Space.Allocs() {
-				p.RemoteOnce[a.ID] = true
-			}
 		}
 	}
 }

@@ -10,6 +10,8 @@ package runtime
 import (
 	"fmt"
 	"strings"
+
+	"ladm/internal/compiler"
 )
 
 // PlacementKind selects the page-placement strategy of a policy.
@@ -118,6 +120,23 @@ func (c CacheKind) String() string {
 	default:
 		return fmt.Sprintf("CacheKind(%d)", int(c))
 	}
+}
+
+// ResolveCache returns the cache kind a policy with cache kind c applies
+// to a workload whose dominant locality (Plan.Dominant) is dom. CRB
+// follows the paper (§III-E): remote-once bypassing exactly for ITL
+// workloads, so it resolves to RONCE there and to RTWICE everywhere
+// else; every other kind is returned as is. Prepare decides caching
+// through it, and core.Sweep keys its jobs through it, so a CRB job and
+// its RONCE or RTWICE twin are known to run the same plan.
+func ResolveCache(c CacheKind, dom compiler.LocalityType) CacheKind {
+	if c != CacheCRB {
+		return c
+	}
+	if dom == compiler.IntraThread {
+		return CacheRONCE
+	}
+	return CacheRTWICE
 }
 
 // Policy is a complete NUMA management configuration.
