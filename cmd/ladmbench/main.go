@@ -181,7 +181,7 @@ func main() {
 			cache.SetStore(store)
 			o.Runner = &simsvc.CachedRunner{
 				Inner: o.Runner, Cache: cache, Scale: o.Scale,
-				Fidelity: cacheFidelity, Spill: store,
+				Fidelity: cacheFidelity,
 			}
 			st := store.Store.Stats()
 			fmt.Fprintf(os.Stderr, "ladmbench: result store %s: %d records, %d bytes\n",

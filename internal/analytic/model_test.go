@@ -176,6 +176,12 @@ func BenchmarkTierEvent(b *testing.B) {
 	}
 	cfg := arch.DefaultHierarchical()
 	pol := rt.LADM()
+	// One warm-up run retires an engine to the engine package's pool, so
+	// every sample measures the same warm state instead of whichever
+	// engine the pool happens to hand it.
+	if _, err := core.Simulate(spec.W, cfg, pol); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,7 +14,6 @@ import (
 	"ladm/internal/core"
 	"ladm/internal/kernels"
 	rt "ladm/internal/runtime"
-	"ladm/internal/simtel"
 	"ladm/internal/stats"
 )
 
@@ -246,64 +245,6 @@ func TestServerSweepFidelity(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fidelity") {
 		t.Errorf("bogus sweep fidelity: %d %s", resp.StatusCode, body)
-	}
-}
-
-// TestCachedRunnerSpillsSweepTelemetry: a sweep cell carrying a
-// collector spills its telemetry through the same simsvc-telemetry/v1
-// path as a POST /run job, keyed exactly as its server-side twin
-// (Telemetry: true), so ladmstore and GET /jobs/{key}/telemetry read a
-// campaign's cells back after the fact.
-func TestCachedRunnerSpillsSweepTelemetry(t *testing.T) {
-	const scale = 64
-	spec, err := kernels.ByName("vecadd", scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := rt.ByName("ladm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := arch.ByName("hier")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ds := testDiskStore(t, t.TempDir())
-	defer ds.Close()
-	inner := core.RunFunc(func(_ context.Context, j core.Job) (*stats.Run, error) {
-		run := &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name, Cycles: 99}
-		if j.Tel != nil {
-			run.Telemetry = &stats.Telemetry{Samples: 1, SaturationCycle: -1}
-		}
-		return run, nil
-	})
-	cr := &CachedRunner{Inner: inner, Cache: NewCache(nil), Scale: scale, Spill: ds}
-
-	tel := simtel.New(simtel.Config{SampleEvery: simtel.DefaultSampleEvery, Trace: true})
-	jobs := []core.Job{
-		{Workload: spec.W, Policy: pol, Arch: cfg},           // cacheable, no collector
-		{Workload: spec.W, Policy: pol, Arch: cfg, Tel: tel}, // telemetry cell
-	}
-	runs, err := core.Sweep(context.Background(), cr, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs[0] == nil || runs[1] == nil || runs[1].Telemetry == nil {
-		t.Fatalf("sweep results incomplete: %+v", runs)
-	}
-
-	// The spill rides the write-behind queue; it must land under the key
-	// a POST /run {telemetry: true} job for the same cell would use.
-	key := Request{Workload: "vecadd", Policy: "ladm", Machine: "hier",
-		Scale: scale, Telemetry: true}.Key()
-	waitFor(t, func() bool { _, ok, _ := ds.GetTelemetry(key); return ok })
-	rec, ok, _ := ds.GetTelemetry(key)
-	if !ok || rec.Summary == nil || rec.Series == nil {
-		t.Fatalf("spilled record = %+v ok=%v", rec, ok)
-	}
-	if rec.Summary.Samples != 1 {
-		t.Errorf("spilled summary = %+v", rec.Summary)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ladm/internal/core"
@@ -24,16 +23,17 @@ var (
 )
 
 // SimulateFunc executes one job. The default is the full LADM pipeline
-// (core.Simulate); tests substitute fakes.
+// (core.SimulateJobContext); tests substitute fakes.
 type SimulateFunc func(ctx context.Context, job core.Job) (*stats.Run, error)
 
 // PoolConfig sizes a worker pool.
 type PoolConfig struct {
 	// Workers is the number of concurrent simulations (<=0: GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the number of queued-but-not-running jobs
-	// (<=0: 4x Workers). A full queue makes Exec block and the server
-	// turn asynchronous submissions away with ErrQueueFull.
+	// QueueDepth is the number of callers waiting for a worker slot at
+	// which the pool counts as full (<=0: 4x Workers): the server then
+	// turns asynchronous submissions away with ErrQueueFull and /readyz
+	// reports not ready. Exec callers past it still wait their turn.
 	QueueDepth int
 	// Simulate overrides the job executor (nil: the LADM pipeline).
 	Simulate SimulateFunc
@@ -45,47 +45,23 @@ type PoolConfig struct {
 	Observer *svcobs.Observer
 }
 
-// Pool is a fixed-size worker pool executing simulation jobs from a
-// bounded queue. A job that panics fails alone; the pool and its other
-// jobs keep running.
+// Pool caps the simulation jobs running at once: each runs on its Exec
+// caller's goroutine while it holds one of Workers slots, and callers
+// wait for a slot in arrival order. A panicking job fails alone.
 type Pool struct {
 	simulate SimulateFunc
 	metrics  *Metrics
 	obs      *svcobs.Observer
-	queue    chan *task
-	done     chan struct{}
-	// sending orders queue sends before Close's drain: Exec holds it for
-	// reading from its closed-pool check through its send, and Close
-	// takes it for writing once done is closed, so no send can land in
-	// the queue after the drain.
-	sending sync.RWMutex
-	wg      sync.WaitGroup
-	closing sync.Once
-	workers int
+	// slots holds the IDs of the idle workers, 0..Workers()-1: Exec
+	// takes one for the length of its job, and a timeline records it.
+	slots chan int
+	// done is closed by the first Close; closeMu serializes Closes.
+	done       chan struct{}
+	closeMu    sync.Mutex
+	queueDepth int
 }
 
-// task is one submitted job and the channel its Exec waits on.
-type task struct {
-	Job core.Job
-
-	ctx  context.Context
-	done chan struct{}
-	run  *stats.Run
-	err  error
-	// tl is the job's wall-clock timeline (nil when unobserved); ownTL
-	// marks a pool-created timeline the task must finish itself.
-	tl    *svcobs.Timeline
-	ownTL bool
-	// taken is claimed once, by the worker (or Close) that pops the task
-	// or by its caller abandoning it while queued: the claimant takes
-	// the task out of depth, so depth counts only tasks someone waits
-	// on. An abandoned task still holds its channel slot until a worker
-	// pops and skips it; a send that finds the channel full waits, and
-	// counts in depth while it does (see enqueue).
-	taken atomic.Bool
-}
-
-// NewPool starts the workers and returns the pool. Call Close when done.
+// NewPool returns a pool with every worker slot idle. Call Close when done.
 func NewPool(cfg PoolConfig) *Pool {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -99,20 +75,18 @@ func NewPool(cfg PoolConfig) *Pool {
 	if sim == nil {
 		sim = core.SimulateJobContext
 	}
-	m := NewMetrics()
 	p := &Pool{
-		simulate: sim,
-		metrics:  m,
-		obs:      cfg.Observer,
-		queue:    make(chan *task, depth),
-		done:     make(chan struct{}),
-		workers:  workers,
+		simulate:   sim,
+		metrics:    NewMetrics(),
+		obs:        cfg.Observer,
+		slots:      make(chan int, workers),
+		done:       make(chan struct{}),
+		queueDepth: depth,
 	}
-	m.workers.Store(int64(workers))
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker(i)
+	for id := range workers {
+		p.slots <- id
 	}
+	p.metrics.workers.Store(int64(workers))
 	return p
 }
 
@@ -120,210 +94,152 @@ func NewPool(cfg PoolConfig) *Pool {
 func (p *Pool) Metrics() *Metrics { return p.metrics }
 
 // Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int { return cap(p.slots) }
 
-// QueueCap returns the bounded queue's capacity (for saturation views).
-func (p *Pool) QueueCap() int { return cap(p.queue) }
+// QueueCap returns the configured queue depth (for saturation views).
+func (p *Pool) QueueCap() int { return p.queueDepth }
 
-// queueFull reports whether the live tasks — queued, or waiting for a
-// channel slot — fill the queue's capacity: the admission check behind
-// asynchronous 503s and /readyz. Abandoned tasks still in the channel
-// do not count, but the callers they keep waiting do, so admission
-// stays bounded while the worker that would skip them is busy. It is
-// advisory: a slot may free or fill right after it answers.
+// queueFull reports whether the callers waiting for a worker slot reach
+// the queue depth: the admission check behind asynchronous 503s and
+// /readyz. It is advisory: a slot may free right after it answers.
 func (p *Pool) queueFull() bool {
-	return int(p.metrics.depth.Load()) >= cap(p.queue)
+	return int(p.metrics.depth.Load()) >= p.queueDepth
 }
 
-// Close stops the workers. Jobs still queued fail with ErrPoolClosed;
-// jobs already executing run to completion. Close blocks until every
-// worker has exited and is safe to call more than once.
+func (p *Pool) closed() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Close stops the pool: callers still waiting for a slot, and any that
+// come later, fail with ErrPoolClosed; jobs already running finish.
+// Close returns once they have, and is safe to call more than once.
 func (p *Pool) Close() {
-	p.closing.Do(func() { close(p.done) })
-	// Wait out every sender that passed its closed-pool check: after
-	// this, nothing new reaches the queue.
-	p.sending.Lock()
-	p.sending.Unlock()
-	p.wg.Wait()
-	// Fail whatever is still queued so its waiters unblock.
-	for {
-		select {
-		case t := <-p.queue:
-			if t.taken.CompareAndSwap(false, true) {
-				p.metrics.depth.Add(-1)
-				t.finish(nil, ErrPoolClosed)
-			}
-		default:
-			return
-		}
+	p.closeMu.Lock()
+	defer p.closeMu.Unlock()
+	if !p.closed() {
+		close(p.done)
+	}
+	// Taking every slot waits out the running jobs; putting them back
+	// lets a later Close return too.
+	for range cap(p.slots) {
+		<-p.slots
+	}
+	for id := range cap(p.slots) {
+		p.slots <- id
 	}
 }
 
-func (p *Pool) worker(id int) {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		case t := <-p.queue:
-			if t.taken.CompareAndSwap(false, true) {
-				p.metrics.depth.Add(-1)
-				p.exec(t, id)
-			}
-		}
+// Exec waits for a worker slot and runs the job on the caller's
+// goroutine. A caller that cancels ctx while waiting gives the job up
+// (never run, counted canceled); a running job sees the canceled ctx.
+func (p *Pool) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
+	if p.closed() {
+		return nil, ErrPoolClosed
 	}
-}
-
-func (t *task) finish(run *stats.Run, err error) {
-	// A pool-created timeline ends with the task; a context timeline
-	// (the server's) keeps running through spill and respond.
-	if t.ownTL {
-		if run != nil {
-			t.tl.SetTier(run.Tier)
-		}
-		t.tl.Finish()
+	tl, ownTL := p.timeline(ctx, job)
+	tl.Mark(svcobs.StageQueue)
+	p.metrics.submitted.Add(1)
+	p.metrics.depth.Add(1)
+	id, err := p.acquire(ctx)
+	p.metrics.depth.Add(-1)
+	var run *stats.Run
+	if err == nil {
+		// The slot goes back last, after the timeline is finished.
+		defer func() { p.slots <- id }()
+		run, err = p.run(ctx, job, tl, id)
+	} else if !errors.Is(err, ErrPoolClosed) {
+		p.metrics.canceled.Add(1)
 	}
-	t.run, t.err = run, err
-	close(t.done)
-}
-
-// noteQueued attaches the job's wall-clock timeline — the context's, or
-// a pool-owned one when an Observer is configured — and opens its
-// queue-wait stage. Call just before enqueueing.
-func (p *Pool) noteQueued(ctx context.Context, t *task) {
-	t.tl = svcobs.TimelineFrom(ctx)
-	if t.tl == nil && p.obs != nil {
-		name := "job"
-		if t.Job.Label != "" {
-			name = t.Job.Label
-		} else if t.Job.Workload != nil {
-			name = t.Job.Workload.Name + "/" + t.Job.Policy.Name
-		}
-		t.tl = p.obs.StartTimeline(name, svcobs.RequestIDFrom(ctx))
-		t.tl.SetTrace(svcobs.TraceContextFrom(ctx))
-		t.ownTL = true
-	}
-	t.tl.Mark(svcobs.StageQueue)
-}
-
-// exec runs one task with panic isolation on worker `id`.
-func (p *Pool) exec(t *task, id int) {
-	if err := t.ctx.Err(); err != nil {
-		// Canceled while queued: never start the simulation.
-		p.cancelQueued(t, err)
-		return
-	}
-	p.metrics.started.Add(1)
-	t.tl.SetWorker(id)
-	t.tl.Mark(svcobs.StageCompute)
-	name := "?"
-	if t.Job.Workload != nil {
-		name = t.Job.Workload.Name
-	}
-	svcobs.Log(t.ctx).InfoContext(t.ctx, "simsvc: job executing",
-		"workload", name, "policy", t.Job.Policy.Name, "worker", id)
-	start := time.Now()
-	run, err := p.runIsolated(t)
-	wall := time.Since(start)
-	if err != nil {
-		p.metrics.failed.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) {
-			p.metrics.timeouts.Add(1)
-		}
-		p.metrics.jobDone(wall, 0)
-		svcobs.Log(t.ctx).ErrorContext(t.ctx, "simsvc: job failed",
-			"workload", name, "policy", t.Job.Policy.Name, "worker", id,
-			"wall", wall, "error", err)
-	} else {
-		p.metrics.completed.Add(1)
-		p.metrics.jobDone(wall, run.Cycles)
-		svcobs.Log(t.ctx).InfoContext(t.ctx, "simsvc: job simulated",
-			"workload", name, "policy", t.Job.Policy.Name, "worker", id,
-			"wall", wall, "cycles", run.Cycles)
-	}
-	t.finish(run, err)
-}
-
-// cancelQueued retires a task whose context ended before it started.
-// Its claimant calls it: the worker that popped it, or the caller that
-// abandoned it, so each is counted once.
-func (p *Pool) cancelQueued(t *task, err error) {
-	p.metrics.canceled.Add(1)
 	if errors.Is(err, context.DeadlineExceeded) {
 		p.metrics.timeouts.Add(1)
 	}
-	t.finish(nil, err)
+	// A pool-created timeline ends with the job; a context timeline (the
+	// server's) keeps running through spill and respond.
+	if ownTL {
+		if run != nil {
+			tl.SetTier(run.Tier)
+		}
+		tl.Finish()
+	}
+	return run, err
 }
 
-func (p *Pool) runIsolated(t *task) (run *stats.Run, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			name := "?"
-			if t.Job.Workload != nil {
-				name = t.Job.Workload.Name
+// acquire waits for an idle worker slot and returns its ID, or fails
+// with ErrPoolClosed or ctx's error. A slot won in a race with either
+// goes straight back, so no job starts after Close or cancellation.
+func (p *Pool) acquire(ctx context.Context) (int, error) {
+	select {
+	case id := <-p.slots:
+		err := ctx.Err()
+		if p.closed() {
+			err = ErrPoolClosed
+		}
+		if err != nil {
+			p.slots <- id
+		}
+		return id, err
+	case <-p.done:
+		return 0, ErrPoolClosed
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+// timeline returns the job's wall-clock timeline: the context's, or a
+// pool-owned one (own) when an Observer is configured, else nil.
+func (p *Pool) timeline(ctx context.Context, job core.Job) (tl *svcobs.Timeline, own bool) {
+	if tl = svcobs.TimelineFrom(ctx); tl != nil || p.obs == nil {
+		return tl, false
+	}
+	name := "job"
+	if job.Label != "" {
+		name = job.Label
+	} else if job.Workload != nil {
+		name = job.Workload.Name + "/" + job.Policy.Name
+	}
+	tl = p.obs.StartTimeline(name, svcobs.RequestIDFrom(ctx))
+	tl.SetTrace(svcobs.TraceContextFrom(ctx))
+	return tl, true
+}
+
+// run executes one job on worker slot id with panic isolation.
+func (p *Pool) run(ctx context.Context, job core.Job, tl *svcobs.Timeline, id int) (*stats.Run, error) {
+	p.metrics.started.Add(1)
+	tl.SetWorker(id)
+	tl.Mark(svcobs.StageCompute)
+	name := "?"
+	if job.Workload != nil {
+		name = job.Workload.Name
+	}
+	log := svcobs.Log(ctx)
+	attrs := []any{"workload", name, "policy", job.Policy.Name, "worker", id}
+	log.InfoContext(ctx, "simsvc: job executing", attrs...)
+	start := time.Now()
+	run, err := func() (run *stats.Run, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				run, err = nil, fmt.Errorf("simsvc: job %s/%s panicked: %v",
+					name, job.Policy.Name, r)
 			}
-			run, err = nil, fmt.Errorf("simsvc: job %s/%s panicked: %v",
-				name, t.Job.Policy.Name, r)
-		}
+		}()
+		return p.simulate(ctx, job)
 	}()
-	return p.simulate(t.ctx, t.Job)
-}
-
-// Exec enqueues a job — blocking for queue space if necessary — and
-// waits for its result. Canceling ctx abandons the job: if it is still
-// queued it leaves depth at once and will never run, though its channel
-// slot frees only when a worker pops it; if it is running, the
-// simulator sees the canceled context.
-func (p *Pool) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
-	t := &task{Job: job, ctx: ctx, done: make(chan struct{})}
-	if err := p.enqueue(ctx, t); err != nil {
-		return nil, err
+	wall := time.Since(start)
+	if err != nil {
+		p.metrics.failed.Add(1)
+		p.metrics.jobDone(wall, 0)
+		log.ErrorContext(ctx, "simsvc: job failed", append(attrs, "wall", wall, "error", err)...)
+	} else {
+		p.metrics.completed.Add(1)
+		p.metrics.jobDone(wall, run.Cycles)
+		log.InfoContext(ctx, "simsvc: job simulated", append(attrs, "wall", wall, "cycles", run.Cycles)...)
 	}
-	select {
-	case <-t.done:
-		return t.run, t.err
-	case <-ctx.Done():
-		if t.taken.CompareAndSwap(false, true) {
-			// Still queued: the worker that pops it will skip it.
-			p.metrics.depth.Add(-1)
-			p.cancelQueued(t, ctx.Err())
-		}
-		return nil, ctx.Err()
-	}
-}
-
-// enqueue sends t to the workers, blocking for queue space. It holds
-// the sending lock from the closed-pool check through the send, so
-// Close cannot drain the queue between the two: once the pool is closed
-// the send could still succeed (free slots, no workers) and its waiter
-// would wait forever. The task counts in depth from before the send,
-// so callers blocked on a channel full of abandoned tasks still count
-// toward queueFull; a failed send takes it back out.
-func (p *Pool) enqueue(ctx context.Context, t *task) error {
-	p.sending.RLock()
-	defer p.sending.RUnlock()
-	select {
-	case <-p.done:
-		return ErrPoolClosed
-	default:
-	}
-	p.noteQueued(ctx, t)
-	p.metrics.depth.Add(1)
-	var err error
-	select {
-	case p.queue <- t:
-		p.metrics.submitted.Add(1)
-		return nil
-	case <-p.done:
-		err = ErrPoolClosed
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	p.metrics.depth.Add(-1)
-	if t.ownTL {
-		t.tl.Finish()
-	}
-	return err
+	return run, err
 }
 
 // Sweep is core.Sweep(ctx, p, jobs): the jobs run through Exec and the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,8 +47,9 @@ func checkOutcome(t *testing.T, ctx context.Context, err error) {
 
 // TestPoolExecRacesClose: Exec submitters racing Close either finish or
 // fail cleanly. The observer makes every submission open a timeline
-// between its closed-pool check and its queue send, widening the window
-// in which a send could land after Close drained the queue.
+// between its closed-pool check and its wait for a worker slot,
+// widening the window in which a caller could start a job after Close
+// began.
 func TestPoolExecRacesClose(t *testing.T) {
 	for round := 0; round < 3000; round++ {
 		var calls atomic.Int64
@@ -115,5 +117,92 @@ func TestPoolCanceledCallerDuringClose(t *testing.T) {
 			p.Close()
 			wg.Wait()
 		})
+	}
+}
+
+// TestPoolCloseContract pins Close on a pool whose two workers are busy:
+// the jobs running at once carry distinct worker IDs in [0, Workers) on
+// their timelines; Close does not return while they run; callers still
+// waiting fail with ErrPoolClosed and never simulate; the running jobs
+// return their own records; and a second Close returns.
+func TestPoolCloseContract(t *testing.T) {
+	const workers, waiters = 2, 3
+	var calls atomic.Int64
+	started := make(chan string, workers)
+	release := make(chan struct{})
+	obs := svcobs.NewObserver(nil)
+	p := NewPool(PoolConfig{Workers: workers, QueueDepth: 8, Observer: obs,
+		Simulate: blockingSim(&calls, started, release)})
+
+	type result struct {
+		label string
+		err   error
+		run   string // the record's workload, "" for no record
+	}
+	results := make(chan result, workers+waiters)
+	exec := func(label string) {
+		go func() {
+			run, err := p.Exec(context.Background(), labeled(label))
+			r := result{label: label, err: err}
+			if run != nil {
+				r.run = run.Workload
+			}
+			results <- r
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		exec(fmt.Sprintf("run-%d", i))
+		<-started
+	}
+	seen := map[int]bool{}
+	for _, st := range obs.InFlight() {
+		if st.Stage != svcobs.StageCompute {
+			continue
+		}
+		if st.Worker < 0 || st.Worker >= workers || seen[st.Worker] {
+			t.Errorf("running job %s on worker %d; others on %v", st.Name, st.Worker, seen)
+		}
+		seen[st.Worker] = true
+	}
+	if len(seen) != workers {
+		t.Errorf("%d running jobs on distinct workers, want %d", len(seen), workers)
+	}
+	for i := 0; i < waiters; i++ {
+		exec(fmt.Sprintf("wait-%d", i))
+	}
+	waitFor(t, func() bool { return p.Metrics().depth.Load() == waiters })
+
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	watchdog(t, 5*time.Second, func() {
+		for i := 0; i < waiters; i++ {
+			r := <-results
+			if !strings.HasPrefix(r.label, "wait-") || !errors.Is(r.err, ErrPoolClosed) || r.run != "" {
+				t.Errorf("during Close: %s returned %q, %v; want a waiter failing with ErrPoolClosed",
+					r.label, r.run, r.err)
+			}
+		}
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while jobs were running")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	close(release)
+	for i := 0; i < workers; i++ {
+		if r := <-results; r.err != nil || r.run != r.label {
+			t.Errorf("running job %s returned %q, %v; want its own record", r.label, r.run, r.err)
+		}
+	}
+	watchdog(t, 5*time.Second, func() {
+		<-closed
+		p.Close()
+	})
+	if n := calls.Load(); n != workers {
+		t.Errorf("simulate calls = %d, want %d", n, workers)
 	}
 }

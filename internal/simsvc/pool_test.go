@@ -179,8 +179,7 @@ func TestCanceledCallersFreeQueueSlots(t *testing.T) {
 	if err := <-blocker; err != nil {
 		t.Errorf("blocker: %v", err)
 	}
-	// The worker pops the abandoned tasks without running or recounting
-	// them.
+	// Later jobs neither run nor recount the abandoned ones.
 	if _, err := p.Exec(context.Background(), labeled("after")); err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +188,75 @@ func TestCanceledCallersFreeQueueSlots(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Errorf("simulate calls = %d, want 2", calls.Load())
+	}
+}
+
+// TestPoolCountersBalance: after a mix of completions, a failure, a
+// panic and callers canceled while waiting — more of them than
+// QueueDepth — no job is left in depth and every submitted job either
+// started or was canceled.
+func TestPoolCountersBalance(t *testing.T) {
+	const queueDepth, waiters = 2, 5
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: queueDepth,
+		Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+			switch j.Label {
+			case "blocker":
+				started <- j.Label
+				<-release
+			case "fail":
+				return nil, errors.New("synthetic failure")
+			case "boom":
+				panic("kaboom")
+			}
+			return &stats.Run{Workload: j.Label}, nil
+		}})
+	defer p.Close()
+	m := p.Metrics()
+
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := p.Exec(context.Background(), labeled("blocker"))
+		blocker <- err
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func(i int) {
+			_, err := p.Exec(ctx, labeled(fmt.Sprintf("q%d", i)))
+			queued <- err
+		}(i)
+	}
+	waitFor(t, func() bool { return m.depth.Load() == waiters })
+	cancel()
+	for i := 0; i < waiters; i++ {
+		if err := <-queued; !errors.Is(err, context.Canceled) {
+			t.Errorf("waiting job err = %v, want context.Canceled", err)
+		}
+	}
+	close(release)
+	if err := <-blocker; err != nil {
+		t.Errorf("blocker: %v", err)
+	}
+	for _, label := range []string{"ok", "fail", "boom"} {
+		_, err := p.Exec(context.Background(), labeled(label))
+		if (err == nil) != (label == "ok") {
+			t.Errorf("%s: err = %v", label, err)
+		}
+	}
+
+	sub, st, canc := m.submitted.Load(), m.started.Load(), m.canceled.Load()
+	if d := m.depth.Load(); d != 0 {
+		t.Errorf("depth = %d after every caller returned, want 0", d)
+	}
+	if sub != st+canc {
+		t.Errorf("submitted %d != started %d + canceled %d", sub, st, canc)
+	}
+	if st != 4 || canc != waiters || m.completed.Load() != 2 || m.failed.Load() != 2 {
+		t.Errorf("started/canceled/completed/failed = %d/%d/%d/%d, want 4/%d/2/2",
+			st, canc, m.completed.Load(), m.failed.Load(), waiters)
 	}
 }
 

@@ -288,11 +288,6 @@ type CachedRunner struct {
 	// oracle can never collide with — or be served from — event-tier
 	// records of the same cells.
 	Fidelity string
-	// Spill, when non-nil, receives the telemetry of sweep cells that
-	// carry a collector, through the same simsvc-telemetry/v1 path as
-	// POST /run jobs: a -experiment campaign's cells become replayable
-	// in Perfetto via GET /jobs/{key}/telemetry or ladmstore.
-	Spill *DiskStore
 	// Progress, when set, is called once per finished cell with the
 	// cell's name and whether it was served from the cache. Under
 	// core.Sweep it is called from many goroutines at once.
@@ -320,24 +315,21 @@ func (c *CachedRunner) build(name string) *kir.Workload {
 }
 
 // Exec implements core.Runner. A registry-named job is served through
-// the cache by its JobKey; anything else runs on Inner, and a named job
-// carrying a collector spills its telemetry. Records match a plain pool
-// run byte for byte — the determinism guard extends to the cached path.
+// the cache by its JobKey; anything else, and any job carrying a
+// collector, runs on Inner. Records match a plain pool run byte for
+// byte — the determinism guard extends to the cached path.
 func (c *CachedRunner) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
 	req, named := nameJob(job, c.Scale, c.build)
-	req.Fidelity = c.Fidelity
-	req = req.Normalize()
 	if !named || job.Tel != nil {
 		run, err := c.Inner.Exec(ctx, job)
 		if err != nil {
 			return nil, err
 		}
-		if named && c.Spill != nil {
-			c.spillTelemetry(req, job, run)
-		}
 		c.tick(job, false)
 		return run, nil
 	}
+	req.Fidelity = c.Fidelity
+	req = req.Normalize()
 	// The key names the canonical record, so the cell runs — and shows
 	// in progress lines and the pool's timelines — as workload/policy.
 	job.Label = ""
@@ -360,15 +352,4 @@ func (c *CachedRunner) tick(job core.Job, cached bool) {
 		cell = fmt.Sprintf("%s/%s", job.Workload.Name, job.Policy.Name)
 	}
 	c.Progress(cell, cached)
-}
-
-// spillTelemetry persists the telemetry of a registry-named cell that
-// ran with a collector, keyed exactly as its POST /run telemetry twin
-// would be, so GET /jobs/{key}/telemetry and ladmstore read a campaign's
-// cells back like any server-side telemetry job. Cells that cannot be
-// named (custom workloads, mutated machines) keep their collectors
-// in-memory only.
-func (c *CachedRunner) spillTelemetry(req Request, job core.Job, run *stats.Run) {
-	req.Telemetry = true
-	c.Spill.PutTelemetry(req.Key(), newTelemetryRecord(run, job.Tel))
 }
