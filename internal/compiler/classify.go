@@ -90,6 +90,21 @@ func (t LocalityType) IsRCL() bool {
 	return false
 }
 
+// Specificity ranks locality types for tie-breaking, more actionable
+// classifications higher: RCL > NL > ITL > unclassified.
+func (t LocalityType) Specificity() int {
+	switch {
+	case t.IsRCL():
+		return 3
+	case t == NoLocality:
+		return 2
+	case t == IntraThread:
+		return 1
+	default:
+		return 0
+	}
+}
+
 // RowBinding reports whether the type calls for the row-binding scheduler
 // (rows 2 and 4: a grid row shares data).
 func (t LocalityType) RowBinding() bool {

@@ -105,21 +105,6 @@ func (t *Table) Arrays() []string {
 	return out
 }
 
-// typeSpecificity orders locality types for tie-breaking: more actionable
-// classifications win ties.
-func typeSpecificity(t LocalityType) int {
-	switch {
-	case t.IsRCL():
-		return 3
-	case t == NoLocality:
-		return 2
-	case t == IntraThread:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // vote accumulates weighted votes per locality type and returns the
 // winner, breaking ties by specificity then by enum order (determinism).
 func vote(weights map[LocalityType]uint64) LocalityType {
@@ -131,7 +116,7 @@ func vote(weights map[LocalityType]uint64) LocalityType {
 			continue
 		}
 		if w > bestW ||
-			(w == bestW && typeSpecificity(ty) > typeSpecificity(best)) {
+			(w == bestW && ty.Specificity() > best.Specificity()) {
 			best, bestW = ty, w
 		}
 	}

@@ -81,8 +81,8 @@ type Engine struct {
 	queues    [][]int32
 	queueBack [][]int32
 
-	// bufHint is the high-water transaction-buffer capacity, used to
-	// presize fresh executors' buffers so they skip the growth reallocs.
+	// bufHint is the high-water transaction-buffer capacity: execPhase
+	// presizes every smaller buffer to it, skipping the growth reallocs.
 	bufHint int
 
 	// stealTBs mirrors Policy.StealTBs: an SM whose node queue drained
@@ -279,27 +279,12 @@ func (l *freeList[T]) put(x *T) {
 	l.free = append(l.free, x)
 }
 
-// acquireTB pops a recycled threadblock executor; its transaction buffer
-// rides along, so steady-state phases coalesce into warm backing arrays.
-// Fresh executors (slab-carved) get their buffer presized to the largest
-// phase seen so far, so first-use phases extend an adequate array instead
-// of re-growing from nil (the growth appends in trace.merge were the
-// second-largest allocation source after the free-list warm-up).
-func (e *Engine) acquireTB() *tbExec {
-	x := e.tbFree.get(tbSlabMax)
-	if cap(x.buf) == 0 && e.bufHint > 0 {
-		x.buf = make([]trace.Transaction, 0, e.bufHint)
-	}
-	return x
-}
-
 // releaseTB recycles an executor whose node queue has drained, keeping
-// its buffer. Outstanding stores from the final phase reference their
-// phaseRun, not x, so clearing x here is safe.
+// its transaction buffer, so steady-state phases coalesce into warm
+// backing arrays (execPhase sizes the buffer and raises bufHint).
+// Outstanding stores from the final phase reference their phaseRun, not
+// x, so clearing x here is safe.
 func (e *Engine) releaseTB(x *tbExec) {
-	if c := cap(x.buf); c > e.bufHint {
-		e.bufHint = c
-	}
 	buf := x.buf[:0]
 	e.tbFree.put(x)
 	x.buf = buf
@@ -602,7 +587,7 @@ func (e *Engine) runKernel(gen *trace.Generator, lp *runtime.LaunchPlan) {
 			if !ok {
 				continue
 			}
-			ex := e.acquireTB()
+			ex := e.tbFree.get(tbSlabMax)
 			ex.e = e
 			ex.gen = gen
 			ex.lp = lp

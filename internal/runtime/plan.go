@@ -402,18 +402,6 @@ func (p *Plan) laspSchedule(k *kir.Kernel) sched.Assignment {
 	// tie break: "favor the scheduling policy associated with the larger
 	// data structure"). Rank structures by size, breaking ties toward more
 	// actionable classifications (RCL > NL > ITL > unclassified).
-	spec := func(ty compiler.LocalityType) int {
-		switch {
-		case ty.IsRCL():
-			return 3
-		case ty == compiler.NoLocality:
-			return 2
-		case ty == compiler.IntraThread:
-			return 1
-		default:
-			return 0
-		}
-	}
 	var lead *compiler.Entry
 	var leadBytes uint64
 	for _, e := range entries {
@@ -422,7 +410,7 @@ func (p *Plan) laspSchedule(k *kir.Kernel) sched.Assignment {
 			continue
 		}
 		if lead == nil || a.Size > leadBytes ||
-			(a.Size == leadBytes && spec(e.Class.Type) > spec(lead.Class.Type)) {
+			(a.Size == leadBytes && e.Class.Type.Specificity() > lead.Class.Type.Specificity()) {
 			lead, leadBytes = e, a.Size
 		}
 	}

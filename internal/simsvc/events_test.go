@@ -2,7 +2,10 @@ package simsvc
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -105,56 +108,128 @@ func TestJobEventsReplayLifecycle(t *testing.T) {
 	}
 }
 
-// TestEventHubSubscriberAccounting drives a hub directly: the gauge
-// follows subscribe/unsubscribe, publishes past a full buffer drop
-// (counted) instead of blocking, and a closed hub hands late subscribers
-// history-then-EOF.
-func TestEventHubSubscriberAccounting(t *testing.T) {
-	m := NewMetrics()
-	hub := newEventHub(m)
-
-	ch := hub.subscribe()
-	if got := m.eventsSubs.Load(); got != 1 {
-		t.Fatalf("subscribers = %d, want 1", got)
+// nextEvent reads one SSE event off an open stream, checking that its id
+// line matches its payload's seq; io.EOF means the stream ended.
+func nextEvent(t *testing.T, br *bufio.Reader) (JobEvent, error) {
+	t.Helper()
+	var ev JobEvent
+	id := ""
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			if line == "" && id == "" {
+				return ev, err
+			}
+			t.Fatalf("stream ended mid-event: %q, %v", line, err)
+		}
+		line = strings.TrimSuffix(line, "\n")
+		switch {
+		case line == "":
+			if id != fmt.Sprint(ev.Seq) {
+				t.Fatalf("event id %q, payload seq %d", id, ev.Seq)
+			}
+			return ev, nil
+		case strings.HasPrefix(line, "id: "):
+			id = strings.TrimPrefix(line, "id: ")
+		case strings.HasPrefix(line, "data: "):
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+				t.Fatalf("bad event payload %q: %v", line, err)
+			}
+		case line != "event: status":
+			t.Fatalf("unexpected stream line %q", line)
+		}
 	}
+}
 
-	// The subscriber never drains: everything beyond its buffer drops.
-	total := cap(ch) + 100
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < total; i++ {
-			hub.publish(JobEvent{Type: "status", Status: StatusRunning})
+// TestJobEventsLiveStream follows a job that is still running: a stream
+// opened right after the async 202 receives queued and running while the
+// job is blocked, then done once it is released, and ends on its own.
+// The subscriber gauge counts open streams, including one whose client
+// disconnects mid-stream.
+func TestJobEventsLiveStream(t *testing.T) {
+	started := make(chan string, 4)
+	release := make(chan struct{})
+	var calls atomic.Int64
+	pool := NewPool(PoolConfig{Workers: 2, Simulate: blockingSim(&calls, started, release)})
+	defer pool.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
 		}
 	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("publish blocked on a slow subscriber")
+	ts := httptest.NewServer(NewServer(pool).Handler())
+	defer ts.Close()
+	subs := &pool.Metrics().eventsSubs
+
+	open := func(ctx context.Context, scale int) (string, *bufio.Reader, func()) {
+		resp, body := postJSON(t, ts.URL+"/run", map[string]any{
+			"workload": "vecadd", "scale": scale, "async": true})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async run: %d %s", resp.StatusCode, body)
+		}
+		var v JobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/jobs/"+v.ID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode != http.StatusOK || r.Header.Get("Content-Type") != "text/event-stream" {
+			t.Fatalf("events: %d %q", r.StatusCode, r.Header.Get("Content-Type"))
+		}
+		return v.ID, bufio.NewReader(r.Body), func() { r.Body.Close() }
 	}
-	if got := m.eventsDropped.Load(); got != int64(100) {
-		t.Errorf("dropped = %d, want 100", got)
+	expect := func(br *bufio.Reader, id string, seq int64, status string) {
+		t.Helper()
+		ev, err := nextEvent(t, br)
+		if err != nil {
+			t.Fatalf("want seq %d %s: %v", seq, status, err)
+		}
+		if ev.Seq != seq || ev.Type != "status" || ev.Job != id || ev.Status != status {
+			t.Fatalf("event = %+v, want seq %d %s of %s", ev, seq, status, id)
+		}
 	}
 
-	hub.unsubscribe(ch)
-	if got := m.eventsSubs.Load(); got != 0 {
-		t.Errorf("subscribers after unsubscribe = %d, want 0", got)
+	// A client that disconnects mid-stream gives its gauge slot back.
+	ctx, cancel := context.WithCancel(context.Background())
+	id, br, closeBody := open(ctx, 9)
+	expect(br, id, 1, StatusQueued)
+	expect(br, id, 2, StatusRunning)
+	if got := subs.Load(); got != 1 {
+		t.Errorf("subscribers with one open stream = %d, want 1", got)
 	}
+	cancel()
+	closeBody()
+	waitFor(t, func() bool { return subs.Load() == 0 })
 
-	hub.close()
-	late := hub.subscribe()
-	n := 0
-	for range late {
-		n++
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	id, br, closeBody = open(ctx, 8)
+	defer closeBody()
+	expect(br, id, 1, StatusQueued)
+	expect(br, id, 2, StatusRunning)
+	if got := subs.Load(); got != 1 {
+		t.Errorf("subscribers with one open stream = %d, want 1", got)
 	}
-	if n != total {
-		t.Errorf("late subscriber replayed %d events, want %d", n, total)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("simulate calls = %d, want both jobs blocked", n)
 	}
-	// Unsubscribing a closed-hub channel must not underflow the gauge.
-	hub.unsubscribe(late)
-	if got := m.eventsSubs.Load(); got != 0 {
-		t.Errorf("subscribers after closed-hub unsubscribe = %d, want 0", got)
+	released = true
+	close(release)
+	ev, err := nextEvent(t, br)
+	if err != nil || ev.Seq != 3 || ev.Status != StatusDone || ev.Job != id {
+		t.Fatalf("terminal event = %+v, %v; want seq 3 done", ev, err)
 	}
+	if _, err := nextEvent(t, br); err != io.EOF {
+		t.Fatalf("stream after the terminal event: %v, want EOF", err)
+	}
+	waitFor(t, func() bool { return subs.Load() == 0 })
 }
 
 // TestTelemetrySpillRoundTrip is the spill acceptance test: a telemetry

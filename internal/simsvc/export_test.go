@@ -7,7 +7,7 @@ import (
 )
 
 // Test-only handles for the external exposition golden test: the same
-// atomics and methods the pool, cache, event hub and server update in
+// atomics and methods the pool, cache and server update in
 // production, reachable from package simsvc_test (which, unlike the
 // in-package tests, may import internal/fleet).
 
@@ -18,7 +18,7 @@ func (m *Metrics) CounterForTest(name string) *atomic.Int64 {
 		"failed": &m.failed, "canceled": &m.canceled, "cached": &m.cached,
 		"depth": &m.depth, "workers": &m.workers, "evicted": &m.evicted,
 		"timeouts": &m.timeouts, "telemetry_spilled": &m.telemetrySpilled,
-		"events_subscribers": &m.eventsSubs, "events_dropped": &m.eventsDropped,
+		"events_subscribers": &m.eventsSubs,
 	}[name]
 	if c == nil {
 		panic("unknown counter " + name)

@@ -31,7 +31,6 @@ type Metrics struct {
 
 	telemetrySpilled atomic.Int64 // telemetry records persisted to the store
 	eventsSubs       atomic.Int64 // live SSE subscribers (gauge)
-	eventsDropped    atomic.Int64 // events dropped on slow subscriber channels
 
 	tierAnalytic  atomic.Int64 // jobs answered by the closed-form model
 	tierEscalated atomic.Int64 // jobs escalated to the event engine
@@ -146,7 +145,6 @@ func (m *Metrics) register() {
 	r.Int("simsvc_jobs_evicted_total", "Job records dropped by registry retention.", svcobs.Counter, m.evicted.Load)
 	r.Int("simsvc_telemetry_jobs_total", "Jobs executed with telemetry collection.", svcobs.Counter, m.telemetry.Load)
 	r.Int("simsvc_telemetry_spilled_total", "Telemetry records persisted to the durable store.", svcobs.Counter, m.telemetrySpilled.Load)
-	r.Int("simsvc_events_dropped_total", "Job events dropped on slow subscriber channels.", svcobs.Counter, m.eventsDropped.Load)
 	r.Family("simsvc_tier_jobs_total", "Jobs by the fidelity tier that served them.", svcobs.Counter,
 		[]string{"tier", "confidence"}, func(emit svcobs.Emit) {
 			emit(svcobs.Int(m.tierAnalytic.Load()), analytic.TierAnalytic, analytic.ConfidenceHigh)
@@ -169,7 +167,7 @@ func (m *Metrics) register() {
 		})
 	r.Int("simsvc_events_subscribers", "Live job-event stream subscribers.", svcobs.Gauge, m.eventsSubs.Load)
 	r.Int("simsvc_queue_depth", "Jobs currently queued.", svcobs.Gauge, m.depth.Load)
-	r.Int("simsvc_workers", "Worker goroutines in the pool.", svcobs.Gauge, m.workers.Load)
+	r.Int("simsvc_workers", "Worker slots in the pool.", svcobs.Gauge, m.workers.Load)
 	r.Float("simsvc_telemetry_peak_link_util", "Highest peak inter-GPU link utilization any telemetry job reported.", svcobs.Gauge,
 		func() float64 { return math.Float64frombits(m.peakLink.Load()) })
 	r.Histogram("simsvc_job_wall_seconds", "Per-job wall time.", m.wall)

@@ -49,7 +49,7 @@ func goldenServer(t *testing.T) *simsvc.Server {
 	for name, n := range map[string]int64{
 		"submitted": 41, "started": 37, "completed": 33, "failed": 3,
 		"canceled": 2, "cached": 17, "depth": 4, "evicted": 5, "timeouts": 1,
-		"telemetry_spilled": 6, "events_subscribers": 2, "events_dropped": 9,
+		"telemetry_spilled": 6, "events_subscribers": 2,
 	} {
 		m.CounterForTest(name).Add(n)
 	}

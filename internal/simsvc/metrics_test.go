@@ -91,7 +91,6 @@ func TestPromExpositionParses(t *testing.T) {
 		"simsvc_jobs_evicted_total", "simsvc_telemetry_jobs_total",
 		"simsvc_telemetry_peak_link_util", "simsvc_tracked_jobs",
 		"simsvc_telemetry_spilled_total", "simsvc_events_subscribers",
-		"simsvc_events_dropped_total",
 		"simsvc_tier_jobs_total", "simsvc_tier_escalations_total",
 	} {
 		if !families[want] {
@@ -112,7 +111,7 @@ func TestCountersMonotonicUnderConcurrentJobs(t *testing.T) {
 	watcherErr := make(chan string, 1)
 	go func() {
 		watched := []*atomic.Int64{&m.submitted, &m.started, &m.completed, &m.failed,
-			&m.canceled, &m.cached, &m.evicted, &m.telemetry, &m.telemetrySpilled, &m.eventsDropped}
+			&m.canceled, &m.cached, &m.evicted, &m.telemetry, &m.telemetrySpilled}
 		prev := make([]int64, len(watched))
 		var prevWall, prevCycles float64
 		for {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,12 @@ type jobRecord struct {
 	// execution actually ran the simulator (nil for cache hits, which
 	// share only the record). Read exclusively after the job finishes.
 	tel *simtel.Collector
-	// hub streams the job's lifecycle transitions to SSE subscribers;
-	// closed at the terminal status.
-	hub *eventHub
+	// events holds the job's lifecycle events for SSE streams, in
+	// eventBuf (a job publishes at most three); changed, made when a
+	// stream waits, is closed by the next publish. Guarded by Server.mu.
+	events   []JobEvent
+	eventBuf [3]JobEvent
+	changed  chan struct{}
 	// tl measures the job's wall-clock lifecycle stages (nil-safe).
 	tl *svcobs.Timeline
 }
@@ -430,8 +434,9 @@ func (s *Server) register(ctx context.Context, req Request) *jobRecord {
 		key:       req.Key(),
 		status:    StatusQueued,
 		submitted: time.Now(),
-		hub:       newEventHub(s.pool.Metrics()),
 	}
+	rec.events = rec.eventBuf[:0]
+	rec.publishLocked(JobEvent{Status: StatusQueued})
 	rec.tl = s.obs.StartTimeline(rec.id, svcobs.RequestIDFrom(ctx))
 	// Adopt the caller's trace: the job's timeline becomes a child span
 	// of the dispatch attempt (or front-end request) that caused it. A
@@ -447,7 +452,6 @@ func (s *Server) register(ctx context.Context, req Request) *jobRecord {
 		"job", rec.id, "key", rec.key.String(),
 		"workload", req.Workload, "policy", req.Policy, "machine", req.Machine,
 		"fidelity", req.Fidelity, "telemetry", req.Telemetry)
-	rec.hub.publish(JobEvent{Type: "status", Job: rec.id, Status: StatusQueued})
 	return rec
 }
 
@@ -556,8 +560,8 @@ func (s *Server) writeView(w http.ResponseWriter, code int, rec *jobRecord) {
 func (s *Server) setStatus(rec *jobRecord, status string) {
 	s.mu.Lock()
 	rec.status = status
+	rec.publishLocked(JobEvent{Status: status})
 	s.mu.Unlock()
-	rec.hub.publish(JobEvent{Type: "status", Job: rec.id, Status: status})
 }
 
 // ErrJobTimeout marks a job that failed its per-job deadline. It is
@@ -687,6 +691,11 @@ func (s *Server) finishJob(ctx context.Context, rec *jobRecord, e *cacheEntry, c
 	}
 	status := rec.status
 	wall := rec.finished.Sub(rec.submitted)
+	ev := JobEvent{Status: status, Cached: cached}
+	if err != nil {
+		ev.Error = err.Error()
+	}
+	rec.publishLocked(ev)
 	s.mu.Unlock()
 	rec.tl.Finish()
 	log := svcobs.Log(ctx)
@@ -699,12 +708,6 @@ func (s *Server) finishJob(ctx context.Context, rec *jobRecord, e *cacheEntry, c
 			"job", rec.id, "status", status, "cached", cached,
 			"wall", wall.Seconds())
 	}
-	ev := JobEvent{Type: "status", Job: rec.id, Status: status, Cached: cached}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	rec.hub.publish(ev)
-	rec.hub.close()
 }
 
 type runRequest struct {
@@ -724,31 +727,66 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("missing workload (valid: %s)", strings.Join(kernels.Names(), " ")))
 		return
 	}
-	norm := req.Request.Normalize()
-	if err := norm.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	recs := s.admit(w, r, []Request{req.Request}, req.Async)
+	switch {
+	case recs == nil:
+	case req.Async:
+		s.writeView(w, http.StatusAccepted, recs[0])
+	default:
+		s.respondFinished(w, recs[0])
 	}
-	if req.Async {
-		rec := s.register(r.Context(), norm)
-		// Check pool capacity up front so a saturated service answers 503
-		// instead of hoarding goroutines. The cached/in-flight fast path
-		// needs no slot.
-		if _, hit := s.cache.Get(rec.key); !hit && s.pool.queueFull() {
-			s.finishJob(r.Context(), rec, nil, false, ErrQueueFull)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, ErrQueueFull)
-			return
+}
+
+// admit is the one admission path of /run and /sweep: it normalizes and
+// validates every cell (400 on the first invalid one) before registering
+// a job per cell. A sync call runs the first cell on the handler
+// goroutine and the others on goroutines, and returns once all have
+// finished. An async call starts every cell detached from the request,
+// unless the queue is full and any cell misses the cache (a cached cell
+// needs no slot): then every cell fails with ErrQueueFull and the
+// request gets 503 with Retry-After. A nil result means admit answered.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, cells []Request, async bool) []*jobRecord {
+	for i := range cells {
+		cells[i] = cells[i].Normalize()
+		if err := cells[i].Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return nil
 		}
-		// WithoutCancel: the job outlives the HTTP request, but keeps
-		// its correlation ID and logger for every later log line.
-		go s.execute(context.WithoutCancel(r.Context()), rec)
-		s.writeView(w, http.StatusAccepted, rec)
-		return
 	}
-	rec := s.register(r.Context(), norm)
-	s.execute(r.Context(), rec)
-	s.respondFinished(w, rec)
+	ctx := r.Context()
+	recs := make([]*jobRecord, len(cells))
+	for i, cell := range cells {
+		recs[i] = s.register(ctx, cell)
+	}
+	if !async {
+		var wg sync.WaitGroup
+		for _, rec := range recs[1:] {
+			wg.Add(1)
+			go func() { defer wg.Done(); s.execute(ctx, rec) }()
+		}
+		s.execute(ctx, recs[0])
+		wg.Wait()
+		return recs
+	}
+	// A cell still in flight counts as a miss.
+	if s.pool.queueFull() && slices.ContainsFunc(recs, func(rec *jobRecord) bool {
+		_, hit := s.cache.Get(rec.key)
+		return !hit
+	}) {
+		for _, rec := range recs {
+			s.finishJob(ctx, rec, nil, false, ErrQueueFull)
+		}
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, ErrQueueFull)
+		return nil
+	}
+	// WithoutCancel: the jobs outlive the HTTP request, but keep its
+	// correlation ID and logger for every later log line.
+	detached := context.WithoutCancel(ctx)
+	for _, rec := range recs {
+		go s.execute(detached, rec)
+	}
+	return recs
 }
 
 func (s *Server) respondFinished(w http.ResponseWriter, rec *jobRecord) {
@@ -792,50 +830,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(req.Machines) == 0 {
 		req.Machines = []string{"hier"}
 	}
-	// Validate the whole cross product before admitting any cell.
 	var cells []Request
 	for _, wl := range req.Workloads {
 		for _, m := range req.Machines {
 			for _, p := range req.Policies {
-				cell := Request{Workload: wl, Policy: p, Machine: m, Scale: req.Scale, Fidelity: req.Fidelity}.Normalize()
-				if err := cell.Validate(); err != nil {
-					writeError(w, http.StatusBadRequest, err)
-					return
-				}
-				cells = append(cells, cell)
+				cells = append(cells, Request{Workload: wl, Policy: p, Machine: m, Scale: req.Scale, Fidelity: req.Fidelity})
 			}
 		}
 	}
-	recs := make([]*jobRecord, len(cells))
-	for i, cell := range cells {
-		recs[i] = s.register(r.Context(), cell)
-	}
-	ctx := r.Context()
-	if req.Async {
-		// WithoutCancel: cells outlive the HTTP request but stay
-		// correlated with it in the logs.
-		ctx = context.WithoutCancel(ctx)
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(recs))
-	for _, rec := range recs {
-		go func() {
-			defer wg.Done()
-			s.execute(ctx, rec)
-		}()
-	}
-	if req.Async {
-		writeJSON(w, http.StatusAccepted, s.sweepView(recs))
+	recs := s.admit(w, r, cells, req.Async)
+	if recs == nil {
 		return
 	}
-	wg.Wait()
 	sv := s.sweepView(recs)
 	code := http.StatusOK
-	for _, v := range sv.Jobs {
-		if v.Status != StatusDone {
-			code = http.StatusInternalServerError
-			break
-		}
+	if req.Async {
+		code = http.StatusAccepted
+	} else if slices.ContainsFunc(sv.Jobs, func(v JobView) bool { return v.Status != StatusDone }) {
+		code = http.StatusInternalServerError
 	}
 	writeJSON(w, code, sv)
 }
@@ -885,7 +897,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *jobRecord {
 // stream ends at the terminal status.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if rec := s.lookup(w, r); rec != nil {
-		streamEvents(w, r, rec.hub)
+		s.streamEvents(w, r, rec)
 	}
 }
 

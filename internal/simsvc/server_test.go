@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -457,6 +458,96 @@ func TestAsyncAdmissionAfterAbandonedCallers(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("simulate calls = %d while the worker is blocked, want 1", calls.Load())
+	}
+}
+
+// TestAsyncSweepAdmission: an async /sweep is admitted like an async
+// /run. With the worker busy and the queue full, a sweep with any
+// uncached cell is turned away with 503 + Retry-After, every one of its
+// cells reads failed with the queue-full error, and none of them
+// queues; a sweep whose cells are all cached still gets 202.
+func TestAsyncSweepAdmission(t *testing.T) {
+	started := make(chan string, 16)
+	release := make(chan struct{})
+	pool := NewPool(PoolConfig{Workers: 1, QueueDepth: 1,
+		Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
+			if j.Workload.Name == "vecadd" {
+				started <- j.Label
+				<-release
+			}
+			return &stats.Run{Workload: j.Workload.Name}, nil
+		}})
+	defer pool.Close()
+	defer close(release)
+	srv := NewServer(pool)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	m := pool.Metrics()
+
+	cached := map[string]any{"workloads": []string{"sq-gemm"},
+		"policies": []string{"ladm", "h-coda"}, "scale": 8}
+	if resp, body := postJSON(t, ts.URL+"/sweep", cached); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up sweep: %d %s", resp.StatusCode, body)
+	}
+	// One job holds the worker, a second fills the queue.
+	for scale := 8; scale <= 9; scale++ {
+		resp, body := postJSON(t, ts.URL+"/run", map[string]any{
+			"workload": "vecadd", "scale": scale, "async": true})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async run at scale %d: %d %s", scale, resp.StatusCode, body)
+		}
+		if scale == 8 {
+			<-started
+		}
+	}
+	waitFor(t, func() bool { return m.depth.Load() == 1 })
+
+	srv.mu.Lock()
+	before := len(srv.jobs)
+	srv.mu.Unlock()
+	resp, body := postJSON(t, ts.URL+"/sweep", map[string]any{
+		"workloads": []string{"vecadd", "sq-gemm"},
+		"policies":  []string{"ladm", "h-coda", "coda", "kernel-wide"},
+		"scale":     10, "async": true})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("async sweep at a full queue: %d %s, want 503", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+	if !strings.Contains(string(body), "queue full") {
+		t.Errorf("503 body: %s", body)
+	}
+	if d := m.depth.Load(); d != 1 {
+		t.Errorf("queue depth after the turned-away sweep = %d, want 1", d)
+	}
+	for n := before + 1; n <= before+8; n++ {
+		r, data := getBody(t, fmt.Sprintf("%s/jobs/job-%06d", ts.URL, n))
+		var v JobView
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode != http.StatusOK || v.Request.Scale != 10 ||
+			v.Status != StatusFailed || v.Error != ErrQueueFull.Error() {
+			t.Errorf("turned-away cell %d: %d %+v", n, r.StatusCode, v)
+		}
+	}
+
+	cached["async"] = true
+	resp, body = postJSON(t, ts.URL+"/sweep", cached)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("all-cached async sweep at a full queue: %d %s, want 202", resp.StatusCode, body)
+	}
+	var sv SweepView
+	if err := json.Unmarshal(body, &sv); err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range sv.Jobs {
+		waitFor(t, func() bool {
+			_, data := getBody(t, ts.URL+"/jobs/"+cell.ID)
+			var v JobView
+			return json.Unmarshal(data, &v) == nil && v.Status == StatusDone && v.Cached
+		})
 	}
 }
 
