@@ -17,6 +17,7 @@ import (
 	rt "ladm/internal/runtime"
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
+	"ladm/internal/trace"
 )
 
 // namedJobs returns n jobs whose workloads are named j00, j01, ...
@@ -169,7 +170,8 @@ func twinWorkloads(t *testing.T) (itl, rcl *kir.Workload) {
 }
 
 // TestSweepRunsEachPlanOnce: the jobs of one plan reach Exec once, as the
-// first of them in job order, unchanged; the others get the runner's
+// first of them in job order, unchanged but for the trace holder all of
+// its workload's plans share; the others get the runner's
 // record when they name the same policy unlabelled, and a clone with
 // their own name otherwise. The runner's records are never changed.
 func TestSweepRunsEachPlanOnce(t *testing.T) {
@@ -198,9 +200,23 @@ func TestSweepRunsEachPlanOnce(t *testing.T) {
 		t.Fatalf("Exec ran %d jobs, want %d", len(c.jobs), len(lead))
 	}
 	ran := map[int]*stats.Run{}
+	holders := map[*kir.Workload]*trace.Tapes{}
+	for _, j := range c.jobs {
+		if j.Tapes == nil {
+			t.Fatalf("%s/%s reached Exec without the workload's trace holder", j.Workload.Name, j.Policy.Name)
+		}
+		if h, ok := holders[j.Workload]; ok && h != j.Tapes {
+			t.Errorf("%s/%s reached Exec with another holder than its workload's other plans", j.Workload.Name, j.Policy.Name)
+		}
+		holders[j.Workload] = j.Tapes
+	}
+	if holders[itl] == holders[rcl] {
+		t.Error("two workloads share one trace holder")
+	}
 	for _, i := range lead {
 		k := -1
 		for n, j := range c.jobs {
+			j.Tapes = nil // the one field Sweep sets
 			if reflect.DeepEqual(j, jobs[i]) {
 				k = n
 			}

@@ -19,7 +19,8 @@ import (
 // just a small constant. Everything per-event is recycled: events live by
 // value in the scheduler's heap, txState/phaseRun/tbExec come from the
 // engine's free lists, and the TB queues reload into retained backing
-// arrays.
+// arrays. A launch that replays its phases from a tape allocates nothing
+// either: the words are read where the tape holds them.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	w := vecAdd(64)
 	cfg := arch.DefaultHierarchical()
@@ -45,6 +46,25 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state kernel launch allocates %.1f objects per run, want 0", avg)
+	}
+
+	// The same launch under a tape: the warm-up generates and publishes
+	// every phase, and each later launch replays them all.
+	tapes := new(trace.Tapes)
+	e.tape = tapes.Tape(gen)
+	e.runKernel(gen, lp)
+	e.flushL2s()
+	warm := tapes.Stats()
+	avg = testing.AllocsPerRun(10, func() {
+		e.runKernel(gen, lp)
+		e.flushL2s()
+	})
+	if avg != 0 {
+		t.Errorf("replayed kernel launch allocates %.1f objects per run, want 0", avg)
+	}
+	if st := tapes.Stats(); warm.Generated == 0 || st.Generated != warm.Generated || st.Replayed != 11*warm.Generated {
+		t.Errorf("the warm-up launch generated %d phases; after 11 more launches %d generated and %d replayed, want every later phase replayed",
+			warm.Generated, st.Generated, st.Replayed)
 	}
 }
 

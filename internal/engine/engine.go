@@ -31,6 +31,7 @@ package engine
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 
 	"ladm/internal/arch"
@@ -84,6 +85,20 @@ type Engine struct {
 	// bufHint is the high-water transaction-buffer capacity: execPhase
 	// presizes every smaller buffer to it, skipping the growth reallocs.
 	bufHint int
+
+	// lineShift is log2 of the line size: a transaction's address is
+	// its line number shifted by it.
+	lineShift uint
+
+	// The current launch's tape, nil when the plan shares none, and
+	// the storage this engine publishes the phases it generates into
+	// (see trace.Tapes).
+	tape *trace.Tape
+	rec  trace.Recorder
+
+	// remoteOnce marks the current launch's access sites whose array's
+	// remote-origin fills bypass the home L2 (Plan.RemoteOnce).
+	remoteOnce []bool
 
 	// stealTBs mirrors Policy.StealTBs: an SM whose node queue drained
 	// may pull TBs from the deepest other queue (see takeTB).
@@ -186,6 +201,8 @@ func build(plan *runtime.Plan, e *Engine) *Engine {
 		tbFree:     e.tbFree,
 		queues:     e.queues[:0],
 		queueBack:  e.queueBack,
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		remoteOnce: e.remoteOnce,
 		stealTBs:   plan.Policy.StealTBs,
 		mshr:       resize(e.mshr, sms),
 		telRunning: resize(e.telRunning, nodes),
@@ -438,6 +455,8 @@ func (e *Engine) simulate() (*stats.Run, error) {
 		if err != nil {
 			return nil, err
 		}
+		e.tape = e.plan.Tapes.Tape(gen)
+		e.resolveRemoteOnce(lp.Launch.Kernel)
 		for rep := 0; rep < lp.Launch.EffTimes(); rep++ {
 			e.runKernel(gen, &lp)
 			if e.sched.stopped {
@@ -448,6 +467,16 @@ func (e *Engine) simulate() (*stats.Run, error) {
 	}
 	e.finalizeStats()
 	return e.run, nil
+}
+
+// resolveRemoteOnce fills remoteOnce for kernel k's access sites from
+// the plan's per-array decisions, so the home node reads one flag per
+// transaction instead of hashing the array's name.
+func (e *Engine) resolveRemoteOnce(k *kir.Kernel) {
+	e.remoteOnce = resize(e.remoteOnce, len(k.Accesses))
+	for i := range k.Accesses {
+		e.remoteOnce[i] = e.plan.RemoteOnce[k.Accesses[i].Array]
+	}
 }
 
 // release returns every L1's and L2 slice's pages to the cache
@@ -463,8 +492,9 @@ func (e *Engine) release() {
 
 // retire readies a finished engine, its books closed and its pages
 // released, for the pool. It drops every reference into the finished
-// cell, and every free executor's transaction buffer, so a retired
-// engine never holds one large cell's buffers. What it keeps is
+// cell, its tape and the chunks its recorder carves from, and every
+// free executor's transaction buffer, so a retired engine never holds
+// one large cell's buffers or a sweep's tapes. What it keeps is
 // capacity that build overwrites: the machine's slices, the event
 // arena, every node of it on the free list, and the free lists. build
 // resets the rest on its own, so a zero engine and a retired one build
@@ -472,6 +502,7 @@ func (e *Engine) release() {
 func (e *Engine) retire() {
 	e.cfg, e.plan, e.run, e.net, e.tel, e.residency = nil, nil, nil, nil, nil, nil
 	e.sched.interrupt, e.sched.sampleFn = nil, nil
+	e.tape, e.rec = nil, trace.Recorder{}
 	for _, x := range e.tbFree.free {
 		x.buf = nil
 	}
@@ -555,6 +586,8 @@ type tbExec struct {
 
 	born float64 // when the TB took its resident slot (telemetry)
 
+	phases int // memory phases run: the index of the next in the tape
+
 	buf []trace.Transaction
 }
 
@@ -592,18 +625,26 @@ func (e *Engine) runKernel(gen *trace.Generator, lp *runtime.LaunchPlan) {
 			ex.gen = gen
 			ex.lp = lp
 			ex.k = k
-			ex.tb = int(tb)
 			ex.sm = sm
 			ex.node = node
 			ex.warps = warps
 			ex.resident = resident
-			ex.born = start
+			ex.begin(int(tb), start)
 			e.telRunning[node]++
 			e.sched.schedule(start, ex)
 		}
 	}
 	e.sched.drain()
 	e.tel.KernelSpan(k.Name, lp.Assignment.TotalTBs(), start, e.sched.now)
+}
+
+// begin binds the executor to threadblock tb, taking its slot at t.
+func (x *tbExec) begin(tb int, t float64) {
+	x.tb = tb
+	x.stage = 0
+	x.m = 0
+	x.phases = 0
+	x.born = t
 }
 
 // step starts the threadblock's next phase.
@@ -644,10 +685,7 @@ func (x *tbExec) phaseDone(end float64) {
 	e.telRetired[x.node]++
 	e.curRetired++
 	if tb, ok := e.takeTB(x.node); ok {
-		x.tb = int(tb)
-		x.stage = 0
-		x.m = 0
-		x.born = end
+		x.begin(int(tb), end)
 		e.sched.schedule(end, x)
 		return
 	}
@@ -655,7 +693,8 @@ func (x *tbExec) phaseDone(end float64) {
 	e.releaseTB(x)
 }
 
-// execPhase generates the phase's transactions and streams them through a
+// execPhase replays the phase's transactions from the launch's tape, or
+// generates them and publishes them to it, and streams them through a
 // sliding MSHR window; phaseDone fires when every load has retired.
 func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 	e := x.e
@@ -669,25 +708,13 @@ func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 		x.phaseDone(t0 + compute)
 		return
 	}
-
-	if cap(x.buf) < e.bufHint {
-		// A peer executor already saw a bigger phase: jump straight to
-		// the high-water capacity instead of re-growing through the
-		// doublings.
-		x.buf = make([]trace.Transaction, 0, e.bufHint)
+	e.run.WarpInstrs += uint64(x.gen.PhaseInstrs(phase))
+	txs, replayed := e.tape.Load(x.tb, x.phases)
+	if !replayed {
+		txs = x.generate(phase, m)
+		e.tape.Publish(x.tb, x.phases, &e.rec, txs)
 	}
-	x.buf = x.buf[:0]
-	instrs := 0
-	for w := 0; w < x.warps; w++ {
-		var n int
-		x.buf, n = x.gen.WarpTransactions(x.tb, w, m, phase, x.buf)
-		instrs += n
-	}
-	x.gen.FinalizeBytes(x.buf)
-	if c := cap(x.buf); c > e.bufHint {
-		e.bufHint = c
-	}
-	e.run.WarpInstrs += uint64(instrs)
+	x.phases++
 
 	// Each resident threadblock owns a share of the SM's MSHRs: at most
 	// `window` of its transactions are in flight at once.
@@ -700,19 +727,36 @@ func (x *tbExec) execPhase(t0 float64, phase kir.Phase, m int) {
 	pr.x = x
 	pr.t0 = t0
 	pr.compute = compute
-	// Hand the buffer off instead of copying: every transaction is issued
+	// Hand the words off instead of copying: every transaction is issued
 	// (read out of txs) before the phase can end, and x refills buf only
 	// when its next phase begins — after this phase's phaseDone — so the
-	// backing array is never read and rewritten concurrently.
-	pr.txs = x.buf
-	for i := range pr.txs {
-		if pr.txs[i].Mode == kir.Load {
+	// backing array is never read and rewritten concurrently. A tape's
+	// words are never written at all.
+	pr.txs = txs
+	for _, tx := range txs {
+		if !tx.Store() {
 			pr.loadsTotal++
 		}
 	}
 	pr.window = window
 	pr.lastIssue = t0
 	pr.issue(t0)
+}
+
+// generate fills buf with the phase's words and returns them.
+func (x *tbExec) generate(phase kir.Phase, m int) []trace.Transaction {
+	e := x.e
+	if cap(x.buf) < e.bufHint {
+		// A peer executor already saw a bigger phase: jump straight to
+		// the high-water capacity instead of re-growing through the
+		// doublings.
+		x.buf = make([]trace.Transaction, 0, e.bufHint)
+	}
+	x.buf = x.gen.Phase(x.tb, m, phase, x.buf[:0])
+	if c := cap(x.buf); c > e.bufHint {
+		e.bufHint = c
+	}
+	return x.buf
 }
 
 // phaseRun drives one memory phase: a sliding window of in-flight

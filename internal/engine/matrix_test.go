@@ -21,6 +21,7 @@ import (
 	"ladm/internal/queueing"
 	"ladm/internal/runtime"
 	"ladm/internal/stats"
+	"ladm/internal/trace"
 )
 
 // matrixScale is the scale divisor of the whole-matrix golden: small
@@ -248,6 +249,11 @@ func checkLADMTwin(t *testing.T, runs map[string]*stats.Run, dominant compiler.L
 // and the pages the cell before it left, so the digests also pin that a
 // recycled engine and a recycled page simulate as fresh ones. Each
 // workload's ladm record must also equal its CRB twin's (checkLADMTwin).
+// A workload's four cells share one trace holder, as core.Sweep's runs
+// do: the first cell generates and publishes every memory phase (and
+// replays its own repeated launches) and the other three replay every
+// phase, so the digests also pin that a replayed phase simulates as a
+// generated one.
 // Regenerate (only when the model itself intentionally changes) with:
 //
 //	go test ./internal/engine -run MatrixDigestGolden -update
@@ -257,12 +263,15 @@ func TestMatrixDigestGolden(t *testing.T) {
 	for _, spec := range kernels.All(matrixScale) {
 		runs := map[string]*stats.Run{}
 		var dominant compiler.LocalityType
-		for _, pol := range matrixPolicies {
+		tapes := new(trace.Tapes)
+		var first trace.TapeStats
+		for i, pol := range matrixPolicies {
 			cfg := arch.DefaultHierarchical()
 			plan, err := runtime.Prepare(spec.W, &cfg, pol)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", spec.W.Name, pol.Name, err)
 			}
+			plan.Tapes = tapes
 			dominant = plan.Dominant
 			run, books := recycle(t, e, plan) // the next cell runs on e and its pages
 			if books != nil {
@@ -276,8 +285,16 @@ func TestMatrixDigestGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s/%s/%s %s\n", run.Workload, run.Policy, run.Arch,
 				hex.EncodeToString(sum[:])[:16])
 			runs[pol.Name] = run
+			if i == 0 {
+				first = tapes.Stats()
+			}
 		}
 		checkLADMTwin(t, runs, dominant)
+		phases := first.Generated + first.Replayed
+		if st := tapes.Stats(); st.Generated != first.Generated || st.Replayed != first.Replayed+3*phases {
+			t.Errorf("%s: the first cell ran %d memory phases, generating %d; all four generated %d and replayed %d, want the other three to replay every phase",
+				spec.W.Name, phases, first.Generated, st.Generated, st.Replayed)
+		}
 	}
 	golden := filepath.Join("testdata", "matrix256.digest")
 	if *updateGolden {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"ladm/internal/runtime"
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
+	"ladm/internal/trace"
 )
 
 // recycle runs plan on e the way Run does, through the seam between New
@@ -104,6 +106,7 @@ func TestRecycledEngineMatchesFresh(t *testing.T) {
 		}
 		wantBooks := fmt.Sprint(fresh.checkBooks())
 		plan := prepare()
+		plan.Tapes = new(trace.Tapes) // the recycled cell records its trace
 		got, books := recycle(t, e, plan)
 		if g, w := fmt.Sprint(books), wantBooks; g != w {
 			t.Errorf("%s: recycled books %s, fresh %s", name, g, w)
@@ -147,7 +150,7 @@ func TestRecycledEngineMatchesFresh(t *testing.T) {
 		}
 
 		if e.cfg != nil || e.plan != nil || e.run != nil || e.tel != nil || e.net != nil || e.residency != nil ||
-			e.sched.interrupt != nil || e.sched.sampleFn != nil {
+			e.sched.interrupt != nil || e.sched.sampleFn != nil || e.tape != nil || !reflect.ValueOf(e.rec).IsZero() {
 			t.Errorf("%s: retired engine still references its cell", name)
 		}
 		for _, x := range e.tbFree.free {

@@ -3,7 +3,6 @@ package engine
 import (
 	"math/bits"
 
-	"ladm/internal/kir"
 	"ladm/internal/mem/cache"
 	"ladm/internal/stats"
 	"ladm/internal/trace"
@@ -87,8 +86,8 @@ func (st *txState) run(t float64) {
 func (st *txState) finish(t float64, blocks bool) {
 	e, pr := st.e, st.pr
 	if e.tel.TxTracing() {
-		mask := cache.SectorMask(st.tx.Mask)
-		e.tel.TxSpan(st.node, st.sm, pop(mask)*e.cfg.SectorBytes, st.tx.Mode == kir.Store, st.issued, t)
+		mask := cache.SectorMask(st.tx.Mask())
+		e.tel.TxSpan(st.node, st.sm, pop(mask)*e.cfg.SectorBytes, st.tx.Store(), st.issued, t)
 	}
 	e.mshr[st.sm]-- // before put zeroes st
 	e.txFree.put(st)
@@ -114,14 +113,15 @@ func (e *Engine) startTx(at float64, sm, node int, tx trace.Transaction, pr *pha
 // txAtL1 runs the L1 lookup and, on a miss, forwards the request across
 // the node fabric to the local L2 slice.
 func (e *Engine) txAtL1(t float64, st *txState) {
-	mask := cache.SectorMask(st.tx.Mask)
-	isStore := st.tx.Mode == kir.Store
+	mask := cache.SectorMask(st.tx.Mask())
+	isStore := st.tx.Store()
+	addr := e.addr(st.tx)
 	cfg := e.cfg
 	sm, node := st.sm, st.node
 
 	missMask := mask
 	if !isStore {
-		res := e.l1[sm].Access(st.tx.Addr, mask, true, false)
+		res := e.l1[sm].Access(addr, mask, true, false)
 		e.run.L1Sectors += uint64(pop(mask))
 		e.run.L1Hits += uint64(pop(res.HitMask))
 		if res.MissMask == 0 {
@@ -137,10 +137,10 @@ func (e *Engine) txAtL1(t float64, st *txState) {
 	bytes := pop(missMask) * cfg.SectorBytes
 
 	// Page home resolution (first-touch faults happen here).
-	home := e.plan.Space.Home(st.tx.Addr)
+	home := e.plan.Space.Home(addr)
 	t += float64(cfg.L1Lat)
 	if home < 0 {
-		e.plan.Space.TouchFirst(st.tx.Addr, node)
+		e.plan.Space.TouchFirst(addr, node)
 		home = node
 		e.run.PageFaults++
 		t += e.plan.FaultCycles
@@ -151,7 +151,7 @@ func (e *Engine) txAtL1(t float64, st *txState) {
 	// transfer with earlier threadblocks, so only the bandwidth is charged;
 	// reactive demand paging exposes the full fault latency.
 	if !e.residency.Unlimited() {
-		if fetched, _ := e.residency.Touch(home, int(st.tx.Addr/cfg.PageBytes)); fetched {
+		if fetched, _ := e.residency.Touch(home, int(addr/cfg.PageBytes)); fetched {
 			gpu := cfg.GPUOfNode(home)
 			done := e.hostLink[gpu].Serve(t, int(cfg.PageBytes))
 			e.run.HostBytes += uint64(cfg.PageBytes)
@@ -185,9 +185,10 @@ func (e *Engine) txAtLocalL2(t float64, st *txState) {
 	cfg := e.cfg
 	node, home, isStore := st.node, st.home, st.isStore
 	missMask, bytes := st.missMask, st.bytes
+	addr := e.addr(st.tx)
 
 	if home == node {
-		res := e.l2[node].Access(st.tx.Addr, missMask, true, isStore)
+		res := e.l2[node].Access(addr, missMask, true, isStore)
 		cat := &e.run.L2[stats.LocalLocal]
 		cat.Sectors += uint64(pop(missMask))
 		cat.Hits += uint64(pop(res.HitMask))
@@ -201,7 +202,7 @@ func (e *Engine) txAtLocalL2(t float64, st *txState) {
 			e.run.L2SectorMisses += uint64(miss)
 			dBytes := miss * cfg.SectorBytes
 			e.run.DRAMBytes += uint64(dBytes)
-			t = e.hbm[node].Access(t, st.tx.Addr, dBytes, isStore)
+			t = e.hbm[node].Access(t, addr, dBytes, isStore)
 		}
 		st.finish(t, !isStore)
 		return
@@ -210,7 +211,7 @@ func (e *Engine) txAtLocalL2(t float64, st *txState) {
 	remMask := missMask
 	if !isStore {
 		// Requester-side L2 caches remote data.
-		res := e.l2[node].Access(st.tx.Addr, missMask, true, false)
+		res := e.l2[node].Access(addr, missMask, true, false)
 		cat := &e.run.L2[stats.LocalRemote]
 		cat.Sectors += uint64(pop(missMask))
 		cat.Hits += uint64(pop(res.HitMask))
@@ -246,11 +247,12 @@ func (e *Engine) txAtHome(t float64, st *txState) {
 	cfg := e.cfg
 	node, home, isStore := st.node, st.home, st.isStore
 	remMask, remBytes := st.remMask, st.remBytes
+	addr := e.addr(st.tx)
 
 	// RONCE structures bypass allocation for remote-origin read fills;
 	// stores always land (the home L2 is the line's point of coherence).
-	allocate := isStore || !e.plan.RemoteOnce[st.tx.Alloc.ID]
-	hres := e.l2[home].Access(st.tx.Addr, remMask, allocate, isStore)
+	allocate := isStore || !e.remoteOnce[st.tx.Site()]
+	hres := e.l2[home].Access(addr, remMask, allocate, isStore)
 	hcat := &e.run.L2[stats.RemoteLocal]
 	hcat.Sectors += uint64(pop(remMask))
 	hcat.Hits += uint64(pop(hres.HitMask))
@@ -261,7 +263,7 @@ func (e *Engine) txAtHome(t float64, st *txState) {
 		miss := pop(hres.MissMask)
 		dBytes := miss * cfg.SectorBytes
 		e.run.DRAMBytes += uint64(dBytes)
-		t = e.hbm[home].Access(t, st.tx.Addr, dBytes, isStore)
+		t = e.hbm[home].Access(t, addr, dBytes, isStore)
 	}
 
 	if isStore {
@@ -274,6 +276,9 @@ func (e *Engine) txAtHome(t float64, st *txState) {
 	st.stage = stageRespond
 	e.sched.schedule(t, st)
 }
+
+// addr returns the line-aligned address of tx.
+func (e *Engine) addr(tx trace.Transaction) uint64 { return tx.Line() << e.lineShift }
 
 // writeback retires a dirty eviction to the evicting node's DRAM. Dirty
 // lines only exist in the slice that homes them (remote data is cached

@@ -7,6 +7,7 @@
 package integration_test
 
 import (
+	"math/bits"
 	"testing"
 
 	"ladm/internal/arch"
@@ -51,15 +52,15 @@ func localFraction(t *testing.T, w *kir.Workload, plan *rt.Plan) float64 {
 					for wp := 0; wp < warps; wp++ {
 						buf = buf[:0]
 						buf, _ = gen.WarpTransactions(int(tb), wp, m, phase, buf)
-						gen.FinalizeBytes(buf)
 						for _, tx := range buf {
-							total += uint64(tx.Bytes)
-							home := plan.Space.Home(tx.Addr)
+							bytes := uint64(bits.OnesCount8(tx.Mask()) * plan.Cfg.SectorBytes)
+							total += bytes
+							home := plan.Space.Home(tx.Line() * uint64(plan.Cfg.LineBytes))
 							if home < 0 {
 								home = node // first touch would land here
 							}
 							if home == node {
-								local += uint64(tx.Bytes)
+								local += bytes
 							}
 						}
 					}

@@ -10,6 +10,7 @@ import (
 	"ladm/internal/sched"
 	"ladm/internal/simtel"
 	sym "ladm/internal/symbolic"
+	"ladm/internal/trace"
 )
 
 // LaunchPlan couples one kernel launch with its threadblock assignment.
@@ -40,6 +41,13 @@ type Plan struct {
 
 	// Dominant is the workload-level locality label (Table IV).
 	Dominant compiler.LocalityType
+
+	// Tapes, when non-nil, holds the workload's recorded traces, shared
+	// with the other plans of a sweep that simulate it: the engine
+	// replays each memory phase a plan with the same array layout
+	// already generated, and publishes those it generates. It never
+	// changes the results.
+	Tapes *trace.Tapes
 
 	// Tel, when non-nil, observes the run: the engine samples a
 	// simulated-time utilization series and/or records trace spans into

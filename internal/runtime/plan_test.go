@@ -139,7 +139,7 @@ func TestPrepareStrideAware(t *testing.T) {
 					buf = buf[:0]
 					buf, _ = gen.WarpTransactions(int(tb), wp, m, kir.InLoop, buf)
 					for _, tx := range buf {
-						if home := plan.Space.Home(tx.Addr); home != node {
+						if home := plan.Space.Home(tx.Line() * uint64(plan.Cfg.LineBytes)); home != node {
 							t.Fatalf("TB %d on node %d touches page homed on %d (m=%d)",
 								tb, node, home, m)
 						}

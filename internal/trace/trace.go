@@ -15,7 +15,7 @@
 // index instead of scanning the site's transactions. Both are exact: the
 // polynomial is a rewrite of the tree in the ring Z/2^64 that wrapping
 // int64 arithmetic implements, so every lane computes the index
-// symbolic.Eval would, bit for bit; and (Addr, Access) is unique within a
+// symbolic.Eval would, bit for bit; and the line number is unique within a
 // site's transactions, so any exact lookup merges into the same
 // transaction and appends in the same first-touch order.
 //
@@ -39,11 +39,14 @@
 // nearly all of the irregular workloads; trace generation fell from
 // 24.9% to 20.8% of the profile, behind the event queue. A 16×16 tile
 // (BenchmarkWarpTransactions2D, two runs per warp) went from 742 to
-// 149 ns per warp. Trace generation is now the smallest of the four
-// layers that take about a fifth of the profile each: a later traced
-// run (seed 1, 20 s) measured the engine core at 23.0%, the caches at
-// 22.7% (the tag compare in cache.Access alone about 14%), the event
-// queue at 22.0% and trace generation at 20.1%.
+// 149 ns per warp. A later traced run (seed 1, 20 s) measured trace
+// generation at 20.1%, beside the engine core, the caches and the
+// event queue at about a fifth each. A sweep now generates most of
+// that only once per workload: its plans share one Tape (tape.go), and
+// over a fig9-campaign batch 74.9% of the memory phases are replayed.
+// A CPU profile of 25 such batches put trace generation (trace plus
+// kir) at 2.1 s of 29.2 s sampled, against 7.2 s of 35.6 s without
+// tapes, the two run back to back on the same host.
 //
 // Because the generator evaluates the very expressions the static analyzer
 // classified, placement decisions made from the analysis meet exactly the
@@ -60,16 +63,41 @@ import (
 	"ladm/internal/mem/page"
 )
 
-// Transaction is one coalesced memory request: a line-aligned address plus
-// the mask of 32-byte sectors the warp touches in that line.
-type Transaction struct {
-	Addr   uint64 // line-aligned
-	Mask   uint8  // sector bitmask within the line
-	Bytes  int    // active bytes (sector count * sector size)
-	Access int    // access site index within the kernel
-	Mode   kir.AccessMode
-	Alloc  *page.Alloc
-}
+// Transaction is one coalesced memory request packed into one
+// pointer-free word: the line number (the line-aligned address over the
+// line size), the access site, a store bit and the mask of the sectors
+// the warp touches in the line. A recorded trace is a slice of these
+// words, which the garbage collector never scans. New rejects a kernel
+// whose words would not fit.
+//
+//	bits 63..17  line number
+//	bits 16..9   access site
+//	bit  8       store
+//	bits  7..0   sector mask
+type Transaction uint64
+
+// The fields of a Transaction word: the store bit and where the site
+// and the line number start.
+const (
+	storeBit = 1 << 8
+	wordSite = 9
+	wordLine = 17
+	// maxSites is the number of access sites a word can name.
+	maxSites = 1 << (wordLine - wordSite)
+)
+
+// Line returns the line number: the line-aligned address divided by the
+// line size.
+func (t Transaction) Line() uint64 { return uint64(t) >> wordLine }
+
+// Site returns the access site's index within the kernel.
+func (t Transaction) Site() int { return int(t>>wordSite) & (maxSites - 1) }
+
+// Store reports whether the access site stores.
+func (t Transaction) Store() bool { return t&storeBit != 0 }
+
+// Mask returns the bitmask of the sectors touched within the line.
+func (t Transaction) Mask() uint8 { return uint8(t) }
 
 // access is one access site compiled for warp evaluation.
 type access struct {
@@ -78,7 +106,7 @@ type access struct {
 	alloc    *page.Alloc
 	elemSize int64
 	elems    int64
-	mode     kir.AccessMode
+	word     Transaction // the site and store bit of its transactions
 	phase    kir.Phase
 	// runs marks a site that coalesces in closed form, a run at a time
 	// (see closedForm).
@@ -93,6 +121,7 @@ type Generator struct {
 
 	lineBytes   uint64 // a power of two, as is sectorBytes
 	sectorBytes uint64
+	lineShift   uint // log2(lineBytes)
 	sectorShift uint // log2(sectorBytes)
 	warpSize    int
 	// runLanes is the length of the x-runs every warp splits into —
@@ -111,6 +140,8 @@ type Generator struct {
 // have an allocation in space (the runtime mallocs before launch). tables
 // backs the kernel's Indirect atoms with kir.Workload.Resolver's
 // semantics: a missing table reads zero and indices clamp to its bounds.
+// New rejects a kernel whose access sites or lines a Transaction word
+// cannot name.
 func New(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 	lineBytes, sectorBytes, warpSize int) (*Generator, error) {
 	if lineBytes <= 0 || sectorBytes <= 0 || lineBytes%sectorBytes != 0 ||
@@ -120,10 +151,14 @@ func New(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 	if lineBytes/sectorBytes > 8 {
 		return nil, fmt.Errorf("trace: more than 8 sectors per line unsupported")
 	}
+	if len(k.Accesses) > maxSites {
+		return nil, fmt.Errorf("trace: kernel %q has %d access sites, more than %d", k.Name, len(k.Accesses), maxSites)
+	}
 	g := &Generator{
 		k:           k,
 		lineBytes:   uint64(lineBytes),
 		sectorBytes: uint64(sectorBytes),
+		lineShift:   uint(bits.TrailingZeros(uint(lineBytes))),
 		sectorShift: uint(bits.TrailingZeros(uint(sectorBytes))),
 		warpSize:    warpSize,
 		runLanes:    xRunLanes(k.Block, warpSize),
@@ -144,13 +179,20 @@ func New(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 		if acc.Phase < 0 || int(acc.Phase) >= len(g.sites) {
 			return nil, fmt.Errorf("trace: kernel %q access %d has unknown phase %d", k.Name, i, acc.Phase)
 		}
+		// The last byte an in-bounds element of the site can touch.
+		if n := alloc.Elems(); n > 0 && (alloc.ElemAddr(n-1)+uint64(acc.ElemSize)-1)>>g.lineShift >= 1<<(64-wordLine) {
+			return nil, fmt.Errorf("trace: kernel %q array %q lies past the lines a transaction can name", k.Name, acc.Array)
+		}
 		ca := access{
 			alloc:    alloc,
 			index:    b.expr(k.SubstitutedIndex(i)),
 			elemSize: int64(acc.ElemSize),
 			elems:    alloc.Elems(),
-			mode:     acc.Mode,
+			word:     Transaction(i) << wordSite,
 			phase:    acc.Phase,
+		}
+		if acc.Mode == kir.Store {
+			ca.word |= storeBit
 		}
 		if p := k.SubstitutedPred(i); p != nil {
 			ca.pred = b.expr(p)
@@ -196,6 +238,25 @@ func (g *Generator) Kernel() *kir.Kernel { return g.k }
 // engine to size its per-iteration instruction accounting.
 func (g *Generator) AccessSites(phase kir.Phase) int { return g.sites[phase] }
 
+// Phase appends the transactions of every warp of threadblock tbLinear at
+// loop iteration m for the given phase, warp after warp: one memory
+// phase of the threadblock, the words the engine issues and a Tape
+// records.
+func (g *Generator) Phase(tbLinear, m int, phase kir.Phase, out []Transaction) []Transaction {
+	for w := range g.warps() {
+		out, _ = g.WarpTransactions(tbLinear, w, m, phase, out)
+	}
+	return out
+}
+
+// PhaseInstrs returns the warp memory instructions one threadblock's
+// phase issues: the instruction counts of its warps' WarpTransactions
+// calls, summed, which depend on the phase alone.
+func (g *Generator) PhaseInstrs(phase kir.Phase) int { return g.warps() * g.sites[phase] }
+
+// warps returns the number of warps that hold a thread of the block.
+func (g *Generator) warps() int { return (len(g.tids) + g.warpSize - 1) / g.warpSize }
+
 // WarpTransactions appends the coalesced transactions of warp `warp` of
 // threadblock tbLinear at loop iteration m for the given phase, and
 // returns the extended slice together with the number of warp memory
@@ -233,7 +294,7 @@ func (g *Generator) WarpTransactions(tbLinear, warp, m int, phase kir.Phase, out
 		instrs++
 		if acc.runs {
 			if acc.pred == nil || acc.pred.scalar(&g.env) > 0 {
-				out = g.coalesceRuns(out, ai, acc)
+				out = g.coalesceRuns(out, acc)
 			}
 			continue
 		}
@@ -242,12 +303,12 @@ func (g *Generator) WarpTransactions(tbLinear, warp, m int, phase kir.Phase, out
 		if acc.pred != nil {
 			pred = acc.pred.lanes(&g.env, g.predBuf)
 		}
-		out = g.coalesce(out, ai, acc, idx, pred)
+		out = g.coalesce(out, acc, idx, pred)
 	}
 	return out, instrs
 }
 
-// cursor is where an access site's coalescing stands: the line it
+// cursor is where an access site's coalescing stands: the line number it
 // touched last and that line's position in the output (-1 before the
 // first touch).
 type cursor struct {
@@ -259,7 +320,7 @@ type cursor struct {
 // active lanes touch, in first-touch order, each with the mask of sectors
 // touched. An element that crosses a line boundary splits across lines as
 // the hardware would.
-func (g *Generator) coalesce(out []Transaction, ai int, acc *access, idx, pred []int64) []Transaction {
+func (g *Generator) coalesce(out []Transaction, acc *access, idx, pred []int64) []Transaction {
 	g.lines.reset()
 	c := cursor{pos: -1}
 	for l, i := range idx {
@@ -270,7 +331,7 @@ func (g *Generator) coalesce(out []Transaction, ai int, acc *access, idx, pred [
 			continue // out-of-bounds threads are predicated off
 		}
 		addr := acc.alloc.ElemAddr(i)
-		out = g.touch(out, &c, ai, acc, addr, addr+uint64(acc.elemSize))
+		out = g.touch(out, &c, acc, addr, addr+uint64(acc.elemSize))
 	}
 	return out
 }
@@ -281,7 +342,7 @@ func (g *Generator) coalesce(out []Transaction, ai int, acc *access, idx, pred [
 // and the bytes between their addresses, in lane order. Touching that
 // range line by line merges the same lines, in the same order, into the
 // same masks as touching each lane's element in turn.
-func (g *Generator) coalesceRuns(out []Transaction, ai int, acc *access) []Transaction {
+func (g *Generator) coalesceRuns(out []Transaction, acc *access) []Transaction {
 	g.lines.reset()
 	cur := cursor{pos: -1}
 	base, c := acc.index.scalar(&g.env), acc.index.coefs(&g.env) // c[0] is 1
@@ -295,43 +356,43 @@ func (g *Generator) coalesceRuns(out []Transaction, ai int, acc *access) []Trans
 			continue
 		}
 		addr := acc.alloc.ElemAddr(lo)
-		out = g.touch(out, &cur, ai, acc, addr, addr+uint64(hi-lo)*uint64(acc.elemSize))
+		out = g.touch(out, &cur, acc, addr, addr+uint64(hi-lo)*uint64(acc.elemSize))
 	}
 	return out
 }
 
-// touch merges the bytes [addr, end) of site ai into out, a line at a
+// touch merges the bytes [addr, end) of site acc into out, a line at a
 // time, each line with the mask of sectors it covers. Consecutive
 // touches mostly land on the line the cursor holds, so that line is
 // checked before the line index.
-func (g *Generator) touch(out []Transaction, c *cursor, ai int, acc *access, addr, end uint64) []Transaction {
+func (g *Generator) touch(out []Transaction, c *cursor, acc *access, addr, end uint64) []Transaction {
 	for addr < end {
-		line := addr &^ (g.lineBytes - 1)
-		off := addr - line
+		line := addr >> g.lineShift
+		off := addr & (g.lineBytes - 1)
 		span := min(g.lineBytes-off, end-addr)
 		first, last := off>>g.sectorShift, (off+span-1)>>g.sectorShift
-		mask := uint8(uint64(2)<<last - uint64(1)<<first)
+		mask := Transaction(uint64(2)<<last - uint64(1)<<first)
 		if c.pos < 0 || line != c.line {
 			c.pos = g.lines.lookup(out, line)
 			if c.pos < 0 {
 				c.pos = len(out)
-				out = append(out, Transaction{Addr: line, Access: ai, Mode: acc.mode, Alloc: acc.alloc})
+				out = append(out, acc.word|Transaction(line)<<wordLine)
 			}
 			c.line = line
 		}
-		out[c.pos].Mask |= mask
+		out[c.pos] |= mask
 		addr += span
 	}
 	return out
 }
 
 // lineIndex finds the transaction an access site already holds for a
-// line in O(1): an open-addressed table from line address to output
+// line in O(1): an open-addressed table from line number to output
 // position. Slots carry the generation that wrote them, so reset is one
 // increment instead of a clear. Past half occupancy the table stops
 // growing and later lines spill to a linear scan of the output tail,
 // which keeps probes short however many lines one warp touches. Lookup
-// order never matters — (Addr, Access) is unique within one site's
+// order never matters — a line number is unique within one site's
 // transactions — and appends happen in first-touch order, so the output
 // is the same as a linear scan's.
 type lineIndex struct {
@@ -343,7 +404,7 @@ type lineIndex struct {
 }
 
 type lineSlot struct {
-	addr uint64
+	line uint64
 	pos  int32
 	gen  uint32
 }
@@ -368,23 +429,23 @@ func (x *lineIndex) reset() {
 	x.spill = -1
 }
 
-func (x *lineIndex) home(addr uint64) int {
-	return int((addr * 0x9E3779B97F4A7C15) >> x.shift)
+func (x *lineIndex) home(line uint64) int {
+	return int((line * 0x9E3779B97F4A7C15) >> x.shift)
 }
 
-// lookup returns the position in out of addr's transaction. On a miss it
-// returns -1 and records addr at len(out), where the caller appends it.
-func (x *lineIndex) lookup(out []Transaction, addr uint64) int {
+// lookup returns the position in out of line's transaction. On a miss it
+// returns -1 and records line at len(out), where the caller appends it.
+func (x *lineIndex) lookup(out []Transaction, line uint64) int {
 	mask := len(x.slots) - 1
-	i := x.home(addr)
+	i := x.home(line)
 	for ; x.slots[i].gen == x.gen; i = (i + 1) & mask {
-		if x.slots[i].addr == addr {
+		if x.slots[i].line == line {
 			return int(x.slots[i].pos)
 		}
 	}
 	if x.spill >= 0 {
 		for j := x.spill; j < len(out); j++ {
-			if out[j].Addr == addr {
+			if out[j].Line() == line {
 				return j
 			}
 		}
@@ -394,19 +455,7 @@ func (x *lineIndex) lookup(out []Transaction, addr uint64) int {
 		x.spill = len(out)
 		return -1
 	}
-	x.slots[i] = lineSlot{addr: addr, pos: int32(len(out)), gen: x.gen}
+	x.slots[i] = lineSlot{line: line, pos: int32(len(out)), gen: x.gen}
 	x.used++
 	return -1
-}
-
-// FinalizeBytes fills Transaction.Bytes from the sector masks. Callers run
-// it once per batch after coalescing completes.
-func (g *Generator) FinalizeBytes(txs []Transaction) {
-	for i := range txs {
-		txs[i].Bytes = popcount8(txs[i].Mask) * int(g.sectorBytes)
-	}
-}
-
-func popcount8(m uint8) int {
-	return bits.OnesCount8(m)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/bits"
 	"testing"
 
 	"ladm/internal/kernels"
@@ -21,6 +22,10 @@ func setup(t *testing.T, k *kir.Kernel, allocs []kir.AllocSpec, tables map[strin
 	}
 	return g
 }
+
+// addr returns the address of a transaction of the 128-byte lines every
+// test here generates.
+func addr(tx Transaction) uint64 { return tx.Line() * 128 }
 
 func coalescedKernel() (*kir.Kernel, []kir.AllocSpec) {
 	gid := sym.Sum(sym.Prod(sym.Bx, sym.BDx), sym.Tx)
@@ -49,20 +54,16 @@ func TestFullyCoalescedWarp(t *testing.T) {
 	if len(txs) != 2 {
 		t.Fatalf("transactions = %d, want 2 (one per access)", len(txs))
 	}
-	for _, tx := range txs {
-		if tx.Mask != 0b1111 {
-			t.Errorf("coalesced warp mask = %04b, want 1111", tx.Mask)
+	for i, tx := range txs {
+		if tx.Mask() != 0b1111 {
+			t.Errorf("coalesced warp mask = %04b, want 1111", tx.Mask())
 		}
-		if tx.Addr%128 != 0 {
-			t.Errorf("address %x not line aligned", tx.Addr)
+		if tx.Site() != i {
+			t.Errorf("transaction %d names site %d", i, tx.Site())
 		}
 	}
-	if txs[0].Mode != kir.Load || txs[1].Mode != kir.Store {
+	if txs[0].Store() || !txs[1].Store() {
 		t.Error("modes not preserved")
-	}
-	g.FinalizeBytes(txs)
-	if txs[0].Bytes != 128 {
-		t.Errorf("bytes = %d, want 128", txs[0].Bytes)
 	}
 }
 
@@ -71,13 +72,14 @@ func TestWarpOffsets(t *testing.T) {
 	g := setup(t, k, allocs, nil)
 	// Warp 1 of TB 0 covers elements 32..63 -> second 128B line of A.
 	txs, _ := g.WarpTransactions(0, 1, 0, kir.InLoop, nil)
-	if txs[0].Addr != txs[0].Alloc.Base+128 {
-		t.Errorf("warp 1 addr = %x, want base+128", txs[0].Addr)
+	base := g.accesses[0].alloc.Base
+	if addr(txs[0]) != base+128 {
+		t.Errorf("warp 1 addr = %x, want base+128", addr(txs[0]))
 	}
 	// TB 3 starts at element 3*64.
 	txs, _ = g.WarpTransactions(3, 0, 0, kir.InLoop, nil)
-	if txs[0].Addr != txs[0].Alloc.Base+3*64*4 {
-		t.Errorf("TB 3 addr = %x", txs[0].Addr)
+	if addr(txs[0]) != base+3*64*4 {
+		t.Errorf("TB 3 addr = %x", addr(txs[0]))
 	}
 }
 
@@ -99,8 +101,8 @@ func TestStridedDivergentAccess(t *testing.T) {
 	}
 	for _, tx := range txs {
 		// Each line has sectors 0 and 2 touched (offsets 0 and 64).
-		if tx.Mask != 0b0101 {
-			t.Errorf("mask = %04b, want 0101", tx.Mask)
+		if tx.Mask() != 0b0101 {
+			t.Errorf("mask = %04b, want 0101", tx.Mask())
 		}
 	}
 }
@@ -121,8 +123,8 @@ func TestPredicateGuards(t *testing.T) {
 	if instrs != 1 {
 		t.Errorf("instrs = %d", instrs)
 	}
-	if len(txs) != 1 || txs[0].Mask != 0b0001 {
-		t.Fatalf("guarded warp: %d txs, mask %04b", len(txs), txs[0].Mask)
+	if len(txs) != 1 || txs[0].Mask() != 0b0001 {
+		t.Fatalf("guarded warp: %d txs, mask %04b", len(txs), txs[0].Mask())
 	}
 }
 
@@ -138,10 +140,9 @@ func TestOutOfBoundsPredicatedOff(t *testing.T) {
 	allocs := []kir.AllocSpec{{ID: "A", Bytes: 40 * 4, ElemSize: 4}}
 	g := setup(t, k, allocs, nil)
 	txs, _ := g.WarpTransactions(1, 0, 0, kir.InLoop, nil)
-	g.FinalizeBytes(txs)
 	total := 0
 	for _, tx := range txs {
-		total += tx.Bytes
+		total += bits.OnesCount8(tx.Mask()) * 32
 	}
 	// Elements 32..39 = 32 bytes = one sector.
 	if total != 32 {
@@ -172,11 +173,11 @@ func TestPhases(t *testing.T) {
 	if len(pre) != 1 || len(in) != 2 || len(post) != 1 {
 		t.Fatalf("phase txs: %d/%d/%d", len(pre), len(in), len(post))
 	}
-	if in[0].Addr != pre[0].Addr || in[1].Addr != pre[0].Addr+128 {
-		t.Errorf("m=2 line split wrong: %x %x vs base %x", in[0].Addr, in[1].Addr, pre[0].Addr)
+	if in[0].Line() != pre[0].Line() || in[1].Line() != pre[0].Line()+1 {
+		t.Errorf("m=2 line split wrong: %x %x vs base %x", addr(in[0]), addr(in[1]), addr(pre[0]))
 	}
-	if in[1].Mask != 0b0001 {
-		t.Errorf("spill mask = %04b, want 0001", in[1].Mask)
+	if in[1].Mask() != 0b0001 {
+		t.Errorf("spill mask = %04b, want 0001", in[1].Mask())
 	}
 }
 
@@ -196,8 +197,8 @@ func TestIndirectResolution(t *testing.T) {
 	g := setup(t, k, allocs, map[string][]int64{"perm": perm})
 	txs, _ := g.WarpTransactions(0, 0, 0, kir.InLoop, nil)
 	// Reversed permutation still coalesces into the same single full line.
-	if len(txs) != 1 || txs[0].Mask != 0b1111 {
-		t.Fatalf("reversed gather: %d txs, mask %04b", len(txs), txs[0].Mask)
+	if len(txs) != 1 || txs[0].Mask() != 0b1111 {
+		t.Fatalf("reversed gather: %d txs, mask %04b", len(txs), txs[0].Mask())
 	}
 }
 
@@ -216,8 +217,8 @@ func TestPartialWarpAtBlockEnd(t *testing.T) {
 	if instrs != 1 || len(txs) != 1 {
 		t.Fatalf("partial warp: %d txs, %d instrs", len(txs), instrs)
 	}
-	if txs[0].Mask != 0b0001 {
-		t.Errorf("partial warp mask = %04b", txs[0].Mask)
+	if txs[0].Mask() != 0b0001 {
+		t.Errorf("partial warp mask = %04b", txs[0].Mask())
 	}
 	// Warp 2 does not exist.
 	txs, instrs = g.WarpTransactions(0, 2, 0, kir.InLoop, nil)
@@ -243,11 +244,11 @@ func Test2DThreadMapping(t *testing.T) {
 	if len(txs) != 2 {
 		t.Fatalf("2D warp txs = %d, want 2", len(txs))
 	}
-	if txs[0].Mask != 0b0011 || txs[1].Mask != 0b0011 {
-		t.Errorf("2D masks = %04b %04b, want 0011 each", txs[0].Mask, txs[1].Mask)
+	if txs[0].Mask() != 0b0011 || txs[1].Mask() != 0b0011 {
+		t.Errorf("2D masks = %04b %04b, want 0011 each", txs[0].Mask(), txs[1].Mask())
 	}
-	if txs[1].Addr-txs[0].Addr != 256 {
-		t.Errorf("row distance = %d, want 256", txs[1].Addr-txs[0].Addr)
+	if addr(txs[1])-addr(txs[0]) != 256 {
+		t.Errorf("row distance = %d, want 256", addr(txs[1])-addr(txs[0]))
 	}
 }
 
@@ -272,6 +273,33 @@ func TestErrorPaths(t *testing.T) {
 	k.Accesses[1].Phase = kir.PostLoop + 1
 	if _, err := New(k, space2, nil, 128, 32, 32); err == nil {
 		t.Error("unknown phase should error")
+	}
+	k.Accesses[1].Phase = kir.InLoop
+	many := *k
+	many.Accesses = nil
+	for range maxSites + 1 {
+		many.Accesses = append(many.Accesses, k.Accesses[0])
+	}
+	if _, err := New(&many, space2, nil, 128, 32, 32); err == nil {
+		t.Errorf("%d access sites should error: a word names %d", maxSites+1, maxSites)
+	}
+	if _, err := New(&kir.Kernel{Name: "most", Grid: kir.Dim1(1), Block: kir.Dim1(32), Accesses: many.Accesses[:maxSites]},
+		space2, nil, 128, 32, 32); err != nil {
+		t.Errorf("%d access sites: %v", maxSites, err)
+	}
+	// A word's line number has 47 bits: with 128-byte lines, addresses
+	// below 2^54. An array on 2^53-byte pages starts at 2^53.
+	for _, c := range []struct {
+		size uint64
+		fits bool
+	}{{1 << 53, true}, {1<<53 + 4, false}} {
+		far := page.NewSpace(1<<53, 4)
+		far.MallocManaged("A", c.size, 4)
+		_, err := New(&kir.Kernel{Name: "far", Grid: kir.Dim1(1), Block: kir.Dim1(32), Accesses: k.Accesses[:1]},
+			far, nil, 128, 32, 32)
+		if (err == nil) != c.fits {
+			t.Errorf("array of %#x bytes at %#x: error %v, want one: %v", c.size, uint64(1<<53), err, !c.fits)
+		}
 	}
 }
 
@@ -338,11 +366,11 @@ func Test3DThreadMapping(t *testing.T) {
 	if len(txs) != 4 {
 		t.Fatalf("3D warp txs = %d, want 4", len(txs))
 	}
-	base := txs[0].Alloc.Base
+	base := g.accesses[0].alloc.Base
 	want := map[uint64]bool{base: true, base + 256: true, base + 4096: true, base + 4352: true}
 	for _, tx := range txs {
-		if !want[tx.Addr] {
-			t.Errorf("unexpected line %x", tx.Addr-base)
+		if !want[addr(tx)] {
+			t.Errorf("unexpected line %x", addr(tx)-base)
 		}
 	}
 }
@@ -362,7 +390,7 @@ func TestPostLoopUsesFinalIteration(t *testing.T) {
 	if len(txs) != 1 {
 		t.Fatalf("post-loop txs = %d", len(txs))
 	}
-	if got := txs[0].Addr - txs[0].Alloc.Base; got != 4*32*4 {
+	if got := addr(txs[0]) - g.accesses[0].alloc.Base; got != 4*32*4 {
 		t.Errorf("post-loop line offset = %d, want %d", got, 4*32*4)
 	}
 }

@@ -28,11 +28,30 @@ func laneEnv(k *kir.Kernel, tables map[string][]int64, tb, t, m int) *sym.Env {
 	return &env
 }
 
+// refTx is a transaction as the reference generator builds it: the
+// fields a Transaction word packs, unpacked.
+type refTx struct {
+	addr  uint64 // line-aligned
+	mask  uint8
+	site  int
+	store bool
+}
+
+// word packs r by the layout Transaction documents, independently of
+// the generator's packing.
+func (r refTx) word(lineBytes int) Transaction {
+	w := r.addr/uint64(lineBytes)<<17 | uint64(r.site)<<9 | uint64(r.mask)
+	if r.store {
+		w |= 1 << 8
+	}
+	return Transaction(w)
+}
+
 // refWarp is the reference generator: per-lane Eval and a linear scan
 // over the site's transactions for coalescing.
 func refWarp(k *kir.Kernel, space *page.Space, tables map[string][]int64,
-	lineBytes, sectorBytes, warpSize, tb, warp, m int, phase kir.Phase) ([]Transaction, int) {
-	var out []Transaction
+	lineBytes, sectorBytes, warpSize, tb, warp, m int, phase kir.Phase) ([]refTx, int) {
+	var out []refTx
 	lo := warp * warpSize
 	hi := min(lo+warpSize, k.Block.Count())
 	if lo >= hi {
@@ -68,14 +87,14 @@ func refWarp(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 				}
 				found := false
 				for i := start; i < len(out); i++ {
-					if out[i].Addr == line {
-						out[i].Mask |= mask
+					if out[i].addr == line {
+						out[i].mask |= mask
 						found = true
 						break
 					}
 				}
 				if !found {
-					out = append(out, Transaction{Addr: line, Mask: mask, Access: ai, Mode: acc.Mode, Alloc: alloc})
+					out = append(out, refTx{addr: line, mask: mask, site: ai, store: acc.Mode == kir.Store})
 				}
 				addr += uint64(span)
 				bytes -= span
@@ -85,14 +104,19 @@ func refWarp(k *kir.Kernel, space *page.Space, tables map[string][]int64,
 	return out, instrs
 }
 
-func sameTransactions(t *testing.T, what string, got, want []Transaction) {
+// sameTransactions compares generated words with the reference's
+// transactions both ways: each word decodes to the reference's fields,
+// and each reference transaction packs to the word.
+func sameTransactions(t *testing.T, what string, lineBytes int, got []Transaction, want []refTx) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d transactions, reference %d", what, len(got), len(want))
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: transaction %d = %+v, reference %+v", what, i, got[i], want[i])
+	for i, w := range got {
+		dec := refTx{addr: w.Line() * uint64(lineBytes), mask: w.Mask(), site: w.Site(), store: w.Store()}
+		if dec != want[i] || want[i].word(lineBytes) != w {
+			t.Fatalf("%s: transaction %d = %#x (%+v), reference %+v packed %#x",
+				what, i, uint64(w), dec, want[i], uint64(want[i].word(lineBytes)))
 		}
 	}
 }
@@ -106,7 +130,7 @@ func checkWarp(t *testing.T, what string, g *Generator, space *page.Space, table
 	if gn != wn {
 		t.Fatalf("%s: %d instructions, reference %d", what, gn, wn)
 	}
-	sameTransactions(t, what, got, want)
+	sameTransactions(t, what, int(g.lineBytes), got, want)
 }
 
 // TestWarpTransactionsMatchEvalRegistry runs every registered workload,
@@ -182,8 +206,8 @@ func TestLineIndexSpillAndStraddle(t *testing.T) {
 				want, _ := refWarp(k, space, nil, 128, 32, 32, tb, warp, 0, kir.InLoop)
 				lines := map[int]int{}
 				for _, tx := range want {
-					lines[tx.Access]++
-					spilled = spilled || lines[tx.Access] > len(g.lines.slots)/2
+					lines[tx.site]++
+					spilled = spilled || lines[tx.site] > len(g.lines.slots)/2
 				}
 			}
 		}
@@ -213,11 +237,11 @@ func TestLineIndexGenerationWrap(t *testing.T) {
 	got, _ := g.WarpTransactions(0, 0, 0, kir.InLoop, prefix)
 	want, _ := refWarp(k, space, nil, 128, 32, 32, 0, 0, 0, kir.InLoop)
 	for i := range prefix {
-		if got[i] != (Transaction{}) {
+		if got[i] != 0 {
 			t.Fatalf("stale slot merged into caller's transaction %d: %+v", i, got[i])
 		}
 	}
-	sameTransactions(t, "after wrap", got[len(prefix):], want)
+	sameTransactions(t, "after wrap", 128, got[len(prefix):], want)
 	if g.lines.gen != 2 {
 		t.Fatalf("generation = %d, want 2 after wrapping", g.lines.gen)
 	}
@@ -477,7 +501,8 @@ func TestClosedFormCoverage(t *testing.T) {
 
 // checkWarpTransactions decodes a kernel of affine access sites, one
 // launch point and a line geometry from data, and compares every warp's
-// WarpTransactions with refWarp. The shapes aim at the closed form's
+// WarpTransactions with refWarp, round-tripping every packed word
+// (sameTransactions). The shapes aim at the closed form's
 // edges: block rows that split warps into runs or do not, tid.x
 // coefficients of 1 and of other values, elements that straddle lines,
 // allocations that leave runs partly out of bounds, and predicates that
